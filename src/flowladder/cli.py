@@ -70,7 +70,8 @@ def _build_parser() -> _Parser:
         sp.add_argument("--time-cap", type=float, default=DEFAULT_TIME_CAP,
                         help="seconds before a run is cut off")
         sp.add_argument("--mem-cap", type=int, default=DEFAULT_SPACE_CAP,
-                        help="traced bytes before a run is cut off")
+                        help="resident bytes (process RSS) before a run is "
+                             "cut off")
 
     a = sub.add_parser("analyze", help="run one stage on one program")
     a.add_argument("program", help="path to an ISWIM source file")

@@ -5,16 +5,21 @@ A stage is selected by name, the ladder order being naive, widened,
 frontier, deltas, lazy, compiled, imperative, imperative-prealloc.  Every
 run yields an AnalysisResult carrying the reachable contexts, the
 generation-labeled edge set, whatever store artifact the stage produces,
-and a metrics record.  Graph exports render contexts through their label
-skeleton so nodes from different stages coincide when the theorems say
-the states do.
+and a metrics record.  Runs are untraced: the space cap bounds the
+process's resident set size, sampled once per generation, and the peak of
+those samples is the run's ``peak_mem_bytes``.  Graph exports render
+contexts through their label skeleton so nodes from different stages
+coincide when the theorems say the states do.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import sys
 import time
-import tracemalloc
+from itertools import groupby
+from operator import itemgetter
 
 from .domains import (
     CoC,
@@ -61,12 +66,11 @@ class Config:
     """What to run and under which budgets."""
 
     __slots__ = ("stage", "k", "mode", "time_cap", "space_cap",
-                 "chain_limit", "graph_output")
+                 "chain_limit")
 
     def __init__(self, stage: str = "imperative-prealloc", k: int = 0,
                  mode: str = "abstract", time_cap: float = DEFAULT_TIME_CAP,
-                 space_cap: int = DEFAULT_SPACE_CAP, chain_limit=None,
-                 graph_output=None):
+                 space_cap: int = DEFAULT_SPACE_CAP, chain_limit=None):
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
         if mode not in ("abstract", "concrete"):
@@ -86,7 +90,6 @@ class Config:
         self.time_cap = time_cap
         self.space_cap = space_cap
         self.chain_limit = chain_limit
-        self.graph_output = graph_output
 
     def policy(self):
         if self.mode == "concrete":
@@ -142,14 +145,33 @@ class AnalysisResult:
         }
 
 
+_LINUX = sys.platform.startswith("linux")
+_PAGE_SIZE = os.sysconf("SC_PAGE_SIZE") if _LINUX else 0
+
+
+def rss_bytes() -> int:
+    """The process's resident set size in bytes: the current one on Linux,
+    read from /proc/self/statm, and the high-water mark elsewhere.  The
+    read goes through a raw descriptor, so it allocates no file buffer."""
+    if not _LINUX:
+        import resource
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        return peak if sys.platform == "darwin" else peak * 1024
+    fd = os.open("/proc/self/statm", os.O_RDONLY)
+    try:
+        return int(os.read(fd, 64).split()[1]) * _PAGE_SIZE
+    finally:
+        os.close(fd)
+
+
 def _cap_check(t0, time_cap, space_cap, peak_box):
     def check(n_states, generation):
         if time.perf_counter() - t0 > time_cap:
             return "time-cap"
-        _, peak = tracemalloc.get_traced_memory()
-        if peak > peak_box[0]:
-            peak_box[0] = peak
-        if peak > space_cap:
+        rss = rss_bytes()
+        if rss > peak_box[0]:
+            peak_box[0] = rss
+        if rss > space_cap:
             return "space-cap"
         return None
     return check
@@ -159,43 +181,34 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
     """Run one stage to its fixpoint (or to a cap) and package the result."""
     policy = cfg.policy()
     peak_box = [0]
-    started_tracing = not tracemalloc.is_tracing()
-    if started_tracing:
-        tracemalloc.start()
     t0 = time.perf_counter()
     cap = _cap_check(t0, cfg.time_cap, cfg.space_cap, peak_box)
-    try:
-        stage = cfg.stage
-        chain = None
-        store = None
-        if stage == "naive":
-            r = explore(e, policy, cfg.mode, cap_check=cap)
-            contexts = r.states
-        elif stage == "widened":
-            r = analyze_baseline(e, policy, cfg.mode, cap_check=cap)
-            contexts, store = r.contexts, r.store
-        elif stage == "frontier":
-            r = run_frontier(e, policy, cfg.mode, cap_check=cap,
-                             chain_limit=cfg.chain_limit)
-            contexts, store, chain = r.contexts, r.store, r.chain
-        elif stage in ("deltas", "lazy", "compiled"):
-            stepper = {"deltas": step_with_deltas, "lazy": step_lazy,
-                       "compiled": step_compiled}[stage]
-            kw = {"inject": inject_compiled} if stage == "compiled" else {}
-            r = run_logged(e, stepper, policy, cfg.mode, cap_check=cap,
-                           chain_limit=cfg.chain_limit, **kw)
-            contexts, store, chain = r.contexts, r.store, r.chain
-        else:
-            r = run_imperative(e, policy, cfg.mode, cap_check=cap,
-                               prealloc=(stage == "imperative-prealloc"))
-            contexts, store = r.contexts, r.store
-        wall = time.perf_counter() - t0
-        _, peak = tracemalloc.get_traced_memory()
-        if peak > peak_box[0]:
-            peak_box[0] = peak
-    finally:
-        if started_tracing:
-            tracemalloc.stop()
+    stage = cfg.stage
+    chain = None
+    store = None
+    if stage == "naive":
+        r = explore(e, policy, cfg.mode, cap_check=cap)
+        contexts = r.states
+    elif stage == "widened":
+        r = analyze_baseline(e, policy, cfg.mode, cap_check=cap)
+        contexts, store = r.contexts, r.store
+    elif stage == "frontier":
+        r = run_frontier(e, policy, cfg.mode, cap_check=cap,
+                         chain_limit=cfg.chain_limit)
+        contexts, store, chain = r.contexts, r.store, r.chain
+    elif stage in ("deltas", "lazy", "compiled"):
+        stepper = {"deltas": step_with_deltas, "lazy": step_lazy,
+                   "compiled": step_compiled}[stage]
+        kw = {"inject": inject_compiled} if stage == "compiled" else {}
+        r = run_logged(e, stepper, policy, cfg.mode, cap_check=cap,
+                       chain_limit=cfg.chain_limit, **kw)
+        contexts, store, chain = r.contexts, r.store, r.chain
+    else:
+        r = run_imperative(e, policy, cfg.mode, cap_check=cap,
+                           prealloc=(stage == "imperative-prealloc"))
+        contexts, store = r.contexts, r.store
+    wall = time.perf_counter() - t0
+    peak_box[0] = max(peak_box[0], rss_bytes())
     return AnalysisResult(
         stage=cfg.stage, k=cfg.k, mode=cfg.mode, program=e,
         contexts=contexts, edges=r.edges, store=store, chain=chain,
@@ -208,20 +221,28 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
 # ------------------------------------------------------------ graph export
 
 def _graph_rows(result):
-    """Deterministically ordered nodes and index-resolved edges."""
+    """Nodes ordered by (skeleton, repr), their skeleton labels, and
+    index-resolved edges.  Each skeleton is rendered once, for both the
+    order and the label; repr is only taken to order nodes whose skeletons
+    tie, and both sorts are stable, so ties beyond that keep set order."""
     naive = result.stage == "naive"
 
     def ctx_of(n):
         return n[0] if naive else n
 
-    def sort_key(n):
-        c = ctx_of(n)
-        return (skeleton(c), repr(n))
-
-    nodes = sorted(result.contexts, key=sort_key)
+    keyed = sorted(((skeleton(ctx_of(n)), n) for n in result.contexts),
+                   key=itemgetter(0))
+    nodes, labels = [], []
+    for label, group in groupby(keyed, key=itemgetter(0)):
+        group = [n for _, n in group]
+        if len(group) > 1:
+            group.sort(key=repr)
+        nodes += group
+        labels += [label] * len(group)
+    del keyed
     index = {n: i for i, n in enumerate(nodes)}
     edges = sorted((index[s], index[d], g) for s, d, g in result.edges)
-    return nodes, index, edges, ctx_of
+    return nodes, labels, index, edges, ctx_of
 
 
 def _node_color(c) -> str:
@@ -248,15 +269,19 @@ def export_graph(result: AnalysisResult, fmt: str = "dot", path=None) -> str:
     everything else white."""
     if fmt not in ("dot", "json"):
         raise ValueError(f"unknown graph format {fmt!r}")
-    nodes, index, edges, ctx_of = _graph_rows(result)
+    nodes, labels, index, edges, ctx_of = _graph_rows(result)
     if fmt == "dot":
         out = ["digraph analysis {", "  rankdir=LR;",
            "  node [style=filled, fontname=\"monospace\"];"]
+        # pop each label as its line is written, so that the labels and
+        # the lines are never all alive at once
+        labels.reverse()
         for i, n in enumerate(nodes):
+            label = labels.pop()
             c = ctx_of(n)
             color = _node_color(c)
             font = "white" if color == "black" else "black"
-            label = skeleton(c).replace("\\", "\\\\").replace('"', '\\"')
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             out.append(f'  n{i} [label="{label}", fillcolor={color}, '
                        f'fontcolor={font}];')
         for s, d, g in edges:
@@ -266,14 +291,15 @@ def export_graph(result: AnalysisResult, fmt: str = "dot", path=None) -> str:
     else:
         payload = {
             "nodes": [
-                {"id": i, "label": skeleton(ctx_of(n)),
+                {"id": i, "label": label,
                  "shape": _node_shape(ctx_of(n)),
                  "color": _node_color(ctx_of(n))}
-                for i, n in enumerate(nodes)
+                for i, (n, label) in enumerate(zip(nodes, labels))
             ],
             "edges": [{"src": s, "dst": d, "generation": g}
                       for s, d, g in edges],
-            "initial": index[result.initial],
+            # a run capped before its first state has no initial node
+            "initial": index.get(result.initial),
         }
         text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     if path is not None:

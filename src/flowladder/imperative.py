@@ -12,12 +12,14 @@ Preallocation fixes the address space up front: for a uniform k-CFA policy
 every address the policy can ever mint is enumerated and given a dense
 ordinal, the store becomes a flat list indexed by ordinal, and the machine
 runs on plain ints instead of structured address objects.  Results are
-decoded back to structured addresses when the run is packaged.
+decoded back to structured addresses when the run is packaged.  The
+enumeration grows with the number of call strings, so the run's caps are
+checked while it is under way, not only between generations.
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import chain, count, product
 
 from .domains import (
     AnalysisBugError,
@@ -45,6 +47,15 @@ from .compiled import inject_compiled, step_compiled
 
 class UnsupportedPolicyError(ValueError):
     """Raised when preallocation is asked for an unbounded address space."""
+
+
+class LayoutCapped(Exception):
+    """Raised when a cap fires while the address space is enumerated;
+    ``status`` is what the cap check returned."""
+
+    def __init__(self, status):
+        super().__init__(status)
+        self.status = status
 
 
 # ----------------------------------------------------------- value stacks
@@ -235,16 +246,24 @@ def chain_to_stacks(chain):
 
 # ----------------------------------------------------------- preallocation
 
+# addresses minted between two cap checks while a layout is enumerated
+_CAP_CHECK_EVERY = 4096
+
+
 class AddressLayout:
     """Dense ordinals for every address a uniform k-CFA policy can mint on
     a given program: one bind slot per (variable, time), one continuation
     slot per application or conditional (label, time), operator and operand
     value slots per application (label, time).  Times range over call
-    strings of length at most k, a superset of the reachable ones."""
+    strings of length at most k, a superset of the reachable ones.
+
+    ``cap_check(n_states, generation)``, if given, is called every few
+    thousand addresses; a status it returns stops the enumeration with
+    LayoutCapped."""
 
     __slots__ = ("size", "k", "_ordinal", "_addr", "_bind", "_kont", "_fn", "_arg")
 
-    def __init__(self, e: Expr, k: int):
+    def __init__(self, e: Expr, k: int, cap_check=None):
         self.k = k
         variables = set()
         app_labels = []
@@ -263,21 +282,21 @@ class AddressLayout:
                 work.extend((node.guard, node.then, node.els))
         app_labels.sort()
         if_labels.sort()
-        times = [()]
-        for n in range(1, k + 1):
-            times.extend(product(app_labels, repeat=n))
         addrs = []
-        for t in times:
-            addrs.extend(BindAddr(v, t) for v in sorted(variables))
-        for t in times:
-            addrs.extend(KontAddr(l, t) for l in sorted(app_labels + if_labels))
-        for t in times:
-            for l in app_labels:
-                addrs.append(ValAddr(l, t, FN_SLOT))
-                addrs.append(ValAddr(l, t, ARG_SLOT))
+        ordinal = {}
+        next_check = _CAP_CHECK_EVERY
+        for group in _address_groups(sorted(variables), app_labels,
+                                     sorted(app_labels + if_labels), k):
+            ordinal.update(zip(group, count(len(addrs))))
+            addrs += group
+            if cap_check is not None and len(addrs) >= next_check:
+                stop = cap_check(0, 0)
+                if stop is not None:
+                    raise LayoutCapped(stop)
+                next_check = len(addrs) + _CAP_CHECK_EVERY
         self.size = len(addrs)
         self._addr = addrs
-        self._ordinal = {a: i for i, a in enumerate(addrs)}
+        self._ordinal = ordinal
         if k == 0:
             self._bind = {v: self._ordinal[BindAddr(v, ())] for v in variables}
             self._kont = {l: self._ordinal[KontAddr(l, ())] for l in app_labels + if_labels}
@@ -359,13 +378,33 @@ class _GenericIntPolicy:
         return self._layout._ordinal[self._base.kont_addr(label, time, None, kont)]
 
 
-def preallocate(e: Expr, policy) -> AddressLayout:
+def _address_groups(variables, app_labels, labels, k):
+    """Every address of the layout in ordinal order, one list per time and
+    address kind: all bind slots, then all continuation slots, then all
+    value slots.  There are len(app_labels) ** k times of length k, so they
+    are collected while the bind slots are handed out, under the caller's
+    cap checks, and each time's one tuple is shared by all its slots."""
+    times = []
+    for t in chain([()], *(product(app_labels, repeat=n)
+                           for n in range(1, k + 1))):
+        times.append(t)
+        yield [BindAddr(v, t) for v in variables]
+    for t in times:
+        yield [KontAddr(l, t) for l in labels]
+    for t in times:
+        group = []
+        for l in app_labels:
+            group += (ValAddr(l, t, FN_SLOT), ValAddr(l, t, ARG_SLOT))
+        yield group
+
+
+def preallocate(e: Expr, policy, cap_check=None) -> AddressLayout:
     """Enumerate the policy's address space for e.  Only finite uniform
     policies qualify; the concrete freshness policy has no bound."""
     if not getattr(policy, "finite", False):
         raise UnsupportedPolicyError(
             f"cannot preallocate for {policy!r}: unbounded address space")
-    return AddressLayout(e, policy.k)
+    return AddressLayout(e, policy.k, cap_check)
 
 
 # ------------------------------------------------------- ordinal decoding
@@ -459,11 +498,20 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
     frontier, snapshot-at-t before the sweep, snapshot-at-t after,
     snapshot-at-t+1 after, changed): in-place writes during a generation
     must never alter the snapshot the generation reads, and the changed
-    flag must coincide with growth from the t snapshot to the t+1 one."""
+    flag must coincide with growth from the t snapshot to the t+1 one.
+
+    A cap that fires while the address space is being preallocated ends
+    the run before its first generation, with no contexts."""
     layout = None
     pol = policy
     if prealloc:
-        layout = preallocate(e, policy)
+        try:
+            layout = preallocate(e, policy, cap_check=cap_check)
+        except LayoutCapped as ex:
+            return ImperativeRun(
+                contexts=frozenset(), seen={}, edges=frozenset(),
+                generations=0, status=ex.status, t=0, store=EMPTY_STORE,
+                vstore=HashValueStore(), layout=None, initial=None)
         pol = layout.int_policy(policy)
         vstore = DenseValueStore(layout.size)
         dec_a = layout.addr_of

@@ -80,6 +80,8 @@ def test_analyze_cap_exits_2(church, capsys):
     assert main(["analyze", church, "--stage", "widened",
                  "--time-cap", "1e-9"]) == 2
     assert "status=time-cap" in capsys.readouterr().out
+    assert main(["analyze", church, "--mem-cap", "1"]) == 2
+    assert "status=space-cap" in capsys.readouterr().out
 
 
 def test_ladder_runs_the_full_ladder(church, capsys):

@@ -1,6 +1,7 @@
 """Unified driver, graph export, cross-stage comparison."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,9 +13,16 @@ from flowladder.engine import (
     ConfigError,
     compare_stages,
     export_graph,
+    rss_bytes,
     run,
 )
-from tests.support import abstract_covers, load_corpus, oracle_eval, OracleStuck
+from tests.support import (
+    abstract_covers,
+    load_bench,
+    load_corpus,
+    oracle_eval,
+    OracleStuck,
+)
 
 ABSTRACT_STAGES = STAGES[1:]
 
@@ -59,6 +67,7 @@ def test_every_stage_reaches_fixpoint_and_covers_oracle():
 
 
 def test_metrics_record_schema():
+    before = rss_bytes()
     r = run(Config(stage="deltas"), corpus_program("23_fanout"))
     m = r.metrics()
     assert set(m) == {"stage", "k", "states", "transitions", "generations",
@@ -66,7 +75,8 @@ def test_metrics_record_schema():
                       "status"}
     assert m["states"] == len(r.contexts)
     assert m["transitions"] == len(r.edges)
-    assert m["peak_mem_bytes"] > 0
+    # the peak resident set size sampled during the run
+    assert m["peak_mem_bytes"] >= before > 0
     assert m["states_per_sec"] == pytest.approx(m["transitions"] / m["wall_time_s"])
 
 
@@ -91,8 +101,43 @@ def test_time_cap_yields_partial_result():
 
 def test_space_cap_yields_partial_result():
     e = corpus_program("22_church_mult")
-    r = run(Config(stage="frontier", space_cap=1), e)
+    for stage in ("frontier", "imperative-prealloc"):
+        for cap in (1, rss_bytes() // 2):
+            r = run(Config(stage=stage, space_cap=cap), e)
+            assert r.status == "space-cap", (stage, cap)
+            assert r.peak_mem_bytes > cap, (stage, cap)
+        r = run(Config(stage=stage, space_cap=rss_bytes() + (256 << 20)), e)
+        assert r.status == "fixpoint", stage
+
+
+def test_space_cap_holds_while_the_address_space_is_laid_out():
+    # at k=2 the bench has 60.5M addresses, far more than the cap allows;
+    # the run ends during preallocation with no states, and still exports
+    cap = rss_bytes() + (256 << 20)
+    r = run(Config(stage="imperative-prealloc", k=2, space_cap=cap),
+            load_bench("church_dist.scm"))
     assert r.status == "space-cap"
+    assert r.peak_mem_bytes > cap
+    assert r.contexts == frozenset() and r.generations == 0
+    assert json.loads(export_graph(r, "json"))["initial"] is None
+    assert export_graph(r, "dot").count("->") == 0
+
+
+def test_run_leaves_tracemalloc_as_it_found_it():
+    e = corpus_program("22_church_mult")
+    assert not tracemalloc.is_tracing()
+    run(Config(stage="deltas"), e)
+    assert not tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        ballast = bytearray(8 << 20)
+        del ballast
+        _, peak = tracemalloc.get_traced_memory()
+        run(Config(stage="deltas"), e)
+        assert tracemalloc.is_tracing()
+        assert tracemalloc.get_traced_memory()[1] >= peak >= 8 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_chain_limit_truncates_only_the_chain():
