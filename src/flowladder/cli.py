@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .engine import (
@@ -91,8 +90,6 @@ def _build_parser() -> _Parser:
                         "from widened)")
     l.add_argument("--csv", metavar="PATH",
                    help="write the metrics table as CSV (default: stdout)")
-    l.add_argument("--parallel", action="store_true",
-                   help="run stages concurrently; timings will overlap")
     common(l)
 
     c = sub.add_parser("check", help="verify stage agreement over a corpus")
@@ -189,12 +186,7 @@ def cmd_ladder(args) -> int:
     except ConfigError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FLAGS
-    if args.parallel:
-        with ThreadPoolExecutor(max_workers=len(cfgs)) as pool:
-            results = list(pool.map(lambda c: run(c, e), cfgs))
-    else:
-        results = [run(c, e) for c in cfgs]
-    rows = [r.metrics() for r in results]
+    rows = [run(c, e).metrics() for c in cfgs]
     base = rows[0]
 
     head = (f"{'stage':<22}{'states':>8}{'trans':>9}{'gens':>6}"

@@ -9,14 +9,14 @@ them once, and the replay's change flag replaces the store comparison.
 Lookups never consult the log: every rule reads the generation's entry
 store only, which is what makes per-successor logs order-independent.
 
-The module also owns the generic logged-system runner; the lazy, compiled,
-and imperative stages all iterate their steppers through it (the imperative
-stage through its own transfer loop with the same frontier discipline).
+``run_logged`` is the log-and-replay sweep under the frontier driver; the
+lazy and compiled stages run their steppers through it too.
 """
 
 from __future__ import annotations
 
 from .domains import (
+    AnalysisResult,
     ApC,
     ArK,
     Closure,
@@ -39,6 +39,7 @@ from .domains import (
     lit_value,
 )
 from .syntax import App, If, Lam, Lit, Var
+from .frontier import run_chain
 from .widening import inject_context
 
 # A change log is a list of (Addr, frozenset) join intents.  Entry order is
@@ -50,22 +51,20 @@ def replay(log, store: Store):
     """Fold a change log into a store.
 
     Returns (store', changed?).  The change test for every entry runs against
-    the PRE-replay store; the disjunction of entry flags coincides exactly
-    with store' != store because joins only grow.
+    the PRE-replay store, and an entry it already contains is skipped; the
+    store changes exactly when some entry is not skipped, because joins only
+    grow.
     """
-    changed = False
     m = None
     for a, vs in log:
         old = store.get(a)
-        if old is None or not vs <= old:
-            changed = True
+        if old is not None and vs <= old:
+            continue
         if m is None:
-            if old is not None and vs <= old:
-                continue
             m = dict(store.items())
         cur = m.get(a)
         m[a] = frozenset(vs) if cur is None else cur | vs
-    if not changed:
+    if m is None:
         return store, False
     return Store(m), True
 
@@ -157,33 +156,6 @@ def step_with_deltas(c, store: Store, policy, mode: str):
 
 # ------------------------------------------------------ logged-system runner
 
-class LoggedRun:
-    """Fixpoint of a logged stepper under frontier iteration."""
-
-    __slots__ = ("contexts", "store", "chain", "seen", "edges", "generations", "status", "initial")
-
-    def __init__(self, contexts, store, chain, seen, edges, generations, status, initial):
-        self.contexts = contexts
-        self.store = store
-        self.chain = chain
-        self.seen = seen
-        self.edges = edges
-        self.generations = generations
-        self.status = status
-        self.initial = initial
-
-    def final_values(self) -> frozenset:
-        """Values reaching halt, with delayed lookups forced against the
-        final store."""
-        from .lazy import force
-
-        vals = set()
-        for c in self.contexts:
-            if isinstance(c, CoC) and isinstance(c.kont, Halt):
-                vals |= force(self.store, c.val)
-        return frozenset(vals)
-
-
 def inject_plain(e, policy):
     """Injection for steppers whose start state is the root ev context."""
     return [inject_context(e)], []
@@ -238,31 +210,12 @@ def run_logged(
     inject=inject_plain,
     cap_check=None,
     order_key=None,
-    chain_limit=None,
     trace=None,
-) -> LoggedRun:
+) -> AnalysisResult:
     """Frontier iteration where transitions emit logs and the store advances
-    by one replay per generation."""
-    first, log0 = inject(e, policy)
-    store, _ = replay(log0, EMPTY_STORE)
-    seen = {}
-    frontier = []
-    for c in first:
-        if c not in seen:
-            seen[c] = (0,)
-            frontier.append(c)
-    chain = [store]
-    t = 0
-    edges = {}
-    generation = 0
-    status = "fixpoint"
-    while frontier:
-        if cap_check is not None:
-            stop = cap_check(len(seen), generation)
-            if stop is not None:
-                status = stop
-                break
-        order = frontier if order_key is None else sorted(frontier, key=order_key)
+    by one replay per generation.  ``trace`` is run_chain's."""
+
+    def step(order, store):
         logs = []
         produced = []
         for c in order:
@@ -270,36 +223,9 @@ def run_logged(
                 produced.append((c, c2))
                 if log:
                     logs.append(log)
-        store2, changed = replay(appendall(logs), store)
-        if changed:
-            t += 1
-            store = store2
-            chain.insert(0, store2)
-            if chain_limit is not None and len(chain) > chain_limit:
-                del chain[chain_limit:]
-        frontier = []
-        local = set()
-        for src, dst in produced:
-            if (src, dst) not in edges:
-                edges[(src, dst)] = generation
-            if dst in local:
-                continue
-            stamps = seen.get(dst)
-            if stamps is not None and t in stamps:
-                continue
-            local.add(dst)
-            seen[dst] = (t,) + (stamps or ())
-            frontier.append(dst)
-        generation += 1
-        if trace is not None:
-            trace.append((dict(seen), tuple(frontier), tuple(chain), t))
-    return LoggedRun(
-        contexts=frozenset(seen),
-        store=store,
-        chain=tuple(chain),
-        seen=dict(seen),
-        edges=frozenset((s, d, g) for (s, d), g in edges.items()),
-        generations=generation,
-        status=status,
-        initial=first[0],
-    )
+        store2, grew = replay(appendall(logs), store)
+        return produced, store2, grew
+
+    first, log0 = inject(e, policy)
+    store0, _ = replay(log0, EMPTY_STORE)
+    return run_chain(e, first, store0, step, cap_check, order_key, trace)

@@ -399,11 +399,6 @@ class Store:
 EMPTY_STORE = Store()
 
 
-def store_join(a: Store, b: Store) -> Store:
-    """Pointwise join of two stores."""
-    return a.join_store(b)
-
-
 class MutStore(Store):
     """Store whose join updates in place.
 
@@ -666,6 +661,66 @@ STUCK_APPLY = "apply-non-function"
 STUCK_PRIM = "primitive-type-error"
 STUCK_IF = "if-non-boolean"
 STUCK_UNBOUND = "unbound-variable"
+
+
+# ------------------------------------------------------------ run results
+
+def halt_values(contexts, store) -> frozenset:
+    """Values that reach halt among ``contexts``, with delayed lookups
+    forced against ``store``."""
+    out = set()
+    for c in contexts:
+        if isinstance(c, CoC) and isinstance(c.kont, Halt):
+            v = c.val
+            if isinstance(v, DelayedAddr):
+                out |= store.deref(v.addr)
+            else:
+                out.add(v)
+    return frozenset(out)
+
+
+class AnalysisResult:
+    """A stage's fixpoint plus its measurements: what every runner returns.
+
+    ``contexts`` holds plain contexts for the widened stages and
+    (context, store) pairs for the naive one; ``edges`` holds (src, dst,
+    generation first produced); ``chain`` is the store chain where the stage
+    keeps one, else None.  ``engine.run`` fills in the stage, k, mode, wall
+    time and peak memory."""
+
+    __slots__ = ("stage", "k", "mode", "program", "contexts", "edges", "store",
+                 "chain", "status", "generations", "initial", "wall_time_s",
+                 "peak_mem_bytes", "values")
+
+    def __init__(self, *, program, contexts, edges, store, chain, status,
+                 generations, initial, values):
+        self.stage = self.k = self.mode = None
+        self.program = program
+        self.contexts = contexts
+        self.edges = edges
+        self.store = store
+        self.chain = chain
+        self.status = status
+        self.generations = generations
+        self.initial = initial
+        self.wall_time_s = 0.0
+        self.peak_mem_bytes = 0
+        self.values = values
+
+    def metrics(self) -> dict:
+        wall = self.wall_time_s
+        transitions = len(self.edges)
+        return {
+            "stage": self.stage,
+            "k": self.k,
+            "states": len(self.contexts),
+            "transitions": transitions,
+            "generations": self.generations,
+            "wall_time_s": wall,
+            "peak_mem_bytes": self.peak_mem_bytes,
+            "states_per_sec": (transitions / wall) if wall > 0 else 0.0,
+            "status": self.status,
+        }
 
 
 # ----------------------------------------------------------------- policies

@@ -1,11 +1,12 @@
-"""Unified driver: one entry point over every stage, graph and metrics
-export, cross-stage comparison.
+"""One entry point over every stage, graph and metrics export, cross-stage
+comparison.
 
 A stage is selected by name, the ladder order being naive, widened,
 frontier, deltas, lazy, compiled, imperative, imperative-prealloc.  Every
-run yields an AnalysisResult carrying the reachable contexts, the
-generation-labeled edge set, whatever store artifact the stage produces,
-and a metrics record.  Runs are untraced: the space cap bounds the
+stage's runner returns an AnalysisResult carrying the reachable contexts,
+the generation-labeled edge set, whatever store artifact the stage
+produces, and its final values; ``run`` adds the stage name, k, the mode
+and the measurements.  Runs are untraced: the space cap bounds the
 process's resident set size, sampled once per generation, and the peak of
 those samples is the run's ``peak_mem_bytes``.  Graph exports render
 contexts through their label skeleton so nodes from different stages
@@ -22,6 +23,7 @@ from itertools import groupby
 from operator import itemgetter
 
 from .domains import (
+    AnalysisResult,
     CoC,
     DelayedAddr,
     EvC,
@@ -65,12 +67,11 @@ class ConfigError(ValueError):
 class Config:
     """What to run and under which budgets."""
 
-    __slots__ = ("stage", "k", "mode", "time_cap", "space_cap",
-                 "chain_limit")
+    __slots__ = ("stage", "k", "mode", "time_cap", "space_cap")
 
     def __init__(self, stage: str = "imperative-prealloc", k: int = 0,
                  mode: str = "abstract", time_cap: float = DEFAULT_TIME_CAP,
-                 space_cap: int = DEFAULT_SPACE_CAP, chain_limit=None):
+                 space_cap: int = DEFAULT_SPACE_CAP):
         if stage not in STAGES:
             raise ConfigError(f"unknown stage {stage!r}")
         if mode not in ("abstract", "concrete"):
@@ -82,67 +83,16 @@ class Config:
             raise ConfigError(f"k must be a natural number, got {k!r}")
         if time_cap <= 0 or space_cap <= 0:
             raise ConfigError("caps must be positive")
-        if chain_limit is not None and chain_limit < 1:
-            raise ConfigError("chain_limit must be at least 1")
         self.stage = stage
         self.k = k
         self.mode = mode
         self.time_cap = time_cap
         self.space_cap = space_cap
-        self.chain_limit = chain_limit
 
     def policy(self):
         if self.mode == "concrete":
             return concrete_policy()
         return kcfa_policy(self.k)
-
-
-class AnalysisResult:
-    """A stage's fixpoint plus its measurements.
-
-    ``contexts`` holds plain contexts for the widened stages and
-    (context, store) pairs for the naive one; ``chain`` is the store chain
-    where the stage keeps one, else None."""
-
-    __slots__ = ("stage", "k", "mode", "program", "contexts", "edges", "store",
-                 "chain", "status", "generations", "initial", "wall_time_s",
-                 "peak_mem_bytes", "values")
-
-    def __init__(self, stage, k, mode, program, contexts, edges, store, chain,
-                 status, generations, initial, wall_time_s, peak_mem_bytes,
-                 values):
-        self.stage = stage
-        self.program = program
-        self.k = k
-        self.mode = mode
-        self.contexts = contexts
-        self.edges = edges
-        self.store = store
-        self.chain = chain
-        self.status = status
-        self.generations = generations
-        self.initial = initial
-        self.wall_time_s = wall_time_s
-        self.peak_mem_bytes = peak_mem_bytes
-        self.values = values
-
-    def final_values(self) -> frozenset:
-        return self.values
-
-    def metrics(self) -> dict:
-        wall = self.wall_time_s
-        transitions = len(self.edges)
-        return {
-            "stage": self.stage,
-            "k": self.k,
-            "states": len(self.contexts),
-            "transitions": transitions,
-            "generations": self.generations,
-            "wall_time_s": wall,
-            "peak_mem_bytes": self.peak_mem_bytes,
-            "states_per_sec": (transitions / wall) if wall > 0 else 0.0,
-            "status": self.status,
-        }
 
 
 _LINUX = sys.platform.startswith("linux")
@@ -178,44 +128,30 @@ def _cap_check(t0, time_cap, space_cap, peak_box):
 
 
 def run(cfg: Config, e: Expr) -> AnalysisResult:
-    """Run one stage to its fixpoint (or to a cap) and package the result."""
+    """Run one stage to its fixpoint (or to a cap) and measure it."""
     policy = cfg.policy()
     peak_box = [0]
     t0 = time.perf_counter()
     cap = _cap_check(t0, cfg.time_cap, cfg.space_cap, peak_box)
     stage = cfg.stage
-    chain = None
-    store = None
     if stage == "naive":
         r = explore(e, policy, cfg.mode, cap_check=cap)
-        contexts = r.states
     elif stage == "widened":
         r = analyze_baseline(e, policy, cfg.mode, cap_check=cap)
-        contexts, store = r.contexts, r.store
     elif stage == "frontier":
-        r = run_frontier(e, policy, cfg.mode, cap_check=cap,
-                         chain_limit=cfg.chain_limit)
-        contexts, store, chain = r.contexts, r.store, r.chain
+        r = run_frontier(e, policy, cfg.mode, cap_check=cap)
     elif stage in ("deltas", "lazy", "compiled"):
         stepper = {"deltas": step_with_deltas, "lazy": step_lazy,
                    "compiled": step_compiled}[stage]
         kw = {"inject": inject_compiled} if stage == "compiled" else {}
-        r = run_logged(e, stepper, policy, cfg.mode, cap_check=cap,
-                       chain_limit=cfg.chain_limit, **kw)
-        contexts, store, chain = r.contexts, r.store, r.chain
+        r = run_logged(e, stepper, policy, cfg.mode, cap_check=cap, **kw)
     else:
         r = run_imperative(e, policy, cfg.mode, cap_check=cap,
                            prealloc=(stage == "imperative-prealloc"))
-        contexts, store = r.contexts, r.store
-    wall = time.perf_counter() - t0
-    peak_box[0] = max(peak_box[0], rss_bytes())
-    return AnalysisResult(
-        stage=cfg.stage, k=cfg.k, mode=cfg.mode, program=e,
-        contexts=contexts, edges=r.edges, store=store, chain=chain,
-        status=r.status, generations=r.generations, initial=r.initial,
-        wall_time_s=wall, peak_mem_bytes=peak_box[0],
-        values=r.final_values(),
-    )
+    r.wall_time_s = time.perf_counter() - t0
+    r.peak_mem_bytes = max(peak_box[0], rss_bytes())
+    r.stage, r.k, r.mode = stage, cfg.k, cfg.mode
+    return r
 
 
 # ------------------------------------------------------------ graph export

@@ -1,12 +1,21 @@
-"""Timestamped frontier iteration over the widened relation.
+"""Timestamped frontier iteration: the driver every timestamped rung runs.
 
-The baseline re-steps every discovered context every iteration.  This stage
-steps only a frontier: contexts are paired with the timestamp of the store
-they were scheduled under, and a context is re-enqueued exactly when it is
-reached again at a store version it has not seen.  Because the global store
-grows monotonically, comparing store versions reduces to comparing
-timestamps, and the store chain (newest first) lets any timestamp be
-dereferenced back to the store it names.
+The baseline re-steps every discovered context every iteration.  From this
+stage on only a frontier is stepped: contexts are paired with the timestamp
+of the store they were scheduled under, and a context is re-enqueued exactly
+when it is reached again at a store version it has not seen.  Because the
+global store grows monotonically, comparing store versions reduces to
+comparing timestamps, and the store chain (newest first) lets any timestamp
+be dereferenced back to the store it names.
+
+That discipline is the same on every later rung; what changes is how a
+generation's sweep steps the frontier and grows the store.  ``drive`` owns
+the discipline (cap checks, iteration order, seen stamps, successor
+interning, edge labels, the frontier rebuild) and takes the sweep as a
+function.  ``run_chain`` keeps persistent stores as the store chain: this
+module's sweep joins them and compares them structurally, the ``deltas``
+one logs writes and replays them.  ``imperative`` writes value stacks in
+place.
 
 The untimestamped reference system at the bottom of the module is the same
 algorithm with the timestamps replaced by the stores they denote; the two are
@@ -16,115 +25,109 @@ implemented here in both directions and compared exactly in tests.
 
 from __future__ import annotations
 
-from .domains import EMPTY_STORE, Store
+from .domains import EMPTY_STORE, AnalysisResult, Store, halt_values
 from .syntax import Expr
 from .widening import inject_context, sweep_contexts
 
 
-class System:
-    """Frontier-iteration state: seen map, frontier, store chain, clock.
+def drive(first, sweep, cap_check=None, order_key=None, trace=None):
+    """Iterate generations from the contexts ``first`` to an empty frontier.
 
-    seen maps a context to the tuple of timestamps (newest first) at which it
-    entered a frontier; chain holds every distinct global store, newest
-    first.  Invariants: store is chain[0]; t == len(chain) - 1 when the chain
-    is complete (untruncated); every recorded stamp is <= t.
+    ``sweep(order, t)`` steps one generation's frontier, in order, against
+    the store at timestamp t and returns (successor pairs, grew?); when the
+    store grew, the clock advances.  A successor enters the next frontier
+    unless it was already seen at the advanced clock.  Successors are
+    interned, so the bookkeeping dicts compare contexts by identity.
+
+    ``cap_check(n_contexts, generation)`` may return a status to stop
+    before a generation; ``order_key`` reorders each frontier (results must
+    not depend on it); ``trace(seen, frontier, t)``, if given, is called
+    after every generation.
+
+    Returns (seen, edges, generations, status, t): seen maps each context
+    to the list of timestamps (oldest first) at which it entered a
+    frontier, edges holds every (src, dst, generation first produced).
     """
-
-    __slots__ = ("seen", "frontier", "chain", "t", "chain_limit")
-
-    def __init__(self, seen, frontier, chain, t, chain_limit=None):
-        self.seen = seen          # dict Context -> tuple of stamps, newest first
-        self.frontier = frontier  # list of Context, discovery order
-        self.chain = chain        # list of Store, newest first
-        self.t = t
-        self.chain_limit = chain_limit
-
-    @property
-    def store(self) -> Store:
-        return self.chain[0]
-
-    def contexts(self) -> frozenset:
-        return frozenset(self.seen)
-
-    def at_fixpoint(self) -> bool:
-        return not self.frontier
-
-    def __repr__(self):
-        return (
-            f"System(|seen|={len(self.seen)}, |F|={len(self.frontier)}, "
-            f"|chain|={len(self.chain)}, t={self.t})"
-        )
-
-
-def inject_frontier(e: Expr, chain_limit=None) -> System:
-    c0 = inject_context(e)
-    return System(
-        seen={c0: (0,)},
-        frontier=[c0],
-        chain=[EMPTY_STORE],
-        t=0,
-        chain_limit=chain_limit,
-    )
-
-
-def frontier_step(sys: System, policy, mode: str = "abstract", order_key=None, edge_sink=None):
-    """One generation: step the frontier, join the store, rebuild the
-    frontier from successors not yet seen at the (possibly advanced) clock.
-
-    order_key optionally reorders frontier iteration (results must not depend
-    on it); edge_sink, if given, receives every (src, dst) successor pair.
-    """
-    if not sys.frontier:
-        return sys
-    order = sys.frontier if order_key is None else sorted(sys.frontier, key=order_key)
-    edges, store2 = sweep_contexts(order, sys.store, policy, mode)
-    if edge_sink is not None:
-        edge_sink.extend(edges)
-    changed = store2 is not sys.store and store2 != sys.store
-    if changed:
-        t2 = sys.t + 1
-        chain2 = [store2] + sys.chain
-        if sys.chain_limit is not None and len(chain2) > sys.chain_limit:
-            chain2 = chain2[: sys.chain_limit]
-    else:
-        t2 = sys.t
-        chain2 = sys.chain
-    seen2 = dict(sys.seen)
-    frontier2 = []
-    local = set()
-    for _, dst in edges:
-        if dst in local:
-            continue
-        stamps = seen2.get(dst)
-        if stamps is not None and t2 in stamps:
-            continue
-        local.add(dst)
-        seen2[dst] = (t2,) + (stamps or ())
-        frontier2.append(dst)
-    return System(seen2, frontier2, chain2, t2, sys.chain_limit)
+    seen = {}
+    canon = {}
+    frontier = []
+    for c in first:
+        if c not in seen:
+            seen[c] = [0]
+            canon[c] = c
+            frontier.append(c)
+    t = 0
+    edges = {}
+    generation = 0
+    status = "fixpoint"
+    while frontier:
+        if cap_check is not None:
+            stop = cap_check(len(seen), generation)
+            if stop is not None:
+                status = stop
+                break
+        order = frontier if order_key is None else sorted(frontier, key=order_key)
+        produced, grew = sweep(order, t)
+        if grew:
+            t += 1
+        frontier = []
+        for pair in produced:
+            src, dst = pair
+            c = canon.get(dst)
+            if c is None:
+                canon[dst] = c = dst
+            elif c is not dst:
+                pair = (src, c)
+            if pair not in edges:
+                edges[pair] = generation
+            stamps = seen.get(c)
+            if stamps is None:
+                seen[c] = [t]
+            elif stamps[-1] == t:
+                continue
+            else:
+                stamps.append(t)
+            frontier.append(c)
+        generation += 1
+        if trace is not None:
+            trace(seen, frontier, t)
+    return (seen, frozenset((s, d, g) for (s, d), g in edges.items()),
+            generation, status, t)
 
 
-class FrontierRun:
-    """Fixpoint of the frontier system plus discovery bookkeeping."""
+def newest_first(seen) -> dict:
+    """A seen map of drive's with each context's stamps as a tuple, newest
+    first, the form the reference system's seen map takes."""
+    return {c: tuple(reversed(stamps)) for c, stamps in seen.items()}
 
-    __slots__ = ("contexts", "store", "chain", "seen", "edges", "generations", "status", "initial")
 
-    def __init__(self, contexts, store, chain, seen, edges, generations, status, initial):
-        self.contexts = contexts
-        self.store = store
-        self.chain = chain          # tuple of Stores, newest first
-        self.seen = seen            # dict Context -> stamp tuple
-        self.edges = edges          # frozenset of (src, dst, generation)
-        self.generations = generations
-        self.status = status
-        self.initial = initial
+def run_chain(e, first, store, step, cap_check=None, order_key=None,
+              trace=None) -> AnalysisResult:
+    """Drive a sweep over persistent stores, kept as the store chain.
 
-    def final_values(self) -> frozenset:
-        from .domains import CoC, Halt
+    ``step(order, store)`` steps a generation's frontier against the
+    newest store and returns (successor pairs, store', grew?).  ``trace``,
+    if a list, receives a snapshot tuple (seen, frontier, chain, t) after
+    every generation (for the order-isomorphism comparison), seen in
+    ``newest_first`` form."""
+    chain = [store]
 
-        return frozenset(
-            c.val for c in self.contexts if isinstance(c, CoC) and isinstance(c.kont, Halt)
-        )
+    def sweep(order, t):
+        produced, store2, grew = step(order, chain[0])
+        if grew:
+            chain.insert(0, store2)
+        return produced, grew
+
+    def snap(seen, frontier, t):
+        trace.append((newest_first(seen), tuple(frontier), tuple(chain), t))
+
+    seen, edges, generations, status, _ = drive(
+        first, sweep, cap_check, order_key, None if trace is None else snap)
+    contexts = frozenset(seen)
+    return AnalysisResult(
+        program=e, contexts=contexts, edges=edges, store=chain[0],
+        chain=tuple(chain), status=status, generations=generations,
+        initial=first[0], values=halt_values(contexts, chain[0]))
 
 
 def run_frontier(
@@ -133,42 +136,18 @@ def run_frontier(
     mode: str = "abstract",
     cap_check=None,
     order_key=None,
-    chain_limit=None,
     trace=None,
-) -> FrontierRun:
-    """Iterate frontier_step to an empty frontier.
+) -> AnalysisResult:
+    """Frontier iteration where each generation joins the stores its
+    contexts produce and compares the result with the old store.
+    ``trace`` is run_chain's."""
 
-    ``trace``, if a list, receives a snapshot tuple (seen, frontier, chain,
-    t) after every generation (for the order-isomorphism comparison).
-    """
-    sys = inject_frontier(e, chain_limit)
-    edges = {}
-    generation = 0
-    status = "fixpoint"
-    while sys.frontier:
-        if cap_check is not None:
-            stop = cap_check(len(sys.seen), generation)
-            if stop is not None:
-                status = stop
-                break
-        sink = []
-        sys = frontier_step(sys, policy, mode, order_key=order_key, edge_sink=sink)
-        for src, dst in sink:
-            if (src, dst) not in edges:
-                edges[(src, dst)] = generation
-        generation += 1
-        if trace is not None:
-            trace.append((dict(sys.seen), tuple(sys.frontier), tuple(sys.chain), sys.t))
-    return FrontierRun(
-        contexts=sys.contexts(),
-        store=sys.store,
-        chain=tuple(sys.chain),
-        seen=dict(sys.seen),
-        edges=frozenset((s, d, g) for (s, d), g in edges.items()),
-        generations=generation,
-        status=status,
-        initial=inject_context(e),
-    )
+    def step(order, store):
+        edges, store2 = sweep_contexts(order, store, policy, mode)
+        return edges, store2, store2 is not store and store2 != store
+
+    return run_chain(e, [inject_context(e)], EMPTY_STORE, step, cap_check,
+                     order_key, trace)
 
 
 # ------------------------------------------------- untimestamped reference

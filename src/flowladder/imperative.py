@@ -6,7 +6,8 @@ time-filtered lookup the current generation uses, so the store can be
 updated in place while it is being read: a generation always sees the
 snapshot it started with.  The stacks record the whole widening history;
 snapshotting them at each timestamp reproduces the store chain of the
-persistent stages entry for entry.
+persistent stages entry for entry.  The machine is this in-place sweep
+under the frontier driver (``frontier.drive``).
 
 Preallocation fixes the address space up front: for a uniform k-CFA policy
 every address the policy can ever mint is enumerated and given a dense
@@ -23,6 +24,7 @@ from itertools import chain, count, product
 
 from .domains import (
     AnalysisBugError,
+    AnalysisResult,
     ApC,
     ArK,
     BindAddr,
@@ -40,9 +42,11 @@ from .domains import (
     ValAddr,
     FN_SLOT,
     ARG_SLOT,
+    halt_values,
 )
 from .syntax import App, Expr, If, Lam, Lit, Var
 from .compiled import inject_compiled, step_compiled
+from .frontier import drive, newest_first
 
 
 class UnsupportedPolicyError(ValueError):
@@ -81,16 +85,12 @@ def join_at_stack(stack, vs, t):
     """Merge vs into a non-empty stack in place at time t.  Returns whether
     anything grew.  New material becomes visible at t+1."""
     stamp, top = stack[0]
-    if stamp > t:
-        merged = top | vs
-        if merged == top:
-            return False
-        stack[0] = (stamp, merged)
-        return True
-    merged = top | vs
-    if merged == top:
+    if vs <= top:
         return False
-    stack.insert(0, (t + 1, merged))
+    if stamp > t:
+        stack[0] = (stamp, top | vs)
+    else:
+        stack.insert(0, (t + 1, top | vs))
     return True
 
 
@@ -447,158 +447,89 @@ def _decode_context(c, layout):
 
 # ------------------------------------------------------------ the machine
 
-class ImperativeRun:
-    """Fixpoint of the transfer function.  Contexts, seen stamps, and edges
-    are decoded to structured addresses; the live value-stack store rides
-    along for snapshot comparisons."""
-
-    __slots__ = ("contexts", "seen", "edges", "generations", "status",
-                 "t", "store", "vstore", "layout", "initial")
-
-    def __init__(self, contexts, seen, edges, generations, status, t,
-                 store, vstore, layout, initial):
-        self.contexts = contexts
-        self.seen = seen
-        self.edges = edges
-        self.generations = generations
-        self.status = status
-        self.t = t
-        self.store = store        # decoded snapshot at t
-        self.vstore = vstore      # raw value stacks
-        self.layout = layout      # None for the hash-store variant
-        self.initial = initial
-
-    def snapshot_chain(self):
-        """All snapshots newest first; index i is the store at time t-i."""
-        if self.layout is None:
-            return stacks_to_chain(self.vstore, self.t)
-        return stacks_to_chain(
-            self.vstore, self.t,
-            decode_addr=self.layout.addr_of,
-            decode_value=lambda v: _decode_value(v, self.layout),
-        )
-
-    def final_values(self) -> frozenset:
-        out = set()
-        for c in self.contexts:
-            if isinstance(c, CoC) and isinstance(c.kont, Halt):
-                v = c.val
-                if isinstance(v, DelayedAddr):
-                    out |= self.store.deref(v.addr)
-                else:
-                    out.add(v)
-        return frozenset(out)
+def snapshot_chain(vstore, t, layout=None):
+    """All snapshots newest first, index i being the store at time t-i;
+    ordinals are decoded through ``layout`` when the stacks are dense."""
+    if layout is None:
+        return stacks_to_chain(vstore, t)
+    return stacks_to_chain(vstore, t, layout.addr_of,
+                           lambda v: _decode_value(v, layout))
 
 
 def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
-                   prealloc: bool = False, trace=None) -> ImperativeRun:
+                   prealloc: bool = False, trace=None) -> AnalysisResult:
     """Iterate the transfer function to an empty frontier.
 
-    ``trace``, if a list, receives per generation a tuple (generation, t,
-    frontier, snapshot-at-t before the sweep, snapshot-at-t after,
-    snapshot-at-t+1 after, changed): in-place writes during a generation
-    must never alter the snapshot the generation reads, and the changed
-    flag must coincide with growth from the t snapshot to the t+1 one.
+    ``trace``, if a list, receives per generation a tuple (t, frontier,
+    snapshot-at-t before the sweep, snapshot-at-t after, snapshot-at-t+1
+    after, changed): in-place writes during a generation must never alter
+    the snapshot the generation reads, and the changed flag must coincide
+    with growth from the t snapshot to the t+1 one.
 
     A cap that fires while the address space is being preallocated ends
     the run before its first generation, with no contexts."""
+    return run_machine(e, policy, mode, cap_check, prealloc, trace)[0]
+
+
+def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
+                prealloc: bool = False, trace=None):
+    """run_imperative's result next to the machine it leaves: (result,
+    seen, vstore, layout, t).  seen maps each decoded context to its stamps,
+    newest first; vstore holds the raw value stacks; layout is None for the
+    hash store; t is the final clock."""
     layout = None
     pol = policy
     if prealloc:
         try:
             layout = preallocate(e, policy, cap_check=cap_check)
         except LayoutCapped as ex:
-            return ImperativeRun(
-                contexts=frozenset(), seen={}, edges=frozenset(),
-                generations=0, status=ex.status, t=0, store=EMPTY_STORE,
-                vstore=HashValueStore(), layout=None, initial=None)
+            return (AnalysisResult(
+                program=e, contexts=frozenset(), edges=frozenset(),
+                store=EMPTY_STORE, chain=None, status=ex.status,
+                generations=0, initial=None, values=frozenset()),
+                {}, HashValueStore(), None, 0)
         pol = layout.int_policy(policy)
         vstore = DenseValueStore(layout.size)
         dec_a = layout.addr_of
         dec_v = lambda v: _decode_value(v, layout)
-        dec_c = lambda c: _decode_context(c, layout)
     else:
         vstore = HashValueStore()
         dec_a = dec_v = None
-        dec_c = lambda c: c
 
     first, log0 = inject_compiled(e, pol)
     for a, vs in log0:
         vstore.join_at(a, vs, -1)
-    c0 = first[0]
-    # one canonical instance per context, so the bookkeeping dicts hit the
-    # C-level identity fast path instead of deep structural comparison
-    canon = {}
-    seen = {}
-    frontier = []
-    for c in first:
-        canon[c] = c
-        if c not in seen:
-            seen[c] = [0]
-            frontier.append(c)
-    t = 0
-    edges = {}
-    generation = 0
-    status = "fixpoint"
-    while frontier:
-        if cap_check is not None:
-            stop = cap_check(len(seen), generation)
-            if stop is not None:
-                status = stop
-                break
-        snap_before = snapshot(vstore, t, dec_a, dec_v) if trace is not None else None
+
+    def sweep(order, t):
+        if trace is not None:
+            before = snapshot(vstore, t, dec_a, dec_v)
         view = SnapshotView(vstore, t)
         join_at = vstore.join_at
-        canon_get = canon.get
         changed = False
         produced = []
-        for c in frontier:
+        for c in order:
             for c2, log in step_compiled(c, view, pol, mode):
-                cc = canon_get(c2)
-                if cc is None:
-                    canon[c2] = cc = c2
-                produced.append(cc)
-                key = (c, cc)
-                if key not in edges:
-                    edges[key] = generation
+                produced.append((c, c2))
                 for a, vs in log:
                     if join_at(a, vs, t):
                         changed = True
-        t2 = t + 1 if changed else t
-        next_frontier = []
-        local = set()
-        for dst in produced:
-            if dst in local:
-                continue
-            stamps = seen.get(dst)
-            if not changed and stamps is not None and stamps[-1] == t:
-                continue
-            local.add(dst)
-            if stamps is None:
-                seen[dst] = [t2]
-            else:
-                stamps.append(t2)
-            next_frontier.append(dst)
         if trace is not None:
-            trace.append((
-                generation, t, tuple(frontier),
-                snap_before, snapshot(vstore, t, dec_a, dec_v),
-                snapshot(vstore, t + 1, dec_a, dec_v), changed,
-            ))
-        frontier = next_frontier
-        t = t2
-        generation += 1
+            trace.append((t, tuple(order), before, snapshot(vstore, t, dec_a, dec_v),
+                          snapshot(vstore, t + 1, dec_a, dec_v), changed))
+        return produced, changed
 
-    final = snapshot(vstore, t, dec_a, dec_v)
-    return ImperativeRun(
-        contexts=frozenset(dec_c(c) for c in seen),
-        seen={dec_c(c): tuple(reversed(stamps)) for c, stamps in seen.items()},
-        edges=frozenset((dec_c(s), dec_c(d), g) for (s, d), g in edges.items()),
-        generations=generation,
-        status=status,
-        t=t,
-        store=final,
-        vstore=vstore,
-        layout=layout,
-        initial=dec_c(c0),
-    )
+    seen, edges, generations, status, t = drive(first, sweep, cap_check)
+    store = snapshot(vstore, t, dec_a, dec_v)
+    seen = newest_first(seen)
+    initial = first[0]
+    if layout is not None:
+        dec_c = lambda c: _decode_context(c, layout)
+        seen = {dec_c(c): stamps for c, stamps in seen.items()}
+        edges = frozenset((dec_c(s), dec_c(d), g) for s, d, g in edges)
+        initial = dec_c(initial)
+    contexts = frozenset(seen)
+    result = AnalysisResult(
+        program=e, contexts=contexts, edges=edges, store=store, chain=None,
+        status=status, generations=generations, initial=initial,
+        values=halt_values(contexts, store))
+    return result, seen, vstore, layout, t

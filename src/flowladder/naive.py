@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from .domains import (
     HALT,
+    AnalysisResult,
     ApC,
     ArK,
     Closure,
@@ -39,6 +40,7 @@ from .domains import (
     FF,
     concrete_policy,
     delta,
+    halt_values,
     lit_value,
 )
 from .syntax import App, Expr, If, Lam, Lit, Var
@@ -174,28 +176,9 @@ def evaluate_concrete(e: Expr, budget: int = CONCRETE_STEP_BUDGET) -> ConcreteOu
     return ConcreteOutcome("nontermination", steps=steps)
 
 
-class NaiveRun:
-    """Reachable (context, store) graph of the unwidened machine."""
-
-    __slots__ = ("states", "edges", "generations", "status", "initial")
-
-    def __init__(self, states, edges, generations, status, initial):
-        self.states = states          # frozenset of (context, store)
-        self.edges = edges            # frozenset of (src_state, dst_state, generation)
-        self.generations = generations
-        self.status = status          # "fixpoint" | a cap status string
-        self.initial = initial
-
-    def final_values(self) -> frozenset:
-        vals = set()
-        for c, _ in self.states:
-            if isinstance(c, CoC) and isinstance(c.kont, Halt):
-                vals.add(c.val)
-        return frozenset(vals)
-
-
-def explore(e: Expr, policy, mode: str, cap_check=None) -> NaiveRun:
-    """Breadth-first closure of the step relation from the injected state.
+def explore(e: Expr, policy, mode: str, cap_check=None) -> AnalysisResult:
+    """Breadth-first closure of the step relation from the injected state;
+    the result's contexts are the reachable (context, store) states.
 
     ``cap_check(n_states, generation)`` may return a status string to stop
     early (time or space cap); None means keep going.
@@ -223,10 +206,8 @@ def explore(e: Expr, policy, mode: str, cap_check=None) -> NaiveRun:
                     nxt.append(st2)
         frontier = nxt
         generation += 1
-    return NaiveRun(
-        states=frozenset(seen),
+    return AnalysisResult(
+        program=e, contexts=frozenset(seen),
         edges=frozenset((src, dst, g) for (src, dst), g in edges.items()),
-        generations=generation,
-        status=status,
-        initial=initial,
-    )
+        store=None, chain=None, status=status, generations=generation,
+        initial=initial, values=halt_values((c for c, _ in seen), None))

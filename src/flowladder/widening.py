@@ -16,6 +16,7 @@ the frontier stage removes, so it is kept observable here, not optimized.
 from __future__ import annotations
 
 from .domains import (
+    AnalysisResult,
     ApC,
     ArK,
     Closure,
@@ -36,6 +37,7 @@ from .domains import (
     TT,
     FF,
     delta,
+    halt_values,
     lit_value,
 )
 from .syntax import App, Expr, If, Lam, Lit, Var
@@ -178,26 +180,7 @@ def widen_step(ws: WideState, policy, mode: str = "abstract") -> WideState:
     return WideState(contexts2, store2)
 
 
-class BaselineRun:
-    """Fixpoint of the widened relation plus the discovery bookkeeping."""
-
-    __slots__ = ("contexts", "store", "edges", "generations", "status", "initial")
-
-    def __init__(self, contexts, store, edges, generations, status, initial):
-        self.contexts = contexts      # frozenset of Context
-        self.store = store            # final global Store
-        self.edges = edges            # frozenset of (src, dst, generation)
-        self.generations = generations
-        self.status = status          # "fixpoint" | cap status string
-        self.initial = initial
-
-    def final_values(self) -> frozenset:
-        return frozenset(
-            c.val for c in self.contexts if isinstance(c, CoC) and isinstance(c.kont, Halt)
-        )
-
-
-def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) -> BaselineRun:
+def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) -> AnalysisResult:
     """Least fixpoint of widen_step from the injected context.
 
     Edges are labeled with the iteration at which they were first produced.
@@ -230,11 +213,9 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
             break
         store = store2
         generation += 1
-    return BaselineRun(
-        contexts=frozenset(contexts),
-        store=store,
+    contexts = frozenset(contexts)
+    return AnalysisResult(
+        program=e, contexts=contexts,
         edges=frozenset((s, d, g) for (s, d), g in edges.items()),
-        generations=generation,
-        status=status,
-        initial=c0,
-    )
+        store=store, chain=None, status=status, generations=generation,
+        initial=c0, values=halt_values(contexts, store))

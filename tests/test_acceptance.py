@@ -32,7 +32,7 @@ from flowladder.frontier import (
     stamps_to_stores,
     stores_to_stamps,
 )
-from flowladder.imperative import run_imperative
+from flowladder.imperative import run_imperative, run_machine, snapshot_chain
 from flowladder.lazy import step_lazy
 from flowladder.precision import singleton_vars
 from flowladder.syntax import free_vars, node_count
@@ -92,30 +92,33 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
             assert tuple(chain) == tuple(rchain), name
             assert stamps_to_stores(seen, chain) == rseen, name
             assert stores_to_stamps(rseen, list(rchain)) == seen, name
-        assert stamps_to_stores(fr.seen, fr.chain) == rr.seen, name
-        assert stores_to_stamps(rr.seen, list(rr.chain)) == fr.seen, name
+        fseen = ft[-1][0]
+        assert stamps_to_stores(fseen, fr.chain) == rr.seen, name
+        assert stores_to_stamps(rr.seen, list(rr.chain)) == fseen, name
 
         # (b) log-and-replay fixpoint equals the frontier fixpoint
-        dr = run_logged(e, step_with_deltas, P0)
+        dt = []
+        dr = run_logged(e, step_with_deltas, P0, trace=dt)
         assert dr.contexts == fr.contexts, name
         assert dr.chain == fr.chain, name
-        assert dr.seen == fr.seen, name
+        assert dt[-1][0] == fseen, name
         assert dr.edges == fr.edges, name
         assert dr.store == fr.store, name
 
         # (c) imperative transfer-function iteration equals the
         # compiled-widened run, with and without preallocation
-        cw = run_logged(e, step_compiled, P0, inject=inject_compiled)
+        ct = []
+        cw = run_logged(e, step_compiled, P0, inject=inject_compiled, trace=ct)
         for pre in (False, True):
-            ir = run_imperative(e, P0, prealloc=pre)
+            ir, seen, vstore, layout, t = run_machine(e, P0, prealloc=pre)
             assert ir.contexts == cw.contexts, (name, pre)
-            assert ir.seen == cw.seen, (name, pre)
+            assert seen == ct[-1][0], (name, pre)
             assert ir.edges == cw.edges, (name, pre)
             assert ir.generations == cw.generations, (name, pre)
             assert ir.status == cw.status, (name, pre)
             assert ir.store == cw.store, (name, pre)
             # (d) per-cell value stacks replay the store chain exactly
-            assert ir.snapshot_chain() == cw.chain, (name, pre)
+            assert snapshot_chain(vstore, t, layout) == cw.chain, (name, pre)
     print(f"criterion 2 PASS: (a)-(d) exact on {len(corpus)} programs")
 
 

@@ -114,7 +114,7 @@ def test_oracle_coverage_and_determinism(corpus):
     for name, src, e in corpus:
         r1 = run_logged(e, step_compiled, P0, inject=inject_compiled)
         r2 = run_logged(e, step_compiled, P0, inject=inject_compiled)
-        assert abstract_covers(oracle_eval(e), r1.final_values()), name
+        assert abstract_covers(oracle_eval(e), r1.values), name
         assert r1.contexts == r2.contexts, name
         assert r1.chain == r2.chain, name
         assert r1.edges == r2.edges, name

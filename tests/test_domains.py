@@ -30,7 +30,6 @@ from flowladder.domains import (
     delta,
     kcfa_policy,
     lit_value,
-    store_join,
     truncate,
 )
 from flowladder.syntax import parse
@@ -207,11 +206,11 @@ def test_store_join_is_a_join(x, y, z):
     def leq(p, q):
         return all(vs <= q.get(a, frozenset()) for a, vs in p.items())
 
-    j = store_join(x, y)
+    j = x.join_store(y)
     assert leq(x, j) and leq(y, j)
-    assert store_join(x, y) == store_join(y, x)
-    assert store_join(x, x) == x
-    assert store_join(store_join(x, y), z) == store_join(x, store_join(y, z))
+    assert x.join_store(y) == y.join_store(x)
+    assert x.join_store(x) == x
+    assert x.join_store(y).join_store(z) == x.join_store(y.join_store(z))
 
 
 # -------------------------------------------------------------- policies

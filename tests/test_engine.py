@@ -42,8 +42,6 @@ def test_config_rejects_invalid_combinations():
         Config(k="one")
     with pytest.raises(ConfigError):
         Config(time_cap=0)
-    with pytest.raises(ConfigError):
-        Config(chain_limit=0)
     Config(stage="naive", mode="concrete")
 
 
@@ -138,15 +136,6 @@ def test_run_leaves_tracemalloc_as_it_found_it():
         assert tracemalloc.get_traced_memory()[1] >= peak >= 8 << 20
     finally:
         tracemalloc.stop()
-
-
-def test_chain_limit_truncates_only_the_chain():
-    e = corpus_program("22_church_mult")
-    full = run(Config(stage="deltas"), e)
-    cut = run(Config(stage="deltas", chain_limit=2), e)
-    assert len(cut.chain) <= 2 < len(full.chain)
-    assert cut.contexts == full.contexts
-    assert cut.store == full.store
 
 
 def test_single_node_graph():

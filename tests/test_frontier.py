@@ -1,10 +1,11 @@
 """Timestamped frontier iteration and its untimestamped reference."""
 
+from flowladder.compiled import inject_compiled, step_compiled
+from flowladder.deltas import run_logged, step_with_deltas
 from flowladder.domains import CoC, EMPTY_STORE, HALT, IntVal, kcfa_policy
+from flowladder.lazy import step_lazy
 from flowladder.syntax import parse
 from flowladder.frontier import (
-    frontier_step,
-    inject_frontier,
     run_frontier,
     run_reference,
     stamps_to_stores,
@@ -15,51 +16,67 @@ from flowladder.widening import analyze_baseline, inject_context
 
 P0 = kcfa_policy(0)
 
+# every persistent sweep under the shared frontier driver
+RUNNERS = {
+    "frontier": run_frontier,
+    "deltas": lambda e, pol, **kw: run_logged(e, step_with_deltas, pol, **kw),
+    "lazy": lambda e, pol, **kw: run_logged(e, step_lazy, pol, **kw),
+    "compiled": lambda e, pol, **kw: run_logged(
+        e, step_compiled, pol, inject=inject_compiled, **kw),
+}
+
 
 def plain_leq(a, b):
     return all(b.get(addr) is not None and vals <= b.get(addr) for addr, vals in a.items())
 
 
 def test_inject_shape():
-    sys = inject_frontier(parse("5"))
+    trace = []
+    run = run_frontier(parse("5"), P0, trace=trace)
     c0 = inject_context(parse("5"))
-    assert sys.seen == {c0: (0,)}
-    assert sys.frontier == [c0]
-    assert sys.chain == [EMPTY_STORE]
-    assert sys.t == 0
-    assert sys.store is sys.chain[0]
+    assert run.initial == c0
+    # generation 0 steps exactly the injected context, seen at stamp 0
+    assert {(s, g) for s, _, g in run.edges if g == 0} == {(c0, 0)}
+    seen, frontier, chain, t = trace[0]
+    assert seen[c0] == (0,)
+    assert chain == (EMPTY_STORE,)
+    assert t == 0
+    assert run.store is run.chain[0]
 
 
 def test_literal_step_keeps_clock():
-    sys = inject_frontier(parse("5"))
-    sys2 = frontier_step(sys, P0)
-    assert sys2.t == 0
-    assert sys2.chain == [EMPTY_STORE]
-    assert sys2.seen[CoC(HALT, IntVal(5))] == (0,)
+    trace = []
+    run_frontier(parse("5"), P0, trace=trace)
+    seen, frontier, chain, t = trace[0]
+    assert t == 0
+    assert chain == (EMPTY_STORE,)
+    assert frontier == (CoC(HALT, IntVal(5)),)
+    assert seen[CoC(HALT, IntVal(5))] == (0,)
 
 
 def test_empty_frontier_is_fixpoint():
-    sys = inject_frontier(parse("5"))
-    sys = frontier_step(sys, P0)
-    sys = frontier_step(sys, P0)
-    assert sys.at_fixpoint()
-    assert frontier_step(sys, P0) is sys
+    trace = []
+    run = run_frontier(parse("5"), P0, trace=trace)
+    assert run.status == "fixpoint"
+    assert run.generations == len(trace) == 2
+    assert trace[-1][1] == ()
 
 
 def test_chain_invariants_every_generation(corpus):
-    for name, src, e in corpus:
-        trace = []
-        run = run_frontier(e, P0, trace=trace)
-        assert run.status == "fixpoint", name
-        for seen, frontier, chain, t in trace:
-            assert t == len(chain) - 1, name
-            for newer, older in zip(chain, chain[1:]):
-                assert plain_leq(older, newer), name
-                assert older != newer, name
-            for c, stamps in seen.items():
-                assert all(s <= t for s in stamps), name
-                assert list(stamps) == sorted(stamps, reverse=True), name
-                assert len(set(stamps)) == len(stamps), name
+    for rung, runner in RUNNERS.items():
+        for name, src, e in corpus:
+            trace = []
+            run = runner(e, P0, trace=trace)
+            assert run.status == "fixpoint", (rung, name)
+            for seen, frontier, chain, t in trace:
+                assert t == len(chain) - 1, (rung, name)
+                for newer, older in zip(chain, chain[1:]):
+                    assert plain_leq(older, newer), (rung, name)
+                    assert older != newer, (rung, name)
+                for c, stamps in seen.items():
+                    assert all(s <= t for s in stamps), (rung, name)
+                    assert list(stamps) == sorted(stamps, reverse=True), (rung, name)
+                    assert len(set(stamps)) == len(stamps), (rung, name)
 
 
 def test_subset_of_widened_with_a_strict_case(corpus):
@@ -74,16 +91,20 @@ def test_subset_of_widened_with_a_strict_case(corpus):
 
 
 def test_iteration_order_does_not_matter(corpus):
-    for name, src, e in corpus[:10]:
-        r1 = run_frontier(e, P0, order_key=None)
-        r2 = run_frontier(e, P0, order_key=lambda c: repr(c), )
-        r3 = run_frontier(e, P0, order_key=lambda c: tuple(reversed(repr(c))))
-        for other in (r2, r3):
-            assert r1.contexts == other.contexts, name
-            assert r1.chain == other.chain, name
-            assert r1.seen == other.seen, name
-            assert r1.edges == other.edges, name
-            assert r1.generations == other.generations, name
+    orders = (None, lambda c: repr(c), lambda c: tuple(reversed(repr(c))))
+    for rung, runner in RUNNERS.items():
+        for name, src, e in corpus[:10]:
+            runs = []
+            for key in orders:
+                trace = []
+                runs.append((runner(e, P0, order_key=key, trace=trace), trace[-1][0]))
+            (r1, seen1), others = runs[0], runs[1:]
+            for other, seen in others:
+                assert r1.contexts == other.contexts, (rung, name)
+                assert r1.chain == other.chain, (rung, name)
+                assert seen1 == seen, (rung, name)
+                assert r1.edges == other.edges, (rung, name)
+                assert r1.generations == other.generations, (rung, name)
 
 
 def test_reference_lockstep_both_translations(corpus):
@@ -97,19 +118,7 @@ def test_reference_lockstep_both_translations(corpus):
             assert tuple(chain) == tuple(rchain), name
             assert stamps_to_stores(seen, chain) == rseen, name
             assert stores_to_stamps(rseen, list(rchain)) == seen, name
-        assert stamps_to_stores(fr.seen, fr.chain) == run_reference(e, P0).seen, name
-
-
-def test_chain_limit_truncates_but_preserves_result(corpus):
-    table = {name: e for name, src, e in corpus}
-    e = table["22_church_mult"]
-    full = run_frontier(e, P0)
-    assert len(full.chain) > 3
-    cut = run_frontier(e, P0, chain_limit=2)
-    assert len(cut.chain) <= 2
-    assert cut.contexts == full.contexts
-    assert cut.store == full.store
-    assert cut.generations == full.generations
+        assert stamps_to_stores(ft[-1][0], fr.chain) == run_reference(e, P0).seen, name
 
 
 def test_omega_terminates():
@@ -122,7 +131,7 @@ def test_final_values_subset_of_widened(corpus):
     for name, src, e in corpus:
         fr = run_frontier(e, P0)
         br = analyze_baseline(e, P0)
-        assert fr.final_values() <= br.final_values(), name
+        assert fr.values <= br.values, name
 
 
 def test_cap_check_stops():

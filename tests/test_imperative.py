@@ -25,7 +25,9 @@ from flowladder.imperative import (
     lookup,
     preallocate,
     run_imperative,
+    run_machine,
     snapshot,
+    snapshot_chain,
     stacks_to_chain,
 )
 from tests.support import abstract_covers, load_corpus, oracle_eval, OracleStuck
@@ -39,8 +41,8 @@ U = frozenset({V(1)})
 W = frozenset({V(2)})
 
 
-def compiled_widened(e, pol):
-    return run_logged(e, step_compiled, pol, inject=inject_compiled)
+def compiled_widened(e, pol, trace=None):
+    return run_logged(e, step_compiled, pol, inject=inject_compiled, trace=trace)
 
 
 def test_lookup_top_when_stamped_in_past():
@@ -143,17 +145,18 @@ def test_terminal_program_fixpoint_in_one_generation():
     r = run_imperative(parse("7"), P0)
     assert r.generations == 1
     assert r.status == "fixpoint"
-    assert r.final_values() == frozenset({V(7)})
+    assert r.values == frozenset({V(7)})
 
 
 def test_matches_compiled_widened_run():
     for pol in (P0, P1):
         for name, src, e in load_corpus():
-            lr = compiled_widened(e, pol)
+            trace = []
+            lr = compiled_widened(e, pol, trace)
             for pre in (False, True):
-                ir = run_imperative(e, pol, prealloc=pre)
+                ir, seen, *_ = run_machine(e, pol, prealloc=pre)
                 assert ir.contexts == lr.contexts, (name, pre)
-                assert ir.seen == lr.seen, (name, pre)
+                assert seen == trace[-1][0], (name, pre)
                 assert ir.edges == lr.edges, (name, pre)
                 assert ir.generations == lr.generations, (name, pre)
                 assert ir.status == lr.status, (name, pre)
@@ -165,8 +168,8 @@ def test_snapshot_chain_equals_store_chain():
     for name, src, e in load_corpus():
         lr = compiled_widened(e, P0)
         for pre in (False, True):
-            ir = run_imperative(e, P0, prealloc=pre)
-            assert ir.snapshot_chain() == lr.chain, (name, pre)
+            _, _, vstore, layout, t = run_machine(e, P0, prealloc=pre)
+            assert snapshot_chain(vstore, t, layout) == lr.chain, (name, pre)
 
 
 def test_chain_rebuilds_to_equivalent_stacks():
@@ -179,28 +182,28 @@ def test_chain_rebuilds_to_equivalent_stacks():
 
     for name, src, e in load_corpus():
         lr = compiled_widened(e, P0)
-        ir = run_imperative(e, P0)
+        vstore = run_machine(e, P0)[2]
         rebuilt = Cells(chain_to_stacks(lr.chain))
         t = len(lr.chain) - 1
         assert stacks_to_chain(rebuilt, t) == lr.chain, name
         for stack in rebuilt.d.values():
             assert check_stack(stack), name
         for tau in range(t + 1):
-            assert snapshot(ir.vstore, tau) == snapshot(rebuilt, tau), (name, tau)
+            assert snapshot(vstore, tau) == snapshot(rebuilt, tau), (name, tau)
 
 
 def test_live_stacks_satisfy_invariants():
     for name, src, e in load_corpus():
-        ir = run_imperative(e, P0)
-        for stack in ir.vstore.cells.values():
-            assert check_stack(stack, ir.t), name
+        _, _, vstore, _, t = run_machine(e, P0)
+        for stack in vstore.cells.values():
+            assert check_stack(stack, t), name
 
 
 def test_seen_stamps_strictly_decreasing():
     for name, src, e in load_corpus():
-        ir = run_imperative(e, P0)
-        for stamps in ir.seen.values():
-            assert stamps[0] <= ir.t
+        _, seen, _, _, t = run_machine(e, P0)
+        for stamps in seen.values():
+            assert stamps[0] <= t
             assert all(a > b for a, b in zip(stamps, stamps[1:])), name
 
 
@@ -210,7 +213,7 @@ def test_no_poisoning_within_a_generation():
     for name, src, e in load_corpus():
         tr = []
         run_imperative(e, P0, trace=tr)
-        for gen, t, frontier, before, after_t, after_t1, changed in tr:
+        for gen, (t, frontier, before, after_t, after_t1, changed) in enumerate(tr):
             assert before == after_t, (name, gen)
             assert changed == (after_t1 != after_t), (name, gen)
 
@@ -225,7 +228,7 @@ def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
         if ir.status != "fixpoint":
             continue
         for s, d, g in ir.edges:
-            assert s in tr[g][2], (name, g)
+            assert s in tr[g][1], (name, g)
 
 
 def test_preallocate_reports_exact_layout():
@@ -259,8 +262,8 @@ def test_preallocate_is_a_bijection():
 def test_hash_run_addresses_all_within_layout():
     for name, src, e in load_corpus():
         layout = preallocate(e, P0)
-        ir = run_imperative(e, P0)
-        for a in ir.vstore.addresses():
+        vstore = run_machine(e, P0)[2]
+        for a in vstore.addresses():
             assert layout.ordinal_of(a) < layout.size, (name, a)
 
 
@@ -268,16 +271,15 @@ def test_dense_and_hash_stores_agree_cell_by_cell():
     from flowladder.imperative import _decode_value
 
     for name, src, e in load_corpus()[:8]:
-        hr = run_imperative(e, P0)
-        pr = run_imperative(e, P0, prealloc=True)
-        lay = pr.layout
+        hstore = run_machine(e, P0)[2]
+        _, _, pstore, lay, _ = run_machine(e, P0, prealloc=True)
         decoded = {}
-        for i, stack in pr.vstore.items():
+        for i, stack in pstore.items():
             decoded[lay.addr_of(i)] = [
                 (s, frozenset(_decode_value(v, lay) for v in vs))
                 for s, vs in stack
             ]
-        assert decoded == hr.vstore.cells, name
+        assert decoded == hstore.cells, name
 
 
 def test_preallocate_rejects_unbounded_policies():
@@ -294,7 +296,7 @@ def test_final_values_cover_oracle():
         except OracleStuck:
             continue
         for pre in (False, True):
-            got = run_imperative(e, P0, prealloc=pre).final_values()
+            got = run_imperative(e, P0, prealloc=pre).values
             assert abstract_covers(z, got), (name, pre)
 
 

@@ -116,8 +116,8 @@ def test_diamond_collapse_on_fanout(corpus):
 
 def test_final_values_are_forced():
     run = run_logged(parse("((lambda (x) x) 5)"), step_lazy, P0)
-    assert run.final_values() == frozenset({IntVal(5)})
-    assert not any(isinstance(v, DelayedAddr) for v in run.final_values())
+    assert run.values == frozenset({IntVal(5)})
+    assert not any(isinstance(v, DelayedAddr) for v in run.values)
 
 
 def test_simulates_every_naive_step(corpus):
@@ -130,7 +130,7 @@ def test_simulates_every_naive_step(corpus):
         lz = run_logged(e, step_lazy, P0)
         final = lz.store
         lazy_succs = {c: step_lazy(c, final, P0, "abstract") for c in lz.contexts}
-        for (c, store) in naive.states:
+        for (c, store) in naive.contexts:
             if not store_leq(store, final):
                 continue
             hosts = [ch for ch in lz.contexts if ctx_leq(c, ch, final)]
@@ -147,4 +147,4 @@ def test_oracle_coverage(corpus):
     from tests.support import abstract_covers, oracle_eval
     for name, src, e in corpus:
         run = run_logged(e, step_lazy, P0)
-        assert abstract_covers(oracle_eval(e), run.final_values()), name
+        assert abstract_covers(oracle_eval(e), run.values), name

@@ -150,8 +150,8 @@ def test_abstract_exploration_of_omega_is_finite():
     for k in (0, 1):
         run = explore(omega, kcfa_policy(k), "abstract")
         assert run.status == "fixpoint"
-        assert run.final_values() == frozenset()
-        assert len(run.states) > 3
+        assert run.values == frozenset()
+        assert len(run.contexts) > 3
 
 
 def test_abstract_exploration_covers_concrete(small_corpus):
@@ -161,7 +161,7 @@ def test_abstract_exploration_covers_concrete(small_corpus):
         ov = oracle_eval(e)
         run = explore(e, kcfa_policy(0), "abstract")
         assert run.status == "fixpoint", name
-        assert abstract_covers(ov, run.final_values()), name
+        assert abstract_covers(ov, run.values), name
 
 
 def test_monovariant_merge_pollutes_results():
@@ -169,7 +169,7 @@ def test_monovariant_merge_pollutes_results():
     # argument leaks into the second call's result
     e = parse("((lambda (id) ((lambda (u) (id 2)) (id 1))) (lambda (x) x))")
     run = explore(e, kcfa_policy(0), "abstract")
-    assert run.final_values() == frozenset({IntVal(1), IntVal(2)})
+    assert run.values == frozenset({IntVal(1), IntVal(2)})
     out = evaluate_concrete(e)
     assert out.value == IntVal(2)
 
@@ -179,21 +179,21 @@ def test_monovariant_binding_set_in_some_store():
     run = explore(e, kcfa_policy(0), "abstract")
     both = frozenset({IntVal(1), IntVal(2)})
     xaddr = BindAddr("x", ())
-    assert any(s.get(xaddr) == both for _, s in run.states)
+    assert any(s.get(xaddr) == both for _, s in run.contexts)
 
 
 def test_polyvariance_separates_the_calls():
     # at k=1 the two call sites get distinct binding contexts
     e = parse("((lambda (id) ((lambda (u) (id 2)) (id 1))) (lambda (x) x))")
     run = explore(e, kcfa_policy(1), "abstract")
-    assert run.final_values() == frozenset({IntVal(2)})
+    assert run.values == frozenset({IntVal(2)})
 
 
 def test_explore_shape_on_linear_program():
     e = parse("((lambda (x) x) 5)")
     run = explore(e, concrete_policy(), "concrete")
     assert run.status == "fixpoint"
-    assert len(run.states) == 8
+    assert len(run.contexts) == 8
     assert len(run.edges) == 7
     gens = sorted(g for _, _, g in run.edges)
     assert gens == list(range(7))
@@ -213,6 +213,6 @@ def test_explore_cap_check_stops_early():
 def test_stuck_states_are_terminal_in_graph():
     e = parse("(add1 #t)")
     run = explore(e, concrete_policy(), "concrete")
-    stucks = [c for c, _ in run.states if isinstance(c, StuckC)]
+    stucks = [c for c, _ in run.contexts if isinstance(c, StuckC)]
     assert len(stucks) == 1
     assert stucks[0].reason == STUCK_PRIM and stucks[0].label == 0

@@ -47,7 +47,7 @@ def test_identity_final_store():
         ValAddr(0, (), ARG_SLOT): frozenset({IntVal(5)}),
     }
     assert dict(run.store.items()) == expected
-    assert run.final_values() == frozenset({IntVal(5)})
+    assert run.values == frozenset({IntVal(5)})
 
 
 def test_literal_one_step():
@@ -116,7 +116,7 @@ def test_sound_for_naive_small_programs(corpus):
         naive = explore(e, P0, "abstract")
         wide = analyze_baseline(e, P0)
         assert wide.status == "fixpoint"
-        for (c, store) in naive.states:
+        for (c, store) in naive.contexts:
             assert any(ctx_leq(c, c2, wide.store) for c2 in wide.contexts), (name, c)
             assert store_leq(store, wide.store), name
 
