@@ -2,9 +2,6 @@
 
 Exit codes: 0 success, 1 program does not parse (free variables included),
 2 a cap was exceeded, 3 bad flags, 4 a cross-stage check failed.
-
-The environment variable OAAM_SEED is reserved for future randomized
-testing and is not read by any current command.
 """
 
 from __future__ import annotations

@@ -348,17 +348,11 @@ class Store:
         return self._m.get(addr, default)
 
     def join(self, addr, vals) -> Store:
-        vals = frozenset(vals)
         old = self._m.get(addr)
-        if old is None:
-            m = dict(self._m)
-            m[addr] = vals
-            return Store(m)
-        new = old | vals
-        if new == old:
+        if old is not None and old.issuperset(vals):
             return self
         m = dict(self._m)
-        m[addr] = new
+        m[addr] = frozenset(vals) if old is None else old.union(vals)
         return Store(m)
 
     def join_store(self, other: Store) -> Store:

@@ -9,18 +9,17 @@ snapshotting them at each timestamp reproduces the store chain of the
 persistent stages entry for entry.  The machine is this in-place sweep
 under the frontier driver (``frontier.drive``).
 
-Preallocation fixes the address space up front: for a uniform k-CFA policy
-every address the policy can ever mint is enumerated and given a dense
-ordinal, the store becomes a flat list indexed by ordinal, and the machine
-runs on plain ints instead of structured address objects.  Results are
-decoded back to structured addresses when the run is packaged.  The
-enumeration grows with the number of call strings, so the run's caps are
-checked while it is under way, not only between generations.
+Preallocation puts the machine on dense integer addresses: for a uniform
+k-CFA policy an address table gives each address the next free ordinal the
+first time the policy allocates it, the store becomes a flat list indexed
+by ordinal that grows one cell per new ordinal, and the machine runs on
+plain ints instead of structured address objects.  Only addresses the run
+reaches get an ordinal, so the table grows with the analysis, under the
+same per-generation caps, whatever k is.  Results are decoded back to
+structured addresses when the run is packaged.
 """
 
 from __future__ import annotations
-
-from itertools import chain, count, product
 
 from .domains import (
     AnalysisBugError,
@@ -31,7 +30,6 @@ from .domains import (
     Closure,
     CoC,
     DelayedAddr,
-    EMPTY_STORE,
     Env,
     FnK,
     Halt,
@@ -44,22 +42,13 @@ from .domains import (
     ARG_SLOT,
     halt_values,
 )
-from .syntax import App, Expr, If, Lam, Lit, Var
+from .syntax import Expr
 from .compiled import inject_compiled, step_compiled
 from .frontier import drive, newest_first
 
 
 class UnsupportedPolicyError(ValueError):
     """Raised when preallocation is asked for an unbounded address space."""
-
-
-class LayoutCapped(Exception):
-    """Raised when a cap fires while the address space is enumerated;
-    ``status`` is what the cap check returned."""
-
-    def __init__(self, status):
-        super().__init__(status)
-        self.status = status
 
 
 # ----------------------------------------------------------- value stacks
@@ -136,12 +125,12 @@ class HashValueStore:
 
 
 class DenseValueStore:
-    """Ordinal -> ValStack as a flat pre-sized list."""
+    """Ordinal -> ValStack as a flat list, one cell per minted ordinal."""
 
     __slots__ = ("cells",)
 
-    def __init__(self, size):
-        self.cells = [None] * size
+    def __init__(self):
+        self.cells = []
 
     def join_at(self, a, vs, t):
         stack = self.cells[a]
@@ -246,64 +235,39 @@ def chain_to_stacks(chain):
 
 # ----------------------------------------------------------- preallocation
 
-# addresses minted between two cap checks while a layout is enumerated
-_CAP_CHECK_EVERY = 4096
+class AddressTable:
+    """Dense ordinals for the addresses a uniform k-CFA policy mints, handed
+    out in order of first allocation, and the allocation policy that mints
+    them.  Each allocation is looked up by a plain tuple of the policy's
+    arguments, (var, label, time) for a binding and (label, time) for a
+    continuation or value cell; only the first time a tuple is seen is the
+    structured address built and given an ordinal, or the ordinal it already
+    has when another tuple named it first.  Every new ordinal adds one empty
+    cell to ``store``."""
 
+    __slots__ = ("k", "store", "_addr", "_ordinal", "_bind", "_kont", "_fn", "_arg")
 
-class AddressLayout:
-    """Dense ordinals for every address a uniform k-CFA policy can mint on
-    a given program: one bind slot per (variable, time), one continuation
-    slot per application or conditional (label, time), operator and operand
-    value slots per application (label, time).  Times range over call
-    strings of length at most k, a superset of the reachable ones.
-
-    ``cap_check(n_states, generation)``, if given, is called every few
-    thousand addresses; a status it returns stops the enumeration with
-    LayoutCapped."""
-
-    __slots__ = ("size", "k", "_ordinal", "_addr", "_bind", "_kont", "_fn", "_arg")
-
-    def __init__(self, e: Expr, k: int, cap_check=None):
+    def __init__(self, k: int):
         self.k = k
-        variables = set()
-        app_labels = []
-        if_labels = []
-        work = [e]
-        while work:
-            node = work.pop()
-            if isinstance(node, Lam):
-                variables.add(node.var)
-                work.append(node.body)
-            elif isinstance(node, App):
-                app_labels.append(node.label)
-                work.extend((node.fn, node.arg))
-            elif isinstance(node, If):
-                if_labels.append(node.label)
-                work.extend((node.guard, node.then, node.els))
-        app_labels.sort()
-        if_labels.sort()
-        addrs = []
-        ordinal = {}
-        next_check = _CAP_CHECK_EVERY
-        for group in _address_groups(sorted(variables), app_labels,
-                                     sorted(app_labels + if_labels), k):
-            ordinal.update(zip(group, count(len(addrs))))
-            addrs += group
-            if cap_check is not None and len(addrs) >= next_check:
-                stop = cap_check(0, 0)
-                if stop is not None:
-                    raise LayoutCapped(stop)
-                next_check = len(addrs) + _CAP_CHECK_EVERY
-        self.size = len(addrs)
-        self._addr = addrs
-        self._ordinal = ordinal
-        if k == 0:
-            self._bind = {v: self._ordinal[BindAddr(v, ())] for v in variables}
-            self._kont = {l: self._ordinal[KontAddr(l, ())] for l in app_labels + if_labels}
-            self._fn = {l: self._ordinal[ValAddr(l, (), FN_SLOT)] for l in app_labels}
-            self._arg = {l: self._ordinal[ValAddr(l, (), ARG_SLOT)] for l in app_labels}
-        else:
-            self._bind = self._kont = self._fn = self._arg = None
+        self.store = DenseValueStore()
+        self._addr = []
+        self._ordinal = {}
+        self._bind = {}
+        self._kont = {}
+        self._fn = {}
+        self._arg = {}
+
+    @property
+    def size(self) -> int:
+        return len(self._addr)
+
+    def _mint(self, addr) -> int:
+        i = self._ordinal.get(addr)
+        if i is None:
+            i = self._ordinal[addr] = len(self._addr)
+            self._addr.append(addr)
+            self.store.cells.append(None)
+        return i
 
     def ordinal_of(self, addr) -> int:
         return self._ordinal[addr]
@@ -311,100 +275,51 @@ class AddressLayout:
     def addr_of(self, ordinal: int):
         return self._addr[ordinal]
 
-    def int_policy(self, base):
-        if self.k == 0:
-            return _MonovariantIntPolicy(self)
-        return _GenericIntPolicy(self, base)
-
-
-class _MonovariantIntPolicy:
-    """k=0 allocation straight out of per-label tables."""
-
-    finite = True
-    name = "kcfa-prealloc"
-    k = 0
-
-    __slots__ = ("_bind", "_kont", "_fn", "_arg")
-
-    def __init__(self, layout: AddressLayout):
-        self._bind = layout._bind
-        self._kont = layout._kont
-        self._fn = layout._fn
-        self._arg = layout._arg
-
     def tick_ap(self, label, time):
-        return ()
+        # KCfaPolicy's tick: the call string cut to its first k entries
+        return ((label,) + time)[:self.k]
 
     def bind_addr(self, var, label, time, store):
-        return self._bind[var]
+        key = (var, label, time)
+        try:
+            return self._bind[key]
+        except KeyError:
+            i = self._bind[key] = self._mint(
+                BindAddr(var, self.tick_ap(label, time)))
+            return i
 
     def fnval_addr(self, label, time, store):
-        return self._fn[label]
+        key = (label, time)
+        try:
+            return self._fn[key]
+        except KeyError:
+            i = self._fn[key] = self._mint(ValAddr(label, time, FN_SLOT))
+            return i
 
     def argval_addr(self, label, time, store):
-        return self._arg[label]
+        key = (label, time)
+        try:
+            return self._arg[key]
+        except KeyError:
+            i = self._arg[key] = self._mint(ValAddr(label, time, ARG_SLOT))
+            return i
 
     def kont_addr(self, label, time, store, kont):
-        return self._kont[label]
+        key = (label, time)
+        try:
+            return self._kont[key]
+        except KeyError:
+            i = self._kont[key] = self._mint(KontAddr(label, time))
+            return i
 
 
-class _GenericIntPolicy:
-    """Any-k allocation: mint the structured address, then look up its
-    ordinal."""
-
-    finite = True
-    name = "kcfa-prealloc"
-
-    __slots__ = ("_layout", "_base", "k")
-
-    def __init__(self, layout: AddressLayout, base):
-        self._layout = layout
-        self._base = base
-        self.k = base.k
-
-    def tick_ap(self, label, time):
-        return self._base.tick_ap(label, time)
-
-    def bind_addr(self, var, label, time, store):
-        return self._layout._ordinal[self._base.bind_addr(var, label, time, None)]
-
-    def fnval_addr(self, label, time, store):
-        return self._layout._ordinal[self._base.fnval_addr(label, time, None)]
-
-    def argval_addr(self, label, time, store):
-        return self._layout._ordinal[self._base.argval_addr(label, time, None)]
-
-    def kont_addr(self, label, time, store, kont):
-        return self._layout._ordinal[self._base.kont_addr(label, time, None, kont)]
-
-
-def _address_groups(variables, app_labels, labels, k):
-    """Every address of the layout in ordinal order, one list per time and
-    address kind: all bind slots, then all continuation slots, then all
-    value slots.  There are len(app_labels) ** k times of length k, so they
-    are collected while the bind slots are handed out, under the caller's
-    cap checks, and each time's one tuple is shared by all its slots."""
-    times = []
-    for t in chain([()], *(product(app_labels, repeat=n)
-                           for n in range(1, k + 1))):
-        times.append(t)
-        yield [BindAddr(v, t) for v in variables]
-    for t in times:
-        yield [KontAddr(l, t) for l in labels]
-    for t in times:
-        group = []
-        for l in app_labels:
-            group += (ValAddr(l, t, FN_SLOT), ValAddr(l, t, ARG_SLOT))
-        yield group
-
-
-def preallocate(e: Expr, policy, cap_check=None) -> AddressLayout:
-    """Enumerate the policy's address space for e.  Only finite uniform
-    policies qualify; the concrete freshness policy has no bound."""
+def preallocate(policy) -> AddressTable:
+    """An empty address table for the policy.  Only finite uniform policies
+    qualify; the concrete freshness policy has no bound."""
     if not getattr(policy, "finite", False):
         raise UnsupportedPolicyError(
             f"cannot preallocate for {policy!r}: unbounded address space")
-    return AddressLayout(e, policy.k, cap_check)
+    return AddressTable(policy.k)
 
 
 # ------------------------------------------------------- ordinal decoding
@@ -449,7 +364,8 @@ def _decode_context(c, layout):
 
 def snapshot_chain(vstore, t, layout=None):
     """All snapshots newest first, index i being the store at time t-i;
-    ordinals are decoded through ``layout`` when the stacks are dense."""
+    ordinals are decoded through the address table ``layout`` when the
+    stacks are dense."""
     if layout is None:
         return stacks_to_chain(vstore, t)
     return stacks_to_chain(vstore, t, layout.addr_of,
@@ -464,10 +380,7 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
     snapshot-at-t before the sweep, snapshot-at-t after, snapshot-at-t+1
     after, changed): in-place writes during a generation must never alter
     the snapshot the generation reads, and the changed flag must coincide
-    with growth from the t snapshot to the t+1 one.
-
-    A cap that fires while the address space is being preallocated ends
-    the run before its first generation, with no contexts."""
+    with growth from the t snapshot to the t+1 one."""
     return run_machine(e, policy, mode, cap_check, prealloc, trace)[0]
 
 
@@ -475,21 +388,13 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
                 prealloc: bool = False, trace=None):
     """run_imperative's result next to the machine it leaves: (result,
     seen, vstore, layout, t).  seen maps each decoded context to its stamps,
-    newest first; vstore holds the raw value stacks; layout is None for the
-    hash store; t is the final clock."""
+    newest first; vstore holds the raw value stacks; layout is the address
+    table, None for the hash store; t is the final clock."""
     layout = None
     pol = policy
     if prealloc:
-        try:
-            layout = preallocate(e, policy, cap_check=cap_check)
-        except LayoutCapped as ex:
-            return (AnalysisResult(
-                program=e, contexts=frozenset(), edges=frozenset(),
-                store=EMPTY_STORE, chain=None, status=ex.status,
-                generations=0, initial=None, values=frozenset()),
-                {}, HashValueStore(), None, 0)
-        pol = layout.int_policy(policy)
-        vstore = DenseValueStore(layout.size)
+        layout = pol = preallocate(policy)
+        vstore = layout.store
         dec_a = layout.addr_of
         dec_v = lambda v: _decode_value(v, layout)
     else:

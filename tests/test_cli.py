@@ -82,6 +82,10 @@ def test_analyze_cap_exits_2(church, capsys):
     assert "status=time-cap" in capsys.readouterr().out
     assert main(["analyze", church, "--mem-cap", "1"]) == 2
     assert "status=space-cap" in capsys.readouterr().out
+    from tests.support import BENCH_DIR
+    bench = str(BENCH_DIR / "church_dist.scm")
+    assert main(["analyze", bench, "--k", "2", "--time-cap", "2"]) == 2
+    assert "status=time-cap" in capsys.readouterr().out
 
 
 def test_ladder_runs_the_full_ladder(church, capsys):

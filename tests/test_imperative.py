@@ -11,11 +11,10 @@ from flowladder.domains import (
     concrete_policy,
     kcfa_policy,
 )
-from flowladder.syntax import Lam, App, If, parse, node_count
+from flowladder.syntax import parse
 from flowladder.deltas import run_logged
 from flowladder.compiled import step_compiled, inject_compiled
 from flowladder.imperative import (
-    AddressLayout,
     HashValueStore,
     SnapshotView,
     UnsupportedPolicyError,
@@ -231,40 +230,18 @@ def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
             assert s in tr[g][1], (name, g)
 
 
-def test_preallocate_reports_exact_layout():
-    for name, src, e in load_corpus():
-        layout = preallocate(e, P0)
-        variables = set()
-        apps = ifs = 0
-        work = [e]
-        while work:
-            n = work.pop()
-            if isinstance(n, Lam):
-                variables.add(n.var)
-                work.append(n.body)
-            elif isinstance(n, App):
-                apps += 1
-                work.extend((n.fn, n.arg))
-            elif isinstance(n, If):
-                ifs += 1
-                work.extend((n.guard, n.then, n.els))
-        assert layout.size == len(variables) + apps + ifs + 2 * apps, name
-
-
-def test_preallocate_is_a_bijection():
+def test_prealloc_mints_exactly_the_hash_run_addresses():
+    # the table starts empty and hands out ordinals only for addresses the
+    # run allocates: decoded, they are the hash store's cells, and ordinals
+    # and addresses are each other's inverse
     for name, src, e in load_corpus():
         for pol in (P0, P1):
-            layout = preallocate(e, pol)
+            hstore = run_machine(e, pol)[2]
+            layout = run_machine(e, pol, prealloc=True)[3]
+            minted = [layout.addr_of(i) for i in range(layout.size)]
+            assert set(minted) == set(hstore.addresses()), (name, pol)
             for i in range(layout.size):
-                assert layout.ordinal_of(layout.addr_of(i)) == i, name
-
-
-def test_hash_run_addresses_all_within_layout():
-    for name, src, e in load_corpus():
-        layout = preallocate(e, P0)
-        vstore = run_machine(e, P0)[2]
-        for a in vstore.addresses():
-            assert layout.ordinal_of(a) < layout.size, (name, a)
+                assert layout.ordinal_of(layout.addr_of(i)) == i, (name, pol)
 
 
 def test_dense_and_hash_stores_agree_cell_by_cell():
@@ -284,7 +261,7 @@ def test_dense_and_hash_stores_agree_cell_by_cell():
 
 def test_preallocate_rejects_unbounded_policies():
     with pytest.raises(UnsupportedPolicyError):
-        preallocate(parse("((lambda (x) x) 2)"), concrete_policy())
+        preallocate(concrete_policy())
     with pytest.raises(UnsupportedPolicyError):
         run_imperative(parse("7"), concrete_policy(), prealloc=True)
 
