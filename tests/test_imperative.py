@@ -11,7 +11,7 @@ from flowladder.domains import (
     concrete_policy,
     kcfa_policy,
 )
-from flowladder.syntax import parse
+from flowladder.syntax import Lam, App, If, parse
 from flowladder.deltas import run_logged
 from flowladder.compiled import step_compiled, inject_compiled
 from flowladder.imperative import (
@@ -230,18 +230,57 @@ def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
             assert s in tr[g][1], (name, g)
 
 
-def test_prealloc_mints_exactly_the_hash_run_addresses():
-    # the table starts empty and hands out ordinals only for addresses the
-    # run allocates: decoded, they are the hash store's cells, and ordinals
-    # and addresses are each other's inverse
+def _address_bound_k0(e):
+    # at k=0 every address a program can mint: one binding per variable, one
+    # continuation per application and conditional, two value cells per
+    # application
+    variables = set()
+    apps = ifs = 0
+    work = [e]
+    while work:
+        n = work.pop()
+        if isinstance(n, Lam):
+            variables.add(n.var)
+            work.append(n.body)
+        elif isinstance(n, App):
+            apps += 1
+            work.extend((n.fn, n.arg))
+        elif isinstance(n, If):
+            ifs += 1
+            work.extend((n.guard, n.then, n.els))
+    return len(variables) + apps + ifs + 2 * apps
+
+
+def test_preallocate_reports_exact_layout():
+    # the table starts empty and, after a run, reports exactly the addresses
+    # the run allocated: the hash store's cells, within the k=0 bound
     for name, src, e in load_corpus():
+        assert preallocate(P0).size == 0
         for pol in (P0, P1):
             hstore = run_machine(e, pol)[2]
             layout = run_machine(e, pol, prealloc=True)[3]
             minted = [layout.addr_of(i) for i in range(layout.size)]
+            assert len(set(minted)) == layout.size, (name, pol)
             assert set(minted) == set(hstore.addresses()), (name, pol)
+            if pol is P0:
+                assert layout.size <= _address_bound_k0(e), name
+
+
+def test_preallocate_is_a_bijection():
+    for name, src, e in load_corpus():
+        for pol in (P0, P1):
+            layout = run_machine(e, pol, prealloc=True)[3]
             for i in range(layout.size):
                 assert layout.ordinal_of(layout.addr_of(i)) == i, (name, pol)
+
+
+def test_hash_run_addresses_all_within_layout():
+    for name, src, e in load_corpus():
+        for pol in (P0, P1):
+            layout = run_machine(e, pol, prealloc=True)[3]
+            vstore = run_machine(e, pol)[2]
+            for a in vstore.addresses():
+                assert layout.ordinal_of(a) < layout.size, (name, pol, a)
 
 
 def test_dense_and_hash_stores_agree_cell_by_cell():
