@@ -61,7 +61,7 @@ def replay(log, store: Store):
         if old is not None and vs <= old:
             continue
         if m is None:
-            m = dict(store.items())
+            m = store.to_dict()
         cur = m.get(a)
         m[a] = frozenset(vs) if cur is None else cur | vs
     if m is None:

@@ -364,6 +364,10 @@ class Store:
     def items(self):
         return self._m.items()
 
+    def to_dict(self) -> dict:
+        """A fresh, mutable copy of the address map."""
+        return dict(self._m)
+
     def domain(self):
         return self._m.keys()
 
@@ -842,34 +846,52 @@ _SET_Z = frozenset((ZINT,))
 
 # ----------------------------------------------------- cross-stage utilities
 
-def skeleton(obj) -> str:
+def skeleton(obj, memo=None) -> str:
     """Canonical label-skeleton rendering: compiled and plain expressions in
     the same position render identically, so contexts from different engine
-    stages can be compared as graph nodes."""
+    stages can be compared as graph nodes.
+
+    ``memo``, if a dict, keeps each rendering under the ``id`` of the object
+    rendered, so a sub-term shared by many contexts (an environment, a
+    continuation, a closure) is rendered once.  Keep one memo for one export
+    or one comparison, and the objects passed in alive while it is in use:
+    an id names an object only while it lives, and the sub-terms live as
+    long as the immutable terms that hold them."""
+    if memo is not None:
+        hit = memo.get(id(obj))
+        if hit is not None:
+            return hit
     if isinstance(obj, EvC):
-        return f"ev({skeleton(obj.expr)},{skeleton(obj.env)},{skeleton(obj.kont)},{fmt_time(obj.time)})"
-    if isinstance(obj, CoC):
-        return f"co({skeleton(obj.kont)},{skeleton(obj.val)})"
-    if isinstance(obj, ApC):
-        return f"ap({skeleton(obj.fn)},{skeleton(obj.arg)},{skeleton(obj.kont)},l{obj.label},{fmt_time(obj.time)})"
-    if isinstance(obj, StuckC):
-        return repr(obj)
-    if isinstance(obj, ArK):
-        return f"ar({skeleton(obj.expr)},{skeleton(obj.env)},{skeleton(obj.kaddr)},l{obj.label},{fmt_time(obj.time)})"
-    if isinstance(obj, FnK):
-        return f"fn({skeleton(obj.fv)},{skeleton(obj.kaddr)},l{obj.label},{fmt_time(obj.time)})"
-    if isinstance(obj, IfK):
-        return (
-            f"if({skeleton(obj.then)},{skeleton(obj.els)},{skeleton(obj.env)},"
-            f"{skeleton(obj.kaddr)},{fmt_time(obj.time)})"
-        )
-    if isinstance(obj, Closure):
-        return f"clos({obj.var},{skeleton(obj.body)},{skeleton(obj.env)})"
-    if isinstance(obj, DelayedAddr):
-        return f"~{skeleton(obj.addr)}"
-    if isinstance(obj, Env):
-        inner = ",".join(f"{k}:{skeleton(v)}" for k, v in sorted(obj.items()))
-        return "{" + inner + "}"
-    if is_compiled_node(obj) or type(obj).__name__ in ("Var", "Lit", "Lam", "App", "If"):
-        return f"e{obj.label}"
-    return repr(obj)
+        s = (f"ev({skeleton(obj.expr, memo)},{skeleton(obj.env, memo)},"
+             f"{skeleton(obj.kont, memo)},{fmt_time(obj.time)})")
+    elif isinstance(obj, CoC):
+        s = f"co({skeleton(obj.kont, memo)},{skeleton(obj.val, memo)})"
+    elif isinstance(obj, ApC):
+        s = (f"ap({skeleton(obj.fn, memo)},{skeleton(obj.arg, memo)},"
+             f"{skeleton(obj.kont, memo)},l{obj.label},{fmt_time(obj.time)})")
+    elif isinstance(obj, StuckC):
+        s = repr(obj)
+    elif isinstance(obj, ArK):
+        s = (f"ar({skeleton(obj.expr, memo)},{skeleton(obj.env, memo)},"
+             f"{skeleton(obj.kaddr, memo)},l{obj.label},{fmt_time(obj.time)})")
+    elif isinstance(obj, FnK):
+        s = (f"fn({skeleton(obj.fv, memo)},{skeleton(obj.kaddr, memo)},"
+             f"l{obj.label},{fmt_time(obj.time)})")
+    elif isinstance(obj, IfK):
+        s = (f"if({skeleton(obj.then, memo)},{skeleton(obj.els, memo)},"
+             f"{skeleton(obj.env, memo)},{skeleton(obj.kaddr, memo)},"
+             f"{fmt_time(obj.time)})")
+    elif isinstance(obj, Closure):
+        s = f"clos({obj.var},{skeleton(obj.body, memo)},{skeleton(obj.env, memo)})"
+    elif isinstance(obj, DelayedAddr):
+        s = f"~{skeleton(obj.addr, memo)}"
+    elif isinstance(obj, Env):
+        inner = ",".join(f"{k}:{skeleton(v, memo)}" for k, v in sorted(obj.items()))
+        s = "{" + inner + "}"
+    elif is_compiled_node(obj) or type(obj).__name__ in ("Var", "Lit", "Lam", "App", "If"):
+        s = f"e{obj.label}"
+    else:
+        s = repr(obj)
+    if memo is not None:
+        memo[id(obj)] = s
+    return s

@@ -10,7 +10,8 @@ and the measurements.  Runs are untraced: the space cap bounds the
 process's resident set size, sampled once per generation, and the peak of
 those samples is the run's ``peak_mem_bytes``.  Graph exports render
 contexts through their label skeleton so nodes from different stages
-coincide when the theorems say the states do.
+coincide when the theorems say the states do; one export renders each
+shared sub-term (an environment, a continuation, a closure) once.
 """
 
 from __future__ import annotations
@@ -159,14 +160,17 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
 def _graph_rows(result):
     """Nodes ordered by (skeleton, repr), their skeleton labels, and
     index-resolved edges.  Each skeleton is rendered once, for both the
-    order and the label; repr is only taken to order nodes whose skeletons
-    tie, and both sorts are stable, so ties beyond that keep set order."""
+    order and the label, through one memo, so a sub-term that many nodes
+    share is rendered once too; repr is only taken to order nodes whose
+    skeletons tie, and both sorts are stable, so ties beyond that keep set
+    order."""
     naive = result.stage == "naive"
 
     def ctx_of(n):
         return n[0] if naive else n
 
-    keyed = sorted(((skeleton(ctx_of(n)), n) for n in result.contexts),
+    memo = {}
+    keyed = sorted(((skeleton(ctx_of(n), memo), n) for n in result.contexts),
                    key=itemgetter(0))
     nodes, labels = [], []
     for label, group in groupby(keyed, key=itemgetter(0)):
@@ -257,8 +261,8 @@ class StageComparison:
         self.results = results
 
 
-def _value_shapes(values) -> frozenset:
-    return frozenset(skeleton(v) for v in values)
+def _value_shapes(values, memo) -> frozenset:
+    return frozenset(skeleton(v, memo) for v in values)
 
 
 def _verdict(ra: AnalysisResult, rb: AnalysisResult) -> str:
@@ -272,7 +276,8 @@ def _verdict(ra: AnalysisResult, rb: AnalysisResult) -> str:
             return "equal"
         if rb.contexts <= ra.contexts or ra.contexts <= rb.contexts:
             return "subset"
-    if _value_shapes(ra.values) == _value_shapes(rb.values):
+    memo = {}
+    if _value_shapes(ra.values, memo) == _value_shapes(rb.values, memo):
         if len(rb.contexts) <= len(ra.contexts):
             return "sound, <= states"
         return "sound"

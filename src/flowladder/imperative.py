@@ -16,7 +16,9 @@ by ordinal that grows one cell per new ordinal, and the machine runs on
 plain ints instead of structured address objects.  Only addresses the run
 reaches get an ordinal, so the table grows with the analysis, under the
 same per-generation caps, whatever k is.  Results are decoded back to
-structured addresses when the run is packaged.
+structured addresses when the run is packaged, by one decoder per run that
+decodes each raw object once, so decoded contexts, edges and the final
+store share their environments and continuations.
 """
 
 from __future__ import annotations
@@ -32,11 +34,9 @@ from .domains import (
     DelayedAddr,
     Env,
     FnK,
-    Halt,
     IfK,
     KontAddr,
     Store,
-    StuckC,
     ValAddr,
     FN_SLOT,
     ARG_SLOT,
@@ -324,40 +324,47 @@ def preallocate(policy) -> AddressTable:
 
 # ------------------------------------------------------- ordinal decoding
 
-def _decode_value(v, layout):
-    if isinstance(v, Closure):
-        env = Env({x: layout.addr_of(a) for x, a in v.env.items()})
-        return Closure(v.var, v.body, env)
-    if isinstance(v, DelayedAddr):
-        return DelayedAddr(layout.addr_of(v.addr))
-    if isinstance(v, (ArK, FnK, IfK, Halt)):
-        return _decode_kont(v, layout)
-    return v
+def decoder(layout):
+    """One run's decoder from ordinals back to structured addresses.  It
+    memoizes by raw object, so each raw context, environment, closure,
+    delayed address and continuation is decoded once, and raw objects that
+    are equal, such as the two ends of an edge and the seen context they
+    name, or contexts that share an environment, decode to one shared
+    object.  Whatever holds no address (halt, stuck contexts, base values)
+    passes through unchanged."""
+    addr = layout.addr_of
+    memo = {}
 
+    def decode(obj):
+        out = memo.get(obj)
+        if out is not None:
+            return out
+        cls = type(obj)
+        if cls is Env:
+            out = Env({x: addr(a) for x, a in obj.items()})
+        elif cls is CoC:
+            out = CoC(decode(obj.kont), decode(obj.val))
+        elif cls is ApC:
+            out = ApC(decode(obj.fn), addr(obj.arg), decode(obj.kont),
+                      obj.label, obj.time)
+        elif cls is Closure:
+            out = Closure(obj.var, obj.body, decode(obj.env))
+        elif cls is ArK:
+            out = ArK(obj.expr, decode(obj.env), addr(obj.kaddr), obj.label,
+                      obj.time)
+        elif cls is FnK:
+            out = FnK(addr(obj.fv), addr(obj.kaddr), obj.label, obj.time)
+        elif cls is IfK:
+            out = IfK(obj.then, obj.els, decode(obj.env), addr(obj.kaddr),
+                      obj.time)
+        elif cls is DelayedAddr:
+            out = DelayedAddr(addr(obj.addr))
+        else:
+            out = obj
+        memo[obj] = out
+        return out
 
-def _decode_kont(k, layout):
-    if isinstance(k, Halt):
-        return k
-    if isinstance(k, ArK):
-        env = Env({x: layout.addr_of(a) for x, a in k.env.items()})
-        return ArK(k.expr, env, layout.addr_of(k.kaddr), k.label, k.time)
-    if isinstance(k, FnK):
-        return FnK(layout.addr_of(k.fv), layout.addr_of(k.kaddr), k.label, k.time)
-    if isinstance(k, IfK):
-        env = Env({x: layout.addr_of(a) for x, a in k.env.items()})
-        return IfK(k.then, k.els, env, layout.addr_of(k.kaddr), k.time)
-    raise AnalysisBugError(f"unknown continuation {k!r}")
-
-
-def _decode_context(c, layout):
-    if isinstance(c, CoC):
-        return CoC(_decode_kont(c.kont, layout), _decode_value(c.val, layout))
-    if isinstance(c, ApC):
-        return ApC(_decode_value(c.fn, layout), layout.addr_of(c.arg),
-                   _decode_kont(c.kont, layout), c.label, c.time)
-    if isinstance(c, StuckC):
-        return c
-    raise AnalysisBugError(f"unknown context {c!r}")
+    return decode
 
 
 # ------------------------------------------------------------ the machine
@@ -368,8 +375,7 @@ def snapshot_chain(vstore, t, layout=None):
     stacks are dense."""
     if layout is None:
         return stacks_to_chain(vstore, t)
-    return stacks_to_chain(vstore, t, layout.addr_of,
-                           lambda v: _decode_value(v, layout))
+    return stacks_to_chain(vstore, t, layout.addr_of, decoder(layout))
 
 
 def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
@@ -396,10 +402,10 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
         layout = pol = preallocate(policy)
         vstore = layout.store
         dec_a = layout.addr_of
-        dec_v = lambda v: _decode_value(v, layout)
+        dec = decoder(layout)
     else:
         vstore = HashValueStore()
-        dec_a = dec_v = None
+        dec_a = dec = None
 
     first, log0 = inject_compiled(e, pol)
     for a, vs in log0:
@@ -407,7 +413,7 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
 
     def sweep(order, t):
         if trace is not None:
-            before = snapshot(vstore, t, dec_a, dec_v)
+            before = snapshot(vstore, t, dec_a, dec)
         view = SnapshotView(vstore, t)
         join_at = vstore.join_at
         changed = False
@@ -419,19 +425,18 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
                     if join_at(a, vs, t):
                         changed = True
         if trace is not None:
-            trace.append((t, tuple(order), before, snapshot(vstore, t, dec_a, dec_v),
-                          snapshot(vstore, t + 1, dec_a, dec_v), changed))
+            trace.append((t, tuple(order), before, snapshot(vstore, t, dec_a, dec),
+                          snapshot(vstore, t + 1, dec_a, dec), changed))
         return produced, changed
 
     seen, edges, generations, status, t = drive(first, sweep, cap_check)
-    store = snapshot(vstore, t, dec_a, dec_v)
+    store = snapshot(vstore, t, dec_a, dec)
     seen = newest_first(seen)
     initial = first[0]
     if layout is not None:
-        dec_c = lambda c: _decode_context(c, layout)
-        seen = {dec_c(c): stamps for c, stamps in seen.items()}
-        edges = frozenset((dec_c(s), dec_c(d), g) for s, d, g in edges)
-        initial = dec_c(initial)
+        seen = {dec(c): stamps for c, stamps in seen.items()}
+        edges = frozenset((dec(s), dec(d), g) for s, d, g in edges)
+        initial = dec(initial)
     contexts = frozenset(seen)
     result = AnalysisResult(
         program=e, contexts=contexts, edges=edges, store=store, chain=None,

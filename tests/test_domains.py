@@ -30,9 +30,12 @@ from flowladder.domains import (
     delta,
     kcfa_policy,
     lit_value,
+    skeleton,
     truncate,
 )
+from flowladder.engine import STAGES, Config, run
 from flowladder.syntax import parse
+from tests.support import load_corpus
 
 
 # ---------------------------------------------------------------- times
@@ -280,3 +283,21 @@ def test_delta_type_errors(op, mode):
 def test_delta_unknown_op():
     with pytest.raises(ValueError):
         delta("mul", IntVal(1), "concrete")
+
+
+# --------------------------------------------------------------- skeleton
+
+def test_skeleton_memo_matches_plain_rendering():
+    # one memo shared across a whole result renders every context and halt
+    # value exactly as a call without one does
+    for name, src, e in load_corpus():
+        for k in (0, 1):
+            for stage in STAGES:
+                r = run(Config(stage=stage, k=k), e)
+                memo = {}
+                for n in r.contexts:
+                    c = n[0] if stage == "naive" else n
+                    assert skeleton(c, memo) == skeleton(c), (name, k, stage)
+                for v in r.values:
+                    assert skeleton(v, memo) == skeleton(v), (name, k, stage)
+                assert memo, (name, k, stage)

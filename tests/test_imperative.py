@@ -6,7 +6,12 @@ import pytest
 
 from flowladder.domains import (
     AnalysisBugError,
+    ApC,
+    ArK,
     BindAddr,
+    Closure,
+    CoC,
+    IfK,
     IntVal,
     concrete_policy,
     kcfa_policy,
@@ -20,6 +25,7 @@ from flowladder.imperative import (
     UnsupportedPolicyError,
     chain_to_stacks,
     check_stack,
+    decoder,
     join_at_stack,
     lookup,
     preallocate,
@@ -284,18 +290,47 @@ def test_hash_run_addresses_all_within_layout():
 
 
 def test_dense_and_hash_stores_agree_cell_by_cell():
-    from flowladder.imperative import _decode_value
-
     for name, src, e in load_corpus()[:8]:
         hstore = run_machine(e, P0)[2]
         _, _, pstore, lay, _ = run_machine(e, P0, prealloc=True)
+        decode = decoder(lay)
         decoded = {}
         for i, stack in pstore.items():
             decoded[lay.addr_of(i)] = [
-                (s, frozenset(_decode_value(v, lay) for v in vs))
+                (s, frozenset(decode(v) for v in vs))
                 for s, vs in stack
             ]
         assert decoded == hstore.cells, name
+
+
+def _envs_of(obj):
+    # every environment a decoded context holds, through its continuation
+    # and its closure values
+    if isinstance(obj, CoC):
+        return _envs_of(obj.kont) + _envs_of(obj.val)
+    if isinstance(obj, ApC):
+        return _envs_of(obj.fn) + _envs_of(obj.kont)
+    if isinstance(obj, (Closure, ArK, IfK)):
+        return [obj.env]
+    return []
+
+
+def test_prealloc_decodes_each_context_once():
+    # edge endpoints are the seen contexts themselves, not equal copies, and
+    # each environment the contexts hold is the one Env for its value, so
+    # contexts built from one raw env share its decoded Env
+    for name, src, e in load_corpus():
+        for pol in (P0, P1):
+            r = run_machine(e, pol, prealloc=True)[0]
+            canon = {c: c for c in r.contexts}
+            for s, d, g in r.edges:
+                assert canon[s] is s, (name, pol)
+                assert canon[d] is d, (name, pol)
+            assert canon[r.initial] is r.initial, (name, pol)
+            shared = {}
+            for c in r.contexts:
+                for env in _envs_of(c):
+                    assert shared.setdefault(env, env) is env, (name, pol)
 
 
 def test_preallocate_rejects_unbounded_policies():

@@ -27,10 +27,18 @@ def test_layer_trace_installs_and_restores_every_wrapper():
         assert wrapped
         for owner, name, old in wrapped:
             assert owner.__dict__[name] is not old, name
-        run(Config(stage="imperative-prealloc"), parse("((lambda (x) x) 5)"))
+        e = parse("((lambda (x) x) 5)")
+        r = run(Config(stage="imperative-prealloc"), e)
         assert trace.n["imperative.layout_calls"] == 1
         assert trace.n["imperative.join_calls"] > 0
+        assert trace.n["imperative.snapshot_calls"] > 0
         assert trace.n["compiled.step_calls"] > 0
+        # the benchmark exports through the engine module's attribute
+        flowladder.engine.export_graph(r, "dot")
+        assert trace.n["engine.export_calls"] == 1
+        run(Config(stage="deltas"), e)
+        assert trace.n["deltas.step_calls"] > 0
+        assert trace.n["deltas.replay_calls"] > 0
     finally:
         trace.restore()
     for owner, name, old in wrapped:
