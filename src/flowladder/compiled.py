@@ -51,15 +51,17 @@ class CompiledExpr:
     expression: it allocates continuation addresses, appends the resulting
     store joins to `log`, and returns the one context where the corridor
     leaves ev territory (a co context, or stuck on an unbound variable).
-    Equality and hash go by label: within one program there is exactly one
-    compiled node per source node.
+    Equality and hash go by the source node, so compiling one program twice
+    gives equal trees, and two bodies at one label in different programs
+    stay apart.
     """
 
     __slots__ = ("kind", "label", "source", "name", "var", "body",
-                 "fn", "arg", "guard", "then", "els", "value", "policy")
+                 "fn", "arg", "guard", "then", "els", "value", "policy", "_hash")
 
     def __init__(self, source, policy):
         self.source = source
+        self._hash = hash(("compiled", source))
         self.label = source.label
         self.policy = policy
         self.name = self.var = self.body = None
@@ -88,12 +90,11 @@ class CompiledExpr:
             raise TypeError(f"not an expression: {source!r}")
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        return isinstance(other, CompiledExpr) and self.label == other.label
+        return self is other or (
+            isinstance(other, CompiledExpr) and self.source == other.source)
 
     def __hash__(self):
-        return hash(("compiled", self.label))
+        return self._hash
 
     def __repr__(self):
         return f"CompiledExpr({self.source!r})"

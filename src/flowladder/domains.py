@@ -16,13 +16,15 @@ Allocation is pluggable: the concrete policy hands out fresh counter
 addresses (deterministic machine), the k-CFA policy truncates call strings
 to length k.  Times are tuples of application labels, newest first.
 
-All hot classes cache their hash at construction; everything is immutable by
-convention (__slots__, no mutators).
+Every term here derives from ``syntax.Term``, which writes its constructor,
+cached hash and structural equality from its ``__slots__``; terms are
+immutable by convention (no mutators).  The store is not a term: it hashes
+on first use, and ``MutStore`` updates it in place.
 """
 
 from __future__ import annotations
 
-from .syntax import App, Expr, If, Lam
+from .syntax import App, Expr, If, Lam, Term
 
 Time = tuple  # tuple of application labels, newest first
 
@@ -47,86 +49,33 @@ FN_SLOT = 0
 ARG_SLOT = 1
 
 
-class BindAddr:
-    __slots__ = ("var", "ctx", "_hash")
-
-    def __init__(self, var: str, ctx: Time):
-        self.var = var
-        self.ctx = ctx
-        self._hash = hash((0x11, var, ctx))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is BindAddr and self.var == other.var and self.ctx == other.ctx
-        )
-
-    def __hash__(self):
-        return self._hash
+class BindAddr(Term):
+    __slots__ = ("var", "ctx")
 
     def __repr__(self):
         return f"{self.var}@{fmt_time(self.ctx)}"
 
 
-class KontAddr:
-    __slots__ = ("label", "time", "_hash")
-
-    def __init__(self, label: int, time: Time):
-        self.label = label
-        self.time = time
-        self._hash = hash((0x12, label, time))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is KontAddr and self.label == other.label and self.time == other.time
-        )
-
-    def __hash__(self):
-        return self._hash
+class KontAddr(Term):
+    __slots__ = ("label", "time")
 
     def __repr__(self):
         return f"k{self.label}@{fmt_time(self.time)}"
 
 
-class ValAddr:
+class ValAddr(Term):
     """Value cell of an application site; slot 0 holds the operator value,
     slot 1 the operand value."""
 
-    __slots__ = ("label", "time", "slot", "_hash")
-
-    def __init__(self, label: int, time: Time, slot: int):
-        self.label = label
-        self.time = time
-        self.slot = slot
-        self._hash = hash((0x13, label, time, slot))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is ValAddr
-            and self.label == other.label
-            and self.slot == other.slot
-            and self.time == other.time
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("label", "time", "slot")
 
     def __repr__(self):
         tag = "f" if self.slot == FN_SLOT else "a"
         return f"{tag}{self.label}@{fmt_time(self.time)}"
 
 
-class ConcreteAddr:
-    __slots__ = ("n", "_hash")
-
-    def __init__(self, n: int):
-        self.n = n
-        self._hash = hash((0x14, n))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is ConcreteAddr and self.n == other.n)
-
-    def __hash__(self):
-        return self._hash
+class ConcreteAddr(Term):
+    __slots__ = ("n",)
 
     def __repr__(self):
         return f"@{self.n}"
@@ -140,67 +89,31 @@ def fmt_time(t: Time) -> str:
 
 # ------------------------------------------------------------------- values
 
-class IntVal:
-    __slots__ = ("z", "_hash")
-
-    def __init__(self, z: int):
-        self.z = z
-        self._hash = hash((0x21, z))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is IntVal and self.z == other.z)
-
-    def __hash__(self):
-        return self._hash
+class IntVal(Term):
+    __slots__ = ("z",)
 
     def __repr__(self):
         return str(self.z)
 
 
-class BoolVal:
-    __slots__ = ("b", "_hash")
-
-    def __init__(self, b: bool):
-        self.b = b
-        self._hash = hash((0x22, b))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is BoolVal and self.b == other.b)
-
-    def __hash__(self):
-        return self._hash
+class BoolVal(Term):
+    __slots__ = ("b",)
 
     def __repr__(self):
         return "#t" if self.b else "#f"
 
 
-class PrimVal:
-    __slots__ = ("name", "_hash")
-
-    def __init__(self, name: str):
-        self.name = name
-        self._hash = hash((0x23, name))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is PrimVal and self.name == other.name)
-
-    def __hash__(self):
-        return self._hash
+class PrimVal(Term):
+    __slots__ = ("name",)
 
     def __repr__(self):
         return self.name
 
 
-class AbstractInt:
+class AbstractInt(Term):
     """The single abstract integer; every arithmetic result collapses to it."""
 
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is AbstractInt
-
-    def __hash__(self):
-        return 0x2F
 
     def __repr__(self):
         return "Z"
@@ -211,50 +124,22 @@ FF = BoolVal(False)
 ZINT = AbstractInt()
 
 
-class Closure:
+class Closure(Term):
     """Function value: binder, body (plain or compiled expression), captured
     environment."""
 
-    __slots__ = ("var", "body", "env", "_hash")
-
-    def __init__(self, var: str, body, env: Env):
-        self.var = var
-        self.body = body
-        self.env = env
-        self._hash = hash((0x24, var, body, env))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Closure
-            and self._hash == other._hash
-            and self.var == other.var
-            and self.body == other.body
-            and self.env == other.env
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("var", "body", "env")
 
     def __repr__(self):
         return f"clos({self.var},{body_label_of(self.body)},{self.env!r})"
 
 
-class DelayedAddr:
+class DelayedAddr(Term):
     """A variable reference whose store lookup has not happened yet; the lazy
     engines pass these through continuations and force them at strict
     positions.  Never stored."""
 
-    __slots__ = ("addr", "_hash")
-
-    def __init__(self, addr):
-        self.addr = addr
-        self._hash = hash((0x25, addr))
-
-    def __eq__(self, other):
-        return self is other or (type(other) is DelayedAddr and self.addr == other.addr)
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("addr",)
 
     def __repr__(self):
         return f"~{self.addr!r}"
@@ -278,10 +163,10 @@ def body_label_of(body) -> int:
 
 # -------------------------------------------------------------- environment
 
-class Env:
+class Env(Term):
     """Immutable variable -> address map with a cached hash."""
 
-    __slots__ = ("_m", "_hash")
+    __slots__ = ("_m",)
 
     def __init__(self, m: dict | None = None):
         self._m = m or {}
@@ -303,14 +188,6 @@ class Env:
 
     def __len__(self):
         return len(self._m)
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is Env and self._hash == other._hash and self._m == other._m
-        )
-
-    def __hash__(self):
-        return self._hash
 
     def __repr__(self):
         inner = ",".join(f"{k}:{v!r}" for k, v in sorted(self._m.items()))
@@ -420,14 +297,8 @@ class MutStore(Store):
 
 # ------------------------------------------------------------ continuations
 
-class Halt:
+class Halt(Term):
     __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is Halt
-
-    def __hash__(self):
-        return 0x31
 
     def __repr__(self):
         return "halt"
@@ -436,92 +307,28 @@ class Halt:
 HALT = Halt()
 
 
-class ArK:
+class ArK(Term):
     """Evaluate-the-operand frame: the operand expression, its environment,
     the tail continuation's address, and the application site's label/time."""
 
-    __slots__ = ("expr", "env", "kaddr", "label", "time", "_hash")
-
-    def __init__(self, expr, env: Env, kaddr, label: int, time: Time):
-        self.expr = expr
-        self.env = env
-        self.kaddr = kaddr
-        self.label = label
-        self.time = time
-        self._hash = hash((0x32, expr, env, kaddr, label, time))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is ArK
-            and self._hash == other._hash
-            and self.label == other.label
-            and self.time == other.time
-            and self.kaddr == other.kaddr
-            and self.expr == other.expr
-            and self.env == other.env
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("expr", "env", "kaddr", "label", "time")
 
     def __repr__(self):
         return f"ar(e{node_tag(self.expr)},{self.env!r},{self.kaddr!r},l{self.label},{fmt_time(self.time)})"
 
 
-class FnK:
+class FnK(Term):
     """Apply-the-operator frame.  ``fv`` is the operator value itself in the
     naive engine and the operator value cell's address in every later one."""
 
-    __slots__ = ("fv", "kaddr", "label", "time", "_hash")
-
-    def __init__(self, fv, kaddr, label: int, time: Time):
-        self.fv = fv
-        self.kaddr = kaddr
-        self.label = label
-        self.time = time
-        self._hash = hash((0x33, fv, kaddr, label, time))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is FnK
-            and self._hash == other._hash
-            and self.label == other.label
-            and self.time == other.time
-            and self.kaddr == other.kaddr
-            and self.fv == other.fv
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("fv", "kaddr", "label", "time")
 
     def __repr__(self):
         return f"fn({self.fv!r},{self.kaddr!r},l{self.label},{fmt_time(self.time)})"
 
 
-class IfK:
-    __slots__ = ("then", "els", "env", "kaddr", "time", "_hash")
-
-    def __init__(self, then, els, env: Env, kaddr, time: Time):
-        self.then = then
-        self.els = els
-        self.env = env
-        self.kaddr = kaddr
-        self.time = time
-        self._hash = hash((0x34, then, els, env, kaddr, time))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is IfK
-            and self._hash == other._hash
-            and self.time == other.time
-            and self.kaddr == other.kaddr
-            and self.then == other.then
-            and self.els == other.els
-            and self.env == other.env
-        )
-
-    def __hash__(self):
-        return self._hash
+class IfK(Term):
+    __slots__ = ("then", "els", "env", "kaddr", "time")
 
     def __repr__(self):
         return (
@@ -543,111 +350,40 @@ def is_compiled_node(node) -> bool:
 
 # ----------------------------------------------------------------- contexts
 
-class EvC:
+class EvC(Term):
     """About to evaluate an expression."""
 
-    __slots__ = ("expr", "env", "kont", "time", "_hash")
-
-    def __init__(self, expr, env: Env, kont, time: Time):
-        self.expr = expr
-        self.env = env
-        self.kont = kont
-        self.time = time
-        self._hash = hash((0x41, expr, env, kont, time))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is EvC
-            and self._hash == other._hash
-            and self.time == other.time
-            and self.expr == other.expr
-            and self.kont == other.kont
-            and self.env == other.env
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("expr", "env", "kont", "time")
 
     def __repr__(self):
         return f"ev(e{node_tag(self.expr)},{self.env!r},{self.kont!r},{fmt_time(self.time)})"
 
 
-class CoC:
+class CoC(Term):
     """Returning a value to a continuation."""
 
-    __slots__ = ("kont", "val", "_hash")
-
-    def __init__(self, kont, val):
-        self.kont = kont
-        self.val = val
-        self._hash = hash((0x42, kont, val))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is CoC
-            and self._hash == other._hash
-            and self.val == other.val
-            and self.kont == other.kont
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("kont", "val")
 
     def __repr__(self):
         return f"co({self.kont!r},{self.val!r})"
 
 
-class ApC:
+class ApC(Term):
     """Applying an operator value.  ``arg`` is the operand value itself in
     the naive engine and the operand cell's address in every later one."""
 
-    __slots__ = ("fn", "arg", "kont", "label", "time", "_hash")
-
-    def __init__(self, fn, arg, kont, label: int, time: Time):
-        self.fn = fn
-        self.arg = arg
-        self.kont = kont
-        self.label = label
-        self.time = time
-        self._hash = hash((0x43, fn, arg, kont, label, time))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is ApC
-            and self._hash == other._hash
-            and self.label == other.label
-            and self.time == other.time
-            and self.fn == other.fn
-            and self.arg == other.arg
-            and self.kont == other.kont
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("fn", "arg", "kont", "label", "time")
 
     def __repr__(self):
         return f"ap({self.fn!r},{self.arg!r},{self.kont!r},l{self.label},{fmt_time(self.time)})"
 
 
-class StuckC:
+class StuckC(Term):
     """Terminal error node: a type error or unbound lookup was detected.
     Coarse payload (reason + one label) so every engine builds the same node
     for the same fault."""
 
-    __slots__ = ("reason", "label", "_hash")
-
-    def __init__(self, reason: str, label):
-        self.reason = reason
-        self.label = label
-        self._hash = hash((0x44, reason, label))
-
-    def __eq__(self, other):
-        return self is other or (
-            type(other) is StuckC and self.reason == other.reason and self.label == other.label
-        )
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ("reason", "label")
 
     def __repr__(self):
         return f"stuck({self.reason},l{self.label})"
@@ -851,14 +587,12 @@ def skeleton(obj, memo=None) -> str:
     the same position render identically, so contexts from different engine
     stages can be compared as graph nodes.
 
-    ``memo``, if a dict, keeps each rendering under the ``id`` of the object
-    rendered, so a sub-term shared by many contexts (an environment, a
-    continuation, a closure) is rendered once.  Keep one memo for one export
-    or one comparison, and the objects passed in alive while it is in use:
-    an id names an object only while it lives, and the sub-terms live as
-    long as the immutable terms that hold them."""
+    ``memo``, if a dict, keeps each rendering under the term rendered, so
+    equal sub-terms that many contexts hold (an environment, a continuation,
+    a closure) are rendered once, whether or not they are one object.  Keep
+    one memo for one export or one comparison."""
     if memo is not None:
-        hit = memo.get(id(obj))
+        hit = memo.get(obj)
         if hit is not None:
             return hit
     if isinstance(obj, EvC):
@@ -893,5 +627,5 @@ def skeleton(obj, memo=None) -> str:
     else:
         s = repr(obj)
     if memo is not None:
-        memo[id(obj)] = s
+        memo[obj] = s
     return s

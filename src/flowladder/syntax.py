@@ -12,6 +12,11 @@ of continuation and value addresses is keyed by them, and cross-engine graph
 comparisons render nodes by their label skeletons.
 
 ``;`` starts a comment that runs to end of line.
+
+The nodes derive from ``Term``, the base of every immutable term in the
+analyzers (addresses, values, environments, continuations and contexts in
+``domains`` too): a subclass lists its fields in ``__slots__`` and gets a
+constructor, a cached hash and structural equality written from them.
 """
 
 from __future__ import annotations
@@ -34,123 +39,95 @@ class ParseError(ValueError):
         self.col = col
 
 
-class Var:
-    __slots__ = ("name", "label")
+class Term:
+    """An immutable term with structural equality and a cached hash.
 
-    def __init__(self, name: str, label: int):
-        self.name = name
-        self.label = label
+    A subclass names its fields in ``__slots__``, and ``__init_subclass__``
+    writes its ``__init__``, ``__eq__`` and ``__hash__`` from them, as
+    ``dataclasses`` does, unless the class body writes its own.
+    ``__init__`` takes the fields in slot order, assigns them and caches
+    ``hash((<class name>, *fields))``: the name rather than the class
+    object, because a class hashes by its id, and hashes must repeat from
+    run to run under one ``PYTHONHASHSEED``.  ``__eq__`` holds for the term
+    itself, or for a term of the same type with equal fields, compared in
+    slot order; a field shared by both is taken as equal without a call.
+    It does not compare the cached hashes first, because the dicts and sets
+    that make nearly every call already have.  Each class gets its own
+    ``__hash__``: the interpreter specialises attribute access per
+    function, and one function shared by every class would run
+    unspecialised."""
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return type(other) is Var and self.label == other.label and self.name == other.name
+    __slots__ = ("_hash",)
+
+    def __init_subclass__(cls, **kw):
+        super().__init_subclass__(**kw)
+        fields = cls.__dict__.get("__slots__", ())
+        params = "".join(f", {f}" for f in fields)
+        sets = "".join(f"    self.{f} = {f}\n" for f in fields)
+        same = "".join(f" and (self.{f} is other.{f} or self.{f} == other.{f})"
+                       for f in fields)
+        src = (f"def __init__(self{params}):\n{sets}"
+               f"    self._hash = hash(({cls.__name__!r}{params},))\n"
+               f"def __eq__(self, other):\n"
+               f"    return self is other or (type(other) is cls{same})\n"
+               f"def __hash__(self):\n"
+               f"    return self._hash\n")
+        ns = {"cls": cls}
+        exec(compile(src, f"<{cls.__qualname__} fields>", "exec"), ns)
+        for name in ("__init__", "__eq__", "__hash__"):
+            if name not in cls.__dict__:
+                ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, ns[name])
 
     def __hash__(self):
-        return hash((0x51, self.label))
+        # for a class that writes its own __eq__, which drops the hash
+        # it would inherit
+        return self._hash
+
+
+class Var(Term):
+    __slots__ = ("name", "label")
 
     def __repr__(self):
         return f"Var({self.name!r}, {self.label})"
 
 
-class Lit:
-    """Literal expression; value is an int, a bool, or a primitive-op name."""
+class Lit(Term):
+    """Literal expression; value is an int, a bool, or a primitive-op name.
+    ``True`` and ``1`` are equal in Python but not as literals."""
 
     __slots__ = ("value", "label")
 
-    def __init__(self, value, label: int):
-        self.value = value
-        self.label = label
-
     def __eq__(self, other):
-        if self is other:
-            return True
-        return (
+        return self is other or (
             type(other) is Lit
             and self.label == other.label
             and type(self.value) is type(other.value)
             and self.value == other.value
         )
 
-    def __hash__(self):
-        return hash((0x52, self.label))
+    __hash__ = Term.__hash__
 
     def __repr__(self):
         return f"Lit({self.value!r}, {self.label})"
 
 
-class Lam:
+class Lam(Term):
     __slots__ = ("var", "body", "label")
-
-    def __init__(self, var: str, body, label: int):
-        self.var = var
-        self.body = body
-        self.label = label
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is Lam
-            and self.label == other.label
-            and self.var == other.var
-            and self.body == other.body
-        )
-
-    def __hash__(self):
-        return hash((0x53, self.label))
 
     def __repr__(self):
         return f"Lam({self.var!r}, {self.body!r}, {self.label})"
 
 
-class App:
+class App(Term):
     __slots__ = ("fn", "arg", "label")
-
-    def __init__(self, fn, arg, label: int):
-        self.fn = fn
-        self.arg = arg
-        self.label = label
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is App
-            and self.label == other.label
-            and self.fn == other.fn
-            and self.arg == other.arg
-        )
-
-    def __hash__(self):
-        return hash((0x54, self.label))
 
     def __repr__(self):
         return f"App({self.fn!r}, {self.arg!r}, {self.label})"
 
 
-class If:
+class If(Term):
     __slots__ = ("guard", "then", "els", "label")
-
-    def __init__(self, guard, then, els, label: int):
-        self.guard = guard
-        self.then = then
-        self.els = els
-        self.label = label
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (
-            type(other) is If
-            and self.label == other.label
-            and self.guard == other.guard
-            and self.then == other.then
-            and self.els == other.els
-        )
-
-    def __hash__(self):
-        return hash((0x55, self.label))
 
     def __repr__(self):
         return f"If({self.guard!r}, {self.then!r}, {self.els!r}, {self.label})"

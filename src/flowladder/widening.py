@@ -40,7 +40,7 @@ from .domains import (
     halt_values,
     lit_value,
 )
-from .syntax import App, Expr, If, Lam, Lit, Var
+from .syntax import App, Expr, If, Lam, Lit, Term, Var
 
 
 def inject_context(e: Expr):
@@ -128,24 +128,10 @@ def step_context(c, store: Store, policy, mode: str = "abstract"):
     raise TypeError(f"not a context: {c!r}")
 
 
-class WideState:
+class WideState(Term):
     """One global store paired with every context discovered so far."""
 
     __slots__ = ("contexts", "store")
-
-    def __init__(self, contexts: frozenset, store: Store):
-        self.contexts = contexts
-        self.store = store
-
-    def __eq__(self, other):
-        return (
-            type(other) is WideState
-            and self.contexts == other.contexts
-            and self.store == other.store
-        )
-
-    def __hash__(self):
-        return hash((self.contexts, self.store))
 
     def __repr__(self):
         return f"WideState(|C|={len(self.contexts)}, |dom|={len(self.store)})"

@@ -59,6 +59,18 @@ def test_equality_is_by_label():
     assert c1 != c2.fn
 
 
+def test_equality_goes_by_source_node():
+    # two lambda bodies at the same label in different programs
+    ids = [parse("(lambda (x) x)").body, parse("(lambda (x) 5)").body]
+    compiled = [compile_expr(parse(s), P0).body
+                for s in ("(lambda (x) x)", "(lambda (x) 5)")]
+    for bodies in (ids, compiled):
+        c1, c5 = (Closure("x", b, EMPTY_ENV) for b in bodies)
+        assert bodies[0].label == bodies[1].label
+        assert c1 != c5
+        assert len({CoC(HALT, c1), CoC(HALT, c5)}) == 2
+
+
 def test_literal_corridor():
     ce = compile_expr(parse("5"), P0)
     log = []

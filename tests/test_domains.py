@@ -301,3 +301,15 @@ def test_skeleton_memo_matches_plain_rendering():
                 for v in r.values:
                     assert skeleton(v, memo) == skeleton(v), (name, k, stage)
                 assert memo, (name, k, stage)
+
+
+def test_skeleton_memo_renders_equal_sub_terms_once():
+    # two equal environments built apart are one memo entry
+    e = parse("(lambda (y) (lambda (z) y))")
+    a = Env({"x": BindAddr("x", ())})
+    b = EMPTY_ENV.extend("x", BindAddr("x", ()))
+    assert a is not b
+    memo = {}
+    skeleton(Closure("y", e.body, a), memo)
+    skeleton(Closure("z", e.body.body, b), memo)
+    assert [type(t) for t in memo].count(Env) == 1
