@@ -39,7 +39,7 @@ from .domains import (
     lit_value,
 )
 from .syntax import App, If, Lam, Lit, Var
-from .frontier import run_chain
+from .frontier import run_persistent
 from .widening import inject_context
 
 # A change log is a list of (Addr, frozenset) join intents.  Entry order is
@@ -213,7 +213,7 @@ def run_logged(
     trace=None,
 ) -> AnalysisResult:
     """Frontier iteration where transitions emit logs and the store advances
-    by one replay per generation.  ``trace`` is run_chain's."""
+    by one replay per generation.  ``trace`` is run_persistent's."""
 
     def step(order, store):
         logs = []
@@ -228,4 +228,5 @@ def run_logged(
 
     first, log0 = inject(e, policy)
     store0, _ = replay(log0, EMPTY_STORE)
-    return run_chain(e, first, store0, step, cap_check, order_key, trace)
+    return run_persistent(e, first, store0, step, cap_check, order_key,
+                          trace)

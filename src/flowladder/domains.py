@@ -28,14 +28,6 @@ from .syntax import App, Expr, If, Lam, Term
 
 Time = tuple  # tuple of application labels, newest first
 
-
-def truncate(t: Time, k: int) -> Time:
-    """First k entries of the call string; identity when already short."""
-    if len(t) <= k:
-        return t
-    return t[:k]
-
-
 EPOCH: Time = ()
 
 
@@ -418,22 +410,22 @@ class AnalysisResult:
 
     ``contexts`` holds plain contexts for the widened stages and
     (context, store) pairs for the naive one; ``edges`` holds (src, dst,
-    generation first produced); ``chain`` is the store chain where the stage
-    keeps one, else None.  ``engine.run`` fills in the stage, k, mode, wall
-    time and peak memory."""
+    generation first produced); ``store`` is the final store, None for the
+    naive stage.  No stage keeps its store history: a run's trace rebuilds
+    it when asked.  ``engine.run`` fills in the stage, k, mode, wall time
+    and peak memory."""
 
     __slots__ = ("stage", "k", "mode", "program", "contexts", "edges", "store",
-                 "chain", "status", "generations", "initial", "wall_time_s",
+                 "status", "generations", "initial", "wall_time_s",
                  "peak_mem_bytes", "values")
 
-    def __init__(self, *, program, contexts, edges, store, chain, status,
+    def __init__(self, *, program, contexts, edges, store, status,
                  generations, initial, values):
         self.stage = self.k = self.mode = None
         self.program = program
         self.contexts = contexts
         self.edges = edges
         self.store = store
-        self.chain = chain
         self.status = status
         self.generations = generations
         self.initial = initial
@@ -478,7 +470,7 @@ class KCfaPolicy:
         self.k = k
 
     def tick_ap(self, label: int, time: Time) -> Time:
-        return truncate((label,) + time, self.k)
+        return ((label,) + time)[:self.k]
 
     def bind_addr(self, var: str, label: int, time: Time, store) -> BindAddr:
         return BindAddr(var, self.tick_ap(label, time))

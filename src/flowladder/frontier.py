@@ -5,22 +5,23 @@ stage on only a frontier is stepped: contexts are paired with the timestamp
 of the store they were scheduled under, and a context is re-enqueued exactly
 when it is reached again at a store version it has not seen.  Because the
 global store grows monotonically, comparing store versions reduces to
-comparing timestamps, and the store chain (newest first) lets any timestamp
-be dereferenced back to the store it names.
+comparing timestamps, and a timestamp is only ever compared, never turned
+back into a store: the fixpoint needs the newest store, the clock and each
+context's latest stamp, and nothing more.
 
 That discipline is the same on every later rung; what changes is how a
 generation's sweep steps the frontier and grows the store.  ``drive`` owns
 the discipline (cap checks, iteration order, seen stamps, successor
 interning, edge labels, the frontier rebuild) and takes the sweep as a
-function.  ``run_chain`` keeps persistent stores as the store chain: this
-module's sweep joins them and compares them structurally, the ``deltas``
-one logs writes and replays them.  ``imperative`` writes value stacks in
-place.
+function.  ``run_persistent`` keeps one persistent store: this module's
+sweep joins into it and compares it structurally, the ``deltas`` one logs
+writes and replays them.  ``imperative`` writes value cells in place.
 
 The untimestamped reference system at the bottom of the module is the same
 algorithm with the timestamps replaced by the stores they denote; the two are
 related by an order isomorphism (timestamp i <-> i-th store of the chain),
-implemented here in both directions and compared exactly in tests.
+implemented here in both directions and compared exactly in tests against
+the chain and stamp histories a trace rebuilds.
 """
 
 from __future__ import annotations
@@ -45,15 +46,15 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
     after every generation.
 
     Returns (seen, edges, generations, status, t): seen maps each context
-    to the list of timestamps (oldest first) at which it entered a
-    frontier, edges holds every (src, dst, generation first produced).
+    to the latest timestamp at which it entered a frontier, edges holds
+    every (src, dst, generation first produced).
     """
     seen = {}
     canon = {}
     frontier = []
     for c in first:
         if c not in seen:
-            seen[c] = [0]
+            seen[c] = 0
             canon[c] = c
             frontier.append(c)
     t = 0
@@ -80,13 +81,9 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
                 pair = (src, c)
             if pair not in edges:
                 edges[pair] = generation
-            stamps = seen.get(c)
-            if stamps is None:
-                seen[c] = [t]
-            elif stamps[-1] == t:
+            if seen.get(c) == t:
                 continue
-            else:
-                stamps.append(t)
+            seen[c] = t
             frontier.append(c)
         generation += 1
         if trace is not None:
@@ -95,39 +92,45 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
             generation, status, t)
 
 
-def newest_first(seen) -> dict:
-    """A seen map of drive's with each context's stamps as a tuple, newest
-    first, the form the reference system's seen map takes."""
-    return {c: tuple(reversed(stamps)) for c, stamps in seen.items()}
-
-
-def run_chain(e, first, store, step, cap_check=None, order_key=None,
-              trace=None) -> AnalysisResult:
-    """Drive a sweep over persistent stores, kept as the store chain.
+def run_persistent(e, first, store, step, cap_check=None, order_key=None,
+                   trace=None) -> AnalysisResult:
+    """Drive a sweep over one persistent store, replaced when it grows.
 
     ``step(order, store)`` steps a generation's frontier against the
     newest store and returns (successor pairs, store', grew?).  ``trace``,
     if a list, receives a snapshot tuple (seen, frontier, chain, t) after
-    every generation (for the order-isomorphism comparison), seen in
-    ``newest_first`` form."""
-    chain = [store]
-
+    every generation (for the order-isomorphism comparison), rebuilt from
+    each generation's store and frontier: seen maps each context to its
+    stamps, newest first, and chain holds every store so far, newest
+    first."""
     def sweep(order, t):
-        produced, store2, grew = step(order, chain[0])
+        nonlocal store
+        produced, store2, grew = step(order, store)
         if grew:
-            chain.insert(0, store2)
+            store = store2
         return produced, grew
 
-    def snap(seen, frontier, t):
-        trace.append((newest_first(seen), tuple(frontier), tuple(chain), t))
+    snap = None
+    if trace is not None:
+        hist = {c: (0,) for c in first}
+        chain = (store,)
+
+        def snap(seen, frontier, t):
+            nonlocal hist, chain
+            hist = dict(hist)
+            for c in frontier:
+                hist[c] = (t,) + hist.get(c, ())
+            if t == len(chain):
+                chain = (store,) + chain
+            trace.append((hist, tuple(frontier), chain, t))
 
     seen, edges, generations, status, _ = drive(
-        first, sweep, cap_check, order_key, None if trace is None else snap)
+        first, sweep, cap_check, order_key, snap)
     contexts = frozenset(seen)
     return AnalysisResult(
-        program=e, contexts=contexts, edges=edges, store=chain[0],
-        chain=tuple(chain), status=status, generations=generations,
-        initial=first[0], values=halt_values(contexts, chain[0]))
+        program=e, contexts=contexts, edges=edges, store=store,
+        status=status, generations=generations, initial=first[0],
+        values=halt_values(contexts, store))
 
 
 def run_frontier(
@@ -140,14 +143,14 @@ def run_frontier(
 ) -> AnalysisResult:
     """Frontier iteration where each generation joins the stores its
     contexts produce and compares the result with the old store.
-    ``trace`` is run_chain's."""
+    ``trace`` is run_persistent's."""
 
     def step(order, store):
         edges, store2 = sweep_contexts(order, store, policy, mode)
         return edges, store2, store2 is not store and store2 != store
 
-    return run_chain(e, [inject_context(e)], EMPTY_STORE, step, cap_check,
-                     order_key, trace)
+    return run_persistent(e, [inject_context(e)], EMPTY_STORE, step,
+                          cap_check, order_key, trace)
 
 
 # ------------------------------------------------- untimestamped reference

@@ -1,13 +1,17 @@
-"""Imperative value-stack store, transfer-function iteration, preallocation.
+"""Imperative two-version value store, transfer-function iteration,
+preallocation.
 
-Every store cell is a stack of timestamped value sets, newest first.  A
-write during generation t lands in an entry stamped t+1, invisible to the
+Every store cell is a list [stamp, current, previous]: ``current`` is the
+value set visible from timestamp ``stamp`` on and ``previous`` the one
+visible before it, None where the cell did not exist yet.  A write during
+generation t lands in ``current`` stamped t+1, invisible to the
 time-filtered lookup the current generation uses, so the store can be
 updated in place while it is being read: a generation always sees the
-snapshot it started with.  The stacks record the whole widening history;
-snapshotting them at each timestamp reproduces the store chain of the
-persistent stages entry for entry.  The machine is this in-place sweep
-under the frontier driver (``frontier.drive``).
+snapshot it started with.  The clock only moves forward, so a cell needs
+no version older than the one the current generation reads; the store
+chain of the persistent stages is rebuilt from the run's trace when one
+is asked for.  The machine is this in-place sweep under the frontier
+driver (``frontier.drive``).
 
 Preallocation puts the machine on dense integer addresses: for a uniform
 k-CFA policy an address table gives each address the next free ordinal the
@@ -28,79 +32,48 @@ from .domains import (
     AnalysisResult,
     ApC,
     ArK,
-    BindAddr,
     Closure,
     CoC,
     DelayedAddr,
     Env,
     FnK,
     IfK,
-    KontAddr,
     Store,
-    ValAddr,
-    FN_SLOT,
-    ARG_SLOT,
     halt_values,
 )
 from .syntax import Expr
 from .compiled import inject_compiled, step_compiled
-from .frontier import drive, newest_first
+from .frontier import drive
 
 
 class UnsupportedPolicyError(ValueError):
     """Raised when preallocation is asked for an unbounded address space."""
 
 
-# ----------------------------------------------------------- value stacks
+# ------------------------------------------------------------ value cells
 
-def lookup(stack, t):
-    """Value set visible at time t: the top entry unless it is stamped in
-    the future, then the one below it.  The machine never creates more than
-    one future entry, so deeper inspection would indicate a broken engine."""
-    if not stack:
-        raise AnalysisBugError("lookup on an empty value stack")
-    stamp, vs = stack[0]
-    if stamp <= t:
-        return vs
-    if len(stack) < 2:
-        raise AnalysisBugError("value stack holds only a future entry")
-    stamp2, vs2 = stack[1]
-    if stamp2 > t:
-        raise AnalysisBugError("two future entries on one value stack")
-    return vs2
+def lookup(cell, t):
+    """Value set visible at time t: current unless it is stamped in the
+    future, then previous; None while the cell does not exist at t."""
+    return cell[1] if cell[0] <= t else cell[2]
 
 
-def join_at_stack(stack, vs, t):
-    """Merge vs into a non-empty stack in place at time t.  Returns whether
-    anything grew.  New material becomes visible at t+1."""
-    stamp, top = stack[0]
-    if vs <= top:
+def join_at_cell(cell, vs, t):
+    """Merge vs into a cell in place at time t.  Returns whether anything
+    grew.  New material becomes visible at t+1; a cell already grown during
+    generation t takes it into the same future version."""
+    cur = cell[1]
+    if vs <= cur:
         return False
-    if stamp > t:
-        stack[0] = (stamp, top | vs)
-    else:
-        stack.insert(0, (t + 1, top | vs))
-    return True
-
-
-def check_stack(stack, t=None):
-    """Invariant probe: stamps strictly decrease downward, value sets grow
-    toward the top, and at most one entry sits in the future of t."""
-    for (s1, v1), (s2, v2) in zip(stack, stack[1:]):
-        if s1 <= s2:
-            return False
-        if not v2 <= v1:
-            return False
-    if t is not None:
-        if sum(1 for s, _ in stack if s > t) > 1:
-            return False
-        if stack and stack[0][0] > t + 1:
-            return False
+    if cell[0] <= t:
+        cell[0] = t + 1
+        cell[2] = cur
+    cell[1] = cur | vs
     return True
 
 
 class HashValueStore:
-    """Addr -> ValStack as a plain dict."""
+    """Addr -> value cell as a plain dict."""
 
     __slots__ = ("cells",)
 
@@ -108,14 +81,11 @@ class HashValueStore:
         self.cells = {}
 
     def join_at(self, a, vs, t):
-        stack = self.cells.get(a)
-        if stack is None:
-            self.cells[a] = [(t, frozenset(vs))]
+        cell = self.cells.get(a)
+        if cell is None:
+            self.cells[a] = [t + 1, frozenset(vs), None]
             return True
-        return join_at_stack(stack, vs, t)
-
-    def get_stack(self, a):
-        return self.cells.get(a)
+        return join_at_cell(cell, vs, t)
 
     def addresses(self):
         return self.cells.keys()
@@ -125,7 +95,7 @@ class HashValueStore:
 
 
 class DenseValueStore:
-    """Ordinal -> ValStack as a flat list, one cell per minted ordinal."""
+    """Ordinal -> value cell as a flat list, one cell per minted ordinal."""
 
     __slots__ = ("cells",)
 
@@ -133,26 +103,23 @@ class DenseValueStore:
         self.cells = []
 
     def join_at(self, a, vs, t):
-        stack = self.cells[a]
-        if stack is None:
-            self.cells[a] = [(t, frozenset(vs))]
+        cell = self.cells[a]
+        if cell is None:
+            self.cells[a] = [t + 1, frozenset(vs), None]
             return True
-        return join_at_stack(stack, vs, t)
-
-    def get_stack(self, a):
-        return self.cells[a]
+        return join_at_cell(cell, vs, t)
 
     def addresses(self):
-        return (i for i, s in enumerate(self.cells) if s is not None)
+        return (i for i, c in enumerate(self.cells) if c is not None)
 
     def items(self):
-        return ((i, s) for i, s in enumerate(self.cells) if s is not None)
+        return ((i, c) for i, c in enumerate(self.cells) if c is not None)
 
 
 class SnapshotView:
     """Read-only store facade fixing the observation time.  What the
     compiled stepper sees during one generation.  The hot paths repeat
-    lookup's two-entry scan inline."""
+    lookup inline."""
 
     __slots__ = ("_fetch", "t")
 
@@ -164,73 +131,29 @@ class SnapshotView:
         self.t = t
 
     def deref(self, a):
-        stack = self._fetch(a)
-        if stack is None:
+        cell = self._fetch(a)
+        vs = None if cell is None else cell[1] if cell[0] <= self.t else cell[2]
+        if vs is None:
             raise AnalysisBugError(f"lookup of absent address {a!r}")
-        entry = stack[0]
-        if entry[0] <= self.t:
-            return entry[1]
-        return stack[1][1]
+        return vs
 
     def get(self, a, default=None):
-        stack = self._fetch(a)
-        if stack is None:
-            return default
-        entry = stack[0]
-        if entry[0] <= self.t:
-            return entry[1]
-        return stack[1][1]
-
-
-# ------------------------------------------------- snapshot/chain algebra
-
-def _effective(stack):
-    """(effective stamp, vs) pairs, newest first.  The bottom entry records
-    the address's first write, performed during the generation one before
-    its visibility, so its effective stamp is stamp + 1; every other entry
-    is already stamped with its visibility time."""
-    n = len(stack)
-    return [(s + 1 if i == n - 1 else s, vs) for i, (s, vs) in enumerate(stack)]
+        cell = self._fetch(a)
+        vs = None if cell is None else cell[1] if cell[0] <= self.t else cell[2]
+        return default if vs is None else vs
 
 
 def snapshot(vstore, tau, decode_addr=None, decode_value=None):
-    """The plain store visible at timestamp tau."""
+    """The plain store visible at timestamp tau, which must not precede the
+    clock: cells keep only the versions visible now and next."""
     m = {}
-    for a, stack in vstore.items():
-        for s, vs in _effective(stack):
-            if s <= tau:
-                if decode_value is not None:
-                    vs = frozenset(decode_value(v) for v in vs)
-                m[a if decode_addr is None else decode_addr(a)] = vs
-                break
+    for a, cell in vstore.items():
+        vs = lookup(cell, tau)
+        if vs is not None:
+            if decode_value is not None:
+                vs = frozenset(decode_value(v) for v in vs)
+            m[a if decode_addr is None else decode_addr(a)] = vs
     return Store(m)
-
-
-def stacks_to_chain(vstore, t, decode_addr=None, decode_value=None):
-    """Snapshots at t, t-1, ..., 0, the persistent store chain, newest
-    first."""
-    return tuple(
-        snapshot(vstore, tau, decode_addr, decode_value)
-        for tau in range(t, -1, -1)
-    )
-
-
-def chain_to_stacks(chain):
-    """Rebuild value stacks denoting the given chain (newest first).  The
-    result is canonical: snapshotting it at each timestamp reproduces the
-    chain entry for entry.  Live stacks can carry one extra shade the chain
-    cannot record, a fresh cell written twice within a single generation,
-    so the faithful comparison is through snapshots, not raw entries."""
-    oldest_first = list(reversed(chain))
-    stacks = {}
-    for i, store in enumerate(oldest_first):
-        for a, vs in store.items():
-            stack = stacks.get(a)
-            if stack is None:
-                stacks[a] = [(i - 1, vs)]
-            elif stack[0][1] != vs:
-                stack.insert(0, (i, vs))
-    return stacks
 
 
 # ----------------------------------------------------------- preallocation
@@ -240,15 +163,17 @@ class AddressTable:
     out in order of first allocation, and the allocation policy that mints
     them.  Each allocation is looked up by a plain tuple of the policy's
     arguments, (var, label, time) for a binding and (label, time) for a
-    continuation or value cell; only the first time a tuple is seen is the
-    structured address built and given an ordinal, or the ordinal it already
-    has when another tuple named it first.  Every new ordinal adds one empty
-    cell to ``store``."""
+    continuation or value cell; only the first time a tuple is seen does
+    the wrapped policy build the structured address, which gets a new
+    ordinal, or the one it already has when another tuple named it first.
+    Every new ordinal adds one empty cell to ``store``."""
 
-    __slots__ = ("k", "store", "_addr", "_ordinal", "_bind", "_kont", "_fn", "_arg")
+    __slots__ = ("policy", "tick_ap", "store", "_addr", "_ordinal", "_bind",
+                 "_kont", "_fn", "_arg")
 
-    def __init__(self, k: int):
-        self.k = k
+    def __init__(self, policy):
+        self.policy = policy
+        self.tick_ap = policy.tick_ap
         self.store = DenseValueStore()
         self._addr = []
         self._ordinal = {}
@@ -275,17 +200,13 @@ class AddressTable:
     def addr_of(self, ordinal: int):
         return self._addr[ordinal]
 
-    def tick_ap(self, label, time):
-        # KCfaPolicy's tick: the call string cut to its first k entries
-        return ((label,) + time)[:self.k]
-
     def bind_addr(self, var, label, time, store):
         key = (var, label, time)
         try:
             return self._bind[key]
         except KeyError:
             i = self._bind[key] = self._mint(
-                BindAddr(var, self.tick_ap(label, time)))
+                self.policy.bind_addr(var, label, time, store))
             return i
 
     def fnval_addr(self, label, time, store):
@@ -293,7 +214,8 @@ class AddressTable:
         try:
             return self._fn[key]
         except KeyError:
-            i = self._fn[key] = self._mint(ValAddr(label, time, FN_SLOT))
+            i = self._fn[key] = self._mint(
+                self.policy.fnval_addr(label, time, store))
             return i
 
     def argval_addr(self, label, time, store):
@@ -301,7 +223,8 @@ class AddressTable:
         try:
             return self._arg[key]
         except KeyError:
-            i = self._arg[key] = self._mint(ValAddr(label, time, ARG_SLOT))
+            i = self._arg[key] = self._mint(
+                self.policy.argval_addr(label, time, store))
             return i
 
     def kont_addr(self, label, time, store, kont):
@@ -309,7 +232,8 @@ class AddressTable:
         try:
             return self._kont[key]
         except KeyError:
-            i = self._kont[key] = self._mint(KontAddr(label, time))
+            i = self._kont[key] = self._mint(
+                self.policy.kont_addr(label, time, store, kont))
             return i
 
 
@@ -319,7 +243,7 @@ def preallocate(policy) -> AddressTable:
     if not getattr(policy, "finite", False):
         raise UnsupportedPolicyError(
             f"cannot preallocate for {policy!r}: unbounded address space")
-    return AddressTable(policy.k)
+    return AddressTable(policy)
 
 
 # ------------------------------------------------------- ordinal decoding
@@ -369,33 +293,23 @@ def decoder(layout):
 
 # ------------------------------------------------------------ the machine
 
-def snapshot_chain(vstore, t, layout=None):
-    """All snapshots newest first, index i being the store at time t-i;
-    ordinals are decoded through the address table ``layout`` when the
-    stacks are dense."""
-    if layout is None:
-        return stacks_to_chain(vstore, t)
-    return stacks_to_chain(vstore, t, layout.addr_of, decoder(layout))
-
-
 def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
                    prealloc: bool = False, trace=None) -> AnalysisResult:
     """Iterate the transfer function to an empty frontier.
 
     ``trace``, if a list, receives per generation a tuple (t, frontier,
     snapshot-at-t before the sweep, snapshot-at-t after, snapshot-at-t+1
-    after, changed): in-place writes during a generation must never alter
-    the snapshot the generation reads, and the changed flag must coincide
-    with growth from the t snapshot to the t+1 one."""
+    after, changed), all decoded: in-place writes during a generation must
+    never alter the snapshot the generation reads, and the changed flag
+    must coincide with growth from the t snapshot to the t+1 one."""
     return run_machine(e, policy, mode, cap_check, prealloc, trace)[0]
 
 
 def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
                 prealloc: bool = False, trace=None):
     """run_imperative's result next to the machine it leaves: (result,
-    seen, vstore, layout, t).  seen maps each decoded context to its stamps,
-    newest first; vstore holds the raw value stacks; layout is the address
-    table, None for the hash store; t is the final clock."""
+    vstore, layout, t).  vstore holds the raw value cells; layout is the
+    address table, None for the hash store; t is the final clock."""
     layout = None
     pol = policy
     if prealloc:
@@ -425,21 +339,22 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
                     if join_at(a, vs, t):
                         changed = True
         if trace is not None:
-            trace.append((t, tuple(order), before, snapshot(vstore, t, dec_a, dec),
+            frontier = tuple(order if dec is None else map(dec, order))
+            trace.append((t, frontier, before, snapshot(vstore, t, dec_a, dec),
                           snapshot(vstore, t + 1, dec_a, dec), changed))
         return produced, changed
 
     seen, edges, generations, status, t = drive(first, sweep, cap_check)
     store = snapshot(vstore, t, dec_a, dec)
-    seen = newest_first(seen)
     initial = first[0]
-    if layout is not None:
-        seen = {dec(c): stamps for c, stamps in seen.items()}
+    if layout is None:
+        contexts = frozenset(seen)
+    else:
+        contexts = frozenset(map(dec, seen))
         edges = frozenset((dec(s), dec(d), g) for s, d, g in edges)
         initial = dec(initial)
-    contexts = frozenset(seen)
     result = AnalysisResult(
-        program=e, contexts=contexts, edges=edges, store=store, chain=None,
+        program=e, contexts=contexts, edges=edges, store=store,
         status=status, generations=generations, initial=initial,
         values=halt_values(contexts, store))
-    return result, seen, vstore, layout, t
+    return result, vstore, layout, t

@@ -209,5 +209,5 @@ def explore(e: Expr, policy, mode: str, cap_check=None) -> AnalysisResult:
     return AnalysisResult(
         program=e, contexts=frozenset(seen),
         edges=frozenset((src, dst, g) for (src, dst), g in edges.items()),
-        store=None, chain=None, status=status, generations=generation,
+        store=None, status=status, generations=generation,
         initial=initial, values=halt_values((c for c, _ in seen), None))

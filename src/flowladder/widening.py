@@ -203,5 +203,5 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
     return AnalysisResult(
         program=e, contexts=contexts,
         edges=frozenset((s, d, g) for (s, d), g in edges.items()),
-        store=store, chain=None, status=status, generations=generation,
+        store=store, status=status, generations=generation,
         initial=c0, values=halt_values(contexts, store))

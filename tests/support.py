@@ -260,3 +260,23 @@ def store_leq(a, b):
             if not any(kont_leq(v, w, b) for w in target):
                 return False
     return True
+
+
+def imperative_history(trace) -> dict:
+    """Each context's frontier stamps, newest first, rebuilt from a
+    ``run_imperative`` trace: a context swept at clock t entered the
+    frontier at t."""
+    hist = {}
+    for t, frontier, *_ in trace:
+        for c in frontier:
+            hist[c] = (t,) + hist.get(c, ())
+    return hist
+
+
+def imperative_chain(trace) -> tuple:
+    """The store chain, newest first, rebuilt from a ``run_imperative``
+    trace: generation 0's starting snapshot, then the next-tick snapshot
+    of every generation that grew the store."""
+    chain = [trace[0][2]]
+    chain += [after_t1 for _, _, _, _, after_t1, changed in trace if changed]
+    return tuple(reversed(chain))

@@ -32,7 +32,7 @@ from flowladder.frontier import (
     stamps_to_stores,
     stores_to_stamps,
 )
-from flowladder.imperative import run_imperative, run_machine, snapshot_chain
+from flowladder.imperative import run_imperative, run_machine
 from flowladder.lazy import step_lazy
 from flowladder.precision import singleton_vars
 from flowladder.syntax import free_vars, node_count
@@ -40,6 +40,8 @@ from flowladder.widening import analyze_baseline, step_context
 
 from tests.support import (
     abstract_covers,
+    imperative_chain,
+    imperative_history,
     load_bench,
     oracle_eval,
     random_program,
@@ -92,15 +94,15 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
             assert tuple(chain) == tuple(rchain), name
             assert stamps_to_stores(seen, chain) == rseen, name
             assert stores_to_stamps(rseen, list(rchain)) == seen, name
-        fseen = ft[-1][0]
-        assert stamps_to_stores(fseen, fr.chain) == rr.seen, name
+        fseen, fchain = ft[-1][0], ft[-1][2]
+        assert stamps_to_stores(fseen, fchain) == rr.seen, name
         assert stores_to_stamps(rr.seen, list(rr.chain)) == fseen, name
 
         # (b) log-and-replay fixpoint equals the frontier fixpoint
         dt = []
         dr = run_logged(e, step_with_deltas, P0, trace=dt)
         assert dr.contexts == fr.contexts, name
-        assert dr.chain == fr.chain, name
+        assert dt[-1][2] == fchain, name
         assert dt[-1][0] == fseen, name
         assert dr.edges == fr.edges, name
         assert dr.store == fr.store, name
@@ -110,15 +112,17 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
         ct = []
         cw = run_logged(e, step_compiled, P0, inject=inject_compiled, trace=ct)
         for pre in (False, True):
-            ir, seen, vstore, layout, t = run_machine(e, P0, prealloc=pre)
+            it = []
+            ir, _, _, t = run_machine(e, P0, prealloc=pre, trace=it)
             assert ir.contexts == cw.contexts, (name, pre)
-            assert seen == ct[-1][0], (name, pre)
+            assert imperative_history(it) == ct[-1][0], (name, pre)
             assert ir.edges == cw.edges, (name, pre)
             assert ir.generations == cw.generations, (name, pre)
             assert ir.status == cw.status, (name, pre)
             assert ir.store == cw.store, (name, pre)
-            # (d) per-cell value stacks replay the store chain exactly
-            assert snapshot_chain(vstore, t, layout) == cw.chain, (name, pre)
+            # (d) two-version value cells replay the store chain exactly
+            assert imperative_chain(it) == ct[-1][2], (name, pre)
+            assert len(ct[-1][2]) == t + 1, (name, pre)
     print(f"criterion 2 PASS: (a)-(d) exact on {len(corpus)} programs")
 
 
@@ -203,7 +207,7 @@ def _battery_compile_commit(corpus, n):
     return len(cases)
 
 
-def _battery_stack_algebra(n):
+def _battery_cell_algebra(n):
     rng = random.Random(3104)
     for _ in range(n):
         _laws_case(rng)
@@ -217,11 +221,11 @@ def test_criterion_3_per_step_batteries(corpus):
         _battery_replay(n),
         _battery_step_vs_logged(corpus, n),
         _battery_compile_commit(corpus, n),
-        _battery_stack_algebra(n),
+        _battery_cell_algebra(n),
     )
     assert all(c >= n for c in counts)
     print("criterion 3 PASS: replay={} step-vs-logged={} "
-          "compile-commit={} stack-algebra={} cases".format(*counts))
+          "compile-commit={} cell-algebra={} cases".format(*counts))
 
 
 def test_criterion_4_stuttering_correspondence(corpus):

@@ -31,7 +31,6 @@ from flowladder.domains import (
     kcfa_policy,
     lit_value,
     skeleton,
-    truncate,
 )
 from flowladder.engine import STAGES, Config, run
 from flowladder.syntax import parse
@@ -41,20 +40,21 @@ from tests.support import load_corpus
 # ---------------------------------------------------------------- times
 
 def test_truncate_examples():
-    assert truncate((1, 2, 3), 0) == ()
-    assert truncate((1, 2, 3), 1) == (1,)
-    assert truncate((1, 2, 3), 3) == (1, 2, 3)
-    assert truncate((1, 2, 3), 9) == (1, 2, 3)
-    assert truncate(EPOCH, 0) == ()
+    # the k-CFA tick prepends the call site and keeps the first k labels
+    assert kcfa_policy(0).tick_ap(1, (2, 3)) == ()
+    assert kcfa_policy(1).tick_ap(1, (2, 3)) == (1,)
+    assert kcfa_policy(3).tick_ap(1, (2, 3)) == (1, 2, 3)
+    assert kcfa_policy(9).tick_ap(1, (2, 3)) == (1, 2, 3)
+    assert kcfa_policy(0).tick_ap(1, EPOCH) == ()
 
 
-@given(st.lists(st.integers(0, 50), max_size=8), st.integers(0, 8))
-def test_truncate_is_prefix_of_bounded_length(xs, k):
-    t = tuple(xs)
-    out = truncate(t, k)
-    assert len(out) <= k or out == t
+@given(st.integers(0, 50), st.lists(st.integers(0, 50), max_size=8),
+       st.integers(0, 8))
+def test_truncate_is_prefix_of_bounded_length(label, xs, k):
+    t = (label,) + tuple(xs)
+    out = kcfa_policy(k).tick_ap(label, tuple(xs))
+    assert len(out) == min(k, len(t))
     assert out == t[: len(out)]
-    assert truncate(out, k) == out  # idempotent
 
 
 # ------------------------------------------------------------- addresses

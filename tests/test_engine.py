@@ -1,11 +1,13 @@
 """Unified driver, graph export, cross-stage comparison."""
 
+import gc
 import json
 import tracemalloc
+import types
 
 import pytest
 
-from flowladder.domains import IntVal
+from flowladder.domains import IntVal, Store
 from flowladder.syntax import parse
 from flowladder.engine import (
     DEFAULT_SPACE_CAP,
@@ -88,6 +90,30 @@ def test_edge_endpoints_are_reachable_contexts():
             # the widened baseline tags edges found on its settling sweep
             # with the final generation number
             assert 0 <= g <= r.generations, stage
+
+
+def _stores_reached(root) -> int:
+    """How many Store objects root reaches through gc.get_referents, not
+    counting what classes, modules and functions reach."""
+    skip = (type, types.ModuleType, types.FunctionType)
+    seen, work, n = set(), [root], 0
+    while work:
+        obj = work.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        n += type(obj) is Store
+        work.extend(gc.get_referents(obj))
+    return n
+
+
+def test_each_result_holds_one_store(corpus):
+    # a timestamped rung keeps only its newest store; the store history
+    # is rebuilt from a trace when one is asked for
+    for stage in ABSTRACT_STAGES:
+        for name, src, e in corpus:
+            r = run(Config(stage=stage), e)
+            assert _stores_reached(r) == 1, (stage, name)
 
 
 def test_time_cap_yields_partial_result():

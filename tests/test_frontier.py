@@ -41,7 +41,7 @@ def test_inject_shape():
     assert seen[c0] == (0,)
     assert chain == (EMPTY_STORE,)
     assert t == 0
-    assert run.store is run.chain[0]
+    assert run.store is trace[-1][2][0]
 
 
 def test_literal_step_keeps_clock():
@@ -97,12 +97,12 @@ def test_iteration_order_does_not_matter(corpus):
             runs = []
             for key in orders:
                 trace = []
-                runs.append((runner(e, P0, order_key=key, trace=trace), trace[-1][0]))
-            (r1, seen1), others = runs[0], runs[1:]
-            for other, seen in others:
+                runs.append((runner(e, P0, order_key=key, trace=trace), trace[-1]))
+            (r1, last1), others = runs[0], runs[1:]
+            for other, last in others:
                 assert r1.contexts == other.contexts, (rung, name)
-                assert r1.chain == other.chain, (rung, name)
-                assert seen1 == seen, (rung, name)
+                assert last1[2] == last[2], (rung, name)
+                assert last1[0] == last[0], (rung, name)
                 assert r1.edges == other.edges, (rung, name)
                 assert r1.generations == other.generations, (rung, name)
 
@@ -118,7 +118,8 @@ def test_reference_lockstep_both_translations(corpus):
             assert tuple(chain) == tuple(rchain), name
             assert stamps_to_stores(seen, chain) == rseen, name
             assert stores_to_stamps(rseen, list(rchain)) == seen, name
-        assert stamps_to_stores(ft[-1][0], fr.chain) == run_reference(e, P0).seen, name
+        assert fr.store is ft[-1][2][0], name
+        assert stamps_to_stores(ft[-1][0], ft[-1][2]) == run_reference(e, P0).seen, name
 
 
 def test_omega_terminates():

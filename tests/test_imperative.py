@@ -1,4 +1,4 @@
-"""Value-stack store, transfer-function fixpoint, preallocation."""
+"""Two-version value cells, transfer-function fixpoint, preallocation."""
 
 import random
 
@@ -23,19 +23,22 @@ from flowladder.imperative import (
     HashValueStore,
     SnapshotView,
     UnsupportedPolicyError,
-    chain_to_stacks,
-    check_stack,
     decoder,
-    join_at_stack,
+    join_at_cell,
     lookup,
     preallocate,
     run_imperative,
     run_machine,
     snapshot,
-    snapshot_chain,
-    stacks_to_chain,
 )
-from tests.support import abstract_covers, load_corpus, oracle_eval, OracleStuck
+from tests.support import (
+    abstract_covers,
+    imperative_chain,
+    imperative_history,
+    load_corpus,
+    oracle_eval,
+    OracleStuck,
+)
 
 P0 = kcfa_policy(0)
 P1 = kcfa_policy(1)
@@ -51,51 +54,52 @@ def compiled_widened(e, pol, trace=None):
 
 
 def test_lookup_top_when_stamped_in_past():
-    assert lookup([(3, U)], 5) == U
+    assert lookup([3, U, None], 5) == U
 
 
 def test_lookup_skips_one_future_entry():
-    assert lookup([(7, W), (3, U)], 5) == U
+    assert lookup([7, U | W, U], 5) == U
 
 
 def test_lookup_boundary_time_is_visible():
-    assert lookup([(0, U)], 0) == U
+    assert lookup([0, U, None], 0) == U
 
 
-def test_lookup_rejects_broken_stacks():
+def test_lookup_before_first_write_is_absent():
+    assert lookup([7, U, None], 5) is None
+    vs = HashValueStore()
+    vs.cells[A] = [7, U, None]
+    assert SnapshotView(vs, 5).get(A) is None
     with pytest.raises(AnalysisBugError):
-        lookup([], 0)
-    with pytest.raises(AnalysisBugError):
-        lookup([(7, U)], 5)
-    with pytest.raises(AnalysisBugError):
-        lookup([(9, W), (7, U)], 5)
+        SnapshotView(vs, 5).deref(A)
 
 
 def test_join_at_fresh_cell():
+    # a first write is invisible to its own generation
     vs = HashValueStore()
     assert vs.join_at(A, frozenset({V(5)}), 3)
-    assert vs.get_stack(A) == [(3, frozenset({V(5)}))]
+    assert vs.cells[A] == [4, frozenset({V(5)}), None]
 
 
 def test_join_at_merges_into_future_entry():
-    stack = [(4, frozenset({V(5)}))]
-    assert join_at_stack(stack, frozenset({V(6)}), 3)
-    assert stack == [(4, frozenset({V(5), V(6)}))]
+    cell = [4, frozenset({V(5)}), None]
+    assert join_at_cell(cell, frozenset({V(6)}), 3)
+    assert cell == [4, frozenset({V(5), V(6)}), None]
 
 
 def test_join_at_no_growth_is_no_change():
-    stack = [(2, frozenset({V(5)}))]
-    assert not join_at_stack(stack, frozenset({V(5)}), 3)
-    assert stack == [(2, frozenset({V(5)}))]
+    cell = [2, frozenset({V(5)}), None]
+    assert not join_at_cell(cell, frozenset({V(5)}), 3)
+    assert cell == [2, frozenset({V(5)}), None]
 
 
 def test_join_at_growth_pushes_future_entry():
-    stack = [(2, frozenset({V(5)}))]
-    assert join_at_stack(stack, frozenset({V(6)}), 3)
-    assert stack == [(4, frozenset({V(5), V(6)})), (2, frozenset({V(5)}))]
+    cell = [2, frozenset({V(5)}), None]
+    assert join_at_cell(cell, frozenset({V(6)}), 3)
+    assert cell == [4, frozenset({V(5), V(6)}), frozenset({V(5)})]
     # the write is invisible until the clock advances
-    assert lookup(stack, 3) == frozenset({V(5)})
-    assert lookup(stack, 4) == frozenset({V(5), V(6)})
+    assert lookup(cell, 3) == frozenset({V(5)})
+    assert lookup(cell, 4) == frozenset({V(5), V(6)})
 
 
 def test_snapshot_never_shows_same_generation_fresh_writes():
@@ -120,23 +124,22 @@ def test_snapshot_view_reads_at_fixed_time():
 
 
 def _laws_case(rng):
-    stack = []
+    vstore = HashValueStore()
     t = rng.randrange(3)
     for _ in range(rng.randrange(1, 8)):
         vs = frozenset(V(rng.randrange(4)) for _ in range(rng.randrange(1, 3)))
-        if not stack:
-            stack = [(t, vs)]
-            t += rng.randrange(2)
-            continue
-        before_t = lookup(stack, t) if stack[0][0] <= t or len(stack) > 1 else None
-        before_t1 = lookup(stack, t + 1)
-        changed = join_at_stack(stack, vs, t)
-        assert check_stack(stack, t)
-        if before_t is not None:
-            assert lookup(stack, t) == before_t
-        assert lookup(stack, t + 1) == before_t1 | vs
-        assert changed == (lookup(stack, t + 1) != before_t1)
-        assert not join_at_stack(stack, vs, t)
+        cell = vstore.cells.get(A)
+        before_t = None if cell is None else lookup(cell, t)
+        before_t1 = None if cell is None else lookup(cell, t + 1)
+        changed = vstore.join_at(A, vs, t)
+        cell = vstore.cells[A]
+        stamp, current, previous = cell
+        assert stamp <= t + 1
+        assert previous is None or previous < current
+        assert lookup(cell, t) == before_t
+        assert lookup(cell, t + 1) == (before_t1 or frozenset()) | vs
+        assert changed == (lookup(cell, t + 1) != before_t1)
+        assert not vstore.join_at(A, vs, t)
         t += rng.randrange(2)
 
 
@@ -159,9 +162,10 @@ def test_matches_compiled_widened_run():
             trace = []
             lr = compiled_widened(e, pol, trace)
             for pre in (False, True):
-                ir, seen, *_ = run_machine(e, pol, prealloc=pre)
+                it = []
+                ir = run_imperative(e, pol, prealloc=pre, trace=it)
                 assert ir.contexts == lr.contexts, (name, pre)
-                assert seen == trace[-1][0], (name, pre)
+                assert imperative_history(it) == trace[-1][0], (name, pre)
                 assert ir.edges == lr.edges, (name, pre)
                 assert ir.generations == lr.generations, (name, pre)
                 assert ir.status == lr.status, (name, pre)
@@ -170,44 +174,40 @@ def test_matches_compiled_widened_run():
 
 
 def test_snapshot_chain_equals_store_chain():
+    for pol in (P0, P1):
+        for name, src, e in load_corpus():
+            trace = []
+            compiled_widened(e, pol, trace)
+            for pre in (False, True):
+                it = []
+                run_imperative(e, pol, prealloc=pre, trace=it)
+                assert imperative_chain(it) == trace[-1][2], (name, pre)
+
+
+def test_live_cells_satisfy_invariants():
+    # two versions per cell suffice even where a cell grows in three or
+    # more generations, as some corpus cells do
+    regrown = []
     for name, src, e in load_corpus():
-        lr = compiled_widened(e, P0)
-        for pre in (False, True):
-            _, _, vstore, layout, t = run_machine(e, P0, prealloc=pre)
-            assert snapshot_chain(vstore, t, layout) == lr.chain, (name, pre)
-
-
-def test_chain_rebuilds_to_equivalent_stacks():
-    class Cells:
-        def __init__(self, d):
-            self.d = d
-
-        def items(self):
-            return self.d.items()
-
-    for name, src, e in load_corpus():
-        lr = compiled_widened(e, P0)
-        vstore = run_machine(e, P0)[2]
-        rebuilt = Cells(chain_to_stacks(lr.chain))
-        t = len(lr.chain) - 1
-        assert stacks_to_chain(rebuilt, t) == lr.chain, name
-        for stack in rebuilt.d.values():
-            assert check_stack(stack), name
-        for tau in range(t + 1):
-            assert snapshot(vstore, tau) == snapshot(rebuilt, tau), (name, tau)
-
-
-def test_live_stacks_satisfy_invariants():
-    for name, src, e in load_corpus():
-        _, _, vstore, _, t = run_machine(e, P0)
-        for stack in vstore.cells.values():
-            assert check_stack(stack, t), name
+        it = []
+        _, vstore, _, t = run_machine(e, P0, trace=it)
+        for cell in vstore.cells.values():
+            assert type(cell) is list and len(cell) == 3, name
+            stamp, current, previous = cell
+            assert stamp <= t, name
+            assert previous is None or previous < current, name
+        chain = imperative_chain(it)
+        if any(len({s.get(a) for s in chain} - {None}) > 2
+               for a in vstore.addresses()):
+            regrown.append(name)
+    assert regrown
 
 
 def test_seen_stamps_strictly_decreasing():
     for name, src, e in load_corpus():
-        _, seen, _, _, t = run_machine(e, P0)
-        for stamps in seen.values():
+        it = []
+        t = run_machine(e, P0, trace=it)[3]
+        for stamps in imperative_history(it).values():
             assert stamps[0] <= t
             assert all(a > b for a, b in zip(stamps, stamps[1:])), name
 
@@ -263,8 +263,8 @@ def test_preallocate_reports_exact_layout():
     for name, src, e in load_corpus():
         assert preallocate(P0).size == 0
         for pol in (P0, P1):
-            hstore = run_machine(e, pol)[2]
-            layout = run_machine(e, pol, prealloc=True)[3]
+            hstore = run_machine(e, pol)[1]
+            layout = run_machine(e, pol, prealloc=True)[2]
             minted = [layout.addr_of(i) for i in range(layout.size)]
             assert len(set(minted)) == layout.size, (name, pol)
             assert set(minted) == set(hstore.addresses()), (name, pol)
@@ -275,7 +275,7 @@ def test_preallocate_reports_exact_layout():
 def test_preallocate_is_a_bijection():
     for name, src, e in load_corpus():
         for pol in (P0, P1):
-            layout = run_machine(e, pol, prealloc=True)[3]
+            layout = run_machine(e, pol, prealloc=True)[2]
             for i in range(layout.size):
                 assert layout.ordinal_of(layout.addr_of(i)) == i, (name, pol)
 
@@ -283,23 +283,24 @@ def test_preallocate_is_a_bijection():
 def test_hash_run_addresses_all_within_layout():
     for name, src, e in load_corpus():
         for pol in (P0, P1):
-            layout = run_machine(e, pol, prealloc=True)[3]
-            vstore = run_machine(e, pol)[2]
+            layout = run_machine(e, pol, prealloc=True)[2]
+            vstore = run_machine(e, pol)[1]
             for a in vstore.addresses():
                 assert layout.ordinal_of(a) < layout.size, (name, pol, a)
 
 
 def test_dense_and_hash_stores_agree_cell_by_cell():
     for name, src, e in load_corpus()[:8]:
-        hstore = run_machine(e, P0)[2]
-        _, _, pstore, lay, _ = run_machine(e, P0, prealloc=True)
+        hstore = run_machine(e, P0)[1]
+        _, pstore, lay, _ = run_machine(e, P0, prealloc=True)
         decode = decoder(lay)
+
+        def values(vs):
+            return None if vs is None else frozenset(map(decode, vs))
+
         decoded = {}
-        for i, stack in pstore.items():
-            decoded[lay.addr_of(i)] = [
-                (s, frozenset(decode(v) for v in vs))
-                for s, vs in stack
-            ]
+        for i, (stamp, current, previous) in pstore.items():
+            decoded[lay.addr_of(i)] = [stamp, values(current), values(previous)]
         assert decoded == hstore.cells, name
 
 

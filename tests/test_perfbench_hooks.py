@@ -36,6 +36,10 @@ def test_layer_trace_installs_and_restores_every_wrapper():
         # the benchmark exports through the engine module's attribute
         flowladder.engine.export_graph(r, "dot")
         assert trace.n["engine.export_calls"] == 1
+        # the hash store's join_at is wrapped too
+        joins = trace.n["imperative.join_calls"]
+        run(Config(stage="imperative"), e)
+        assert trace.n["imperative.join_calls"] > joins
         run(Config(stage="deltas"), e)
         assert trace.n["deltas.step_calls"] > 0
         assert trace.n["deltas.replay_calls"] > 0
