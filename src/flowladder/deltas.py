@@ -217,14 +217,16 @@ def run_logged(
 
     def step(order, store):
         logs = []
-        produced = []
+        groups = []
         for c in order:
+            succs = []
             for c2, log in stepper(c, store, policy, mode):
-                produced.append((c, c2))
+                succs.append(c2)
                 if log:
                     logs.append(log)
+            groups.append((c, succs, True))
         store2, grew = replay(appendall(logs), store)
-        return produced, store2, grew
+        return groups, store2, grew
 
     first, log0 = inject(e, policy)
     store0, _ = replay(log0, EMPTY_STORE)

@@ -15,7 +15,9 @@ the discipline (cap checks, iteration order, seen stamps, successor
 interning, edge labels, the frontier rebuild) and takes the sweep as a
 function.  ``run_persistent`` keeps one persistent store: this module's
 sweep joins into it and compares it structurally, the ``deltas`` one logs
-writes and replays them.  ``imperative`` writes value cells in place.
+writes and replays them.  ``imperative`` writes value cells in place and
+hands back a context's last successors, unstepped, while no cell that
+step read has grown.
 
 The untimestamped reference system at the bottom of the module is the same
 algorithm with the timestamps replaced by the stores they denote; the two are
@@ -35,10 +37,15 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
     """Iterate generations from the contexts ``first`` to an empty frontier.
 
     ``sweep(order, t)`` steps one generation's frontier, in order, against
-    the store at timestamp t and returns (successor pairs, grew?); when the
-    store grew, the clock advances.  A successor enters the next frontier
-    unless it was already seen at the advanced clock.  Successors are
-    interned, so the bookkeeping dicts compare contexts by identity.
+    the store at timestamp t and returns (groups, grew?); when the store
+    grew, the clock advances.  Each group (src, succs, fresh) holds the
+    successor list of one context.  A fresh group comes from a real step:
+    its list is interned in place, each successor replaced by the first
+    equal context seen, so the bookkeeping dicts compare contexts by
+    identity, and its edges are recorded.  A group that is not fresh hands
+    back a list an earlier generation interned and recorded, unchanged.
+    Every successor enters the next frontier unless it was already seen at
+    the advanced clock.
 
     ``cap_check(n_contexts, generation)`` may return a status to stop
     before a generation; ``order_key`` reorders each frontier (results must
@@ -68,23 +75,21 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
                 status = stop
                 break
         order = frontier if order_key is None else sorted(frontier, key=order_key)
-        produced, grew = sweep(order, t)
+        groups, grew = sweep(order, t)
         if grew:
             t += 1
         frontier = []
-        for pair in produced:
-            src, dst = pair
-            c = canon.get(dst)
-            if c is None:
-                canon[dst] = c = dst
-            elif c is not dst:
-                pair = (src, c)
-            if pair not in edges:
-                edges[pair] = generation
-            if seen.get(c) == t:
-                continue
-            seen[c] = t
-            frontier.append(c)
+        for src, succs, fresh in groups:
+            if fresh:
+                for i, dst in enumerate(succs):
+                    c = canon.setdefault(dst, dst)
+                    if c is not dst:
+                        succs[i] = c
+                    edges.setdefault((src, c), generation)
+            for c in succs:
+                if seen.get(c) != t:
+                    seen[c] = t
+                    frontier.append(c)
         generation += 1
         if trace is not None:
             trace(seen, frontier, t)
@@ -97,18 +102,18 @@ def run_persistent(e, first, store, step, cap_check=None, order_key=None,
     """Drive a sweep over one persistent store, replaced when it grows.
 
     ``step(order, store)`` steps a generation's frontier against the
-    newest store and returns (successor pairs, store', grew?).  ``trace``,
-    if a list, receives a snapshot tuple (seen, frontier, chain, t) after
-    every generation (for the order-isomorphism comparison), rebuilt from
-    each generation's store and frontier: seen maps each context to its
-    stamps, newest first, and chain holds every store so far, newest
-    first."""
+    newest store and returns (fresh groups as ``drive`` takes them, store',
+    grew?).  ``trace``, if a list, receives a snapshot tuple (seen,
+    frontier, chain, t) after every generation (for the order-isomorphism
+    comparison), rebuilt from each generation's store and frontier: seen
+    maps each context to its stamps, newest first, and chain holds every
+    store so far, newest first."""
     def sweep(order, t):
         nonlocal store
-        produced, store2, grew = step(order, store)
+        groups, store2, grew = step(order, store)
         if grew:
             store = store2
-        return produced, grew
+        return groups, grew
 
     snap = None
     if trace is not None:
@@ -146,8 +151,9 @@ def run_frontier(
     ``trace`` is run_persistent's."""
 
     def step(order, store):
-        edges, store2 = sweep_contexts(order, store, policy, mode)
-        return edges, store2, store2 is not store and store2 != store
+        groups, store2 = sweep_contexts(order, store, policy, mode)
+        return ([(c, succs, True) for c, succs in groups], store2,
+                store2 is not store and store2 != store)
 
     return run_persistent(e, [inject_context(e)], EMPTY_STORE, step,
                           cap_check, order_key, trace)
@@ -183,22 +189,23 @@ def inject_reference(e: Expr) -> RefSystem:
 def reference_step(sys: RefSystem, policy, mode: str = "abstract") -> RefSystem:
     if not sys.frontier:
         return sys
-    edges, store2 = sweep_contexts(sys.frontier, sys.store, policy, mode)
+    groups, store2 = sweep_contexts(sys.frontier, sys.store, policy, mode)
     changed = store2 is not sys.store and store2 != sys.store
     chain2 = [store2] + sys.chain if changed else sys.chain
     head = chain2[0]
     seen2 = dict(sys.seen)
     frontier2 = []
     local = set()
-    for _, dst in edges:
-        if dst in local:
-            continue
-        stores = seen2.get(dst)
-        if stores is not None and head in stores:
-            continue
-        local.add(dst)
-        seen2[dst] = (head,) + (stores or ())
-        frontier2.append(dst)
+    for _, succs in groups:
+        for dst in succs:
+            if dst in local:
+                continue
+            stores = seen2.get(dst)
+            if stores is not None and head in stores:
+                continue
+            local.add(dst)
+            seen2[dst] = (head,) + (stores or ())
+            frontier2.append(dst)
     return RefSystem(seen2, frontier2, chain2)
 
 

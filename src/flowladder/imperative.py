@@ -13,6 +13,19 @@ chain of the persistent stages is rebuilt from the run's trace when one
 is asked for.  The machine is this in-place sweep under the frontier
 driver (``frontier.drive``).
 
+A step is a function of its context and the cells it read: it sees the
+store only through ``SnapshotView.deref`` and ``get``, and the uniform
+k-CFA policies allocate by their arguments alone (the concrete policy
+does not; the engine runs these rungs abstract only).  A cell that grows
+while the clock reads t is stamped t+1 or later, and stamps never fall.
+So when a context stepped at t0 comes round again and no cell that step
+read is stamped after t0, stepping it again would read the same sets and
+yield the same successors and the same writes, which are already in the
+store.  The sweep keeps each context's last step and hands its
+successors back unstepped; a newer stamp among its reads makes it step
+again.  This is dependency tracking as in chaotic iteration, per cell,
+and leaves the timestamped fixpoint exactly as it was.
+
 Preallocation puts the machine on dense integer addresses: for a uniform
 k-CFA policy an address table gives each address the next free ordinal the
 first time the policy allocates it, the store becomes a flat list indexed
@@ -118,10 +131,11 @@ class DenseValueStore:
 
 class SnapshotView:
     """Read-only store facade fixing the observation time.  What the
-    compiled stepper sees during one generation.  The hot paths repeat
-    lookup inline."""
+    compiled stepper sees during one generation.  Every address read is
+    appended to ``reads``, which the sweep replaces before each step.  The
+    hot paths repeat lookup inline."""
 
-    __slots__ = ("_fetch", "t")
+    __slots__ = ("_fetch", "t", "reads")
 
     def __init__(self, vstore, t):
         cells = vstore.cells
@@ -129,8 +143,10 @@ class SnapshotView:
         # dict.get's absent-is-None contract
         self._fetch = cells.__getitem__ if isinstance(cells, list) else cells.get
         self.t = t
+        self.reads = []
 
     def deref(self, a):
+        self.reads.append(a)
         cell = self._fetch(a)
         vs = None if cell is None else cell[1] if cell[0] <= self.t else cell[2]
         if vs is None:
@@ -138,6 +154,7 @@ class SnapshotView:
         return vs
 
     def get(self, a, default=None):
+        self.reads.append(a)
         cell = self._fetch(a)
         vs = None if cell is None else cell[1] if cell[0] <= self.t else cell[2]
         return default if vs is None else vs
@@ -325,26 +342,48 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
     for a, vs in log0:
         vstore.join_at(a, vs, -1)
 
+    # context -> (stamp of its last step, its successors, the addresses
+    # that step read)
+    memo = {}
+
     def sweep(order, t):
         if trace is not None:
             before = snapshot(vstore, t, dec_a, dec)
         view = SnapshotView(vstore, t)
+        fetch = view._fetch
         join_at = vstore.join_at
         changed = False
-        produced = []
+        groups = []
         for c in order:
+            last = memo.get(c)
+            if last is not None:
+                t0, succs, reads = last
+                for a in reads:
+                    cell = fetch(a)
+                    if cell is not None and cell[0] > t0:
+                        break
+                else:
+                    # no cell it read grew since: the same successors, and
+                    # its writes are already in the store
+                    groups.append((c, succs, False))
+                    continue
+            view.reads = reads = []
+            succs = []
             for c2, log in step_compiled(c, view, pol, mode):
-                produced.append((c, c2))
+                succs.append(c2)
                 for a, vs in log:
                     if join_at(a, vs, t):
                         changed = True
+            memo[c] = (t, succs, reads)
+            groups.append((c, succs, True))
         if trace is not None:
             frontier = tuple(order if dec is None else map(dec, order))
             trace.append((t, frontier, before, snapshot(vstore, t, dec_a, dec),
                           snapshot(vstore, t + 1, dec_a, dec), changed))
-        return produced, changed
+        return groups, changed
 
     seen, edges, generations, status, t = drive(first, sweep, cap_check)
+    memo.clear()  # before decoding, which sets the run's memory peak
     store = snapshot(vstore, t, dec_a, dec)
     initial = first[0]
     if layout is None:

@@ -142,25 +142,24 @@ def inject_wide(e: Expr) -> WideState:
 
 
 def sweep_contexts(order, store, policy, mode):
-    """Step every context in order against the store.  Returns the successor
-    edge list and the joined store."""
-    edges = []
+    """Step every context in order against the store.  Returns the list of
+    (context, successor list) groups and the joined store."""
+    groups = []
     acc = store
     for c in order:
         succs, s2 = step_context(c, store, policy, mode)
         if s2 is not store:
             acc = acc.join_store(s2)
-        for c2 in succs:
-            edges.append((c, c2))
-    return edges, acc
+        groups.append((c, succs))
+    return groups, acc
 
 
 def widen_step(ws: WideState, policy, mode: str = "abstract") -> WideState:
     """One literal widening iteration: C' = C plus every one-step successor,
     sigma' = join of every produced store."""
     order = sorted(ws.contexts, key=repr)
-    edges, store2 = sweep_contexts(order, ws.store, policy, mode)
-    contexts2 = ws.contexts.union(c2 for _, c2 in edges)
+    groups, store2 = sweep_contexts(order, ws.store, policy, mode)
+    contexts2 = ws.contexts.union(c2 for _, succs in groups for c2 in succs)
     if contexts2 == ws.contexts and store2 == ws.store:
         return ws
     return WideState(contexts2, store2)
@@ -186,15 +185,16 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
             if stop is not None:
                 status = stop
                 break
-        step_edges, store2 = sweep_contexts(order, store, policy, mode)
+        groups, store2 = sweep_contexts(order, store, policy, mode)
         grew = False
-        for src, dst in step_edges:
-            if (src, dst) not in edges:
-                edges[(src, dst)] = generation
-            if dst not in contexts:
-                contexts.add(dst)
-                order.append(dst)
-                grew = True
+        for src, succs in groups:
+            for dst in succs:
+                if (src, dst) not in edges:
+                    edges[(src, dst)] = generation
+                if dst not in contexts:
+                    contexts.add(dst)
+                    order.append(dst)
+                    grew = True
         if not grew and store2 == store:
             break
         store = store2

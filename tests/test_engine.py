@@ -148,6 +148,15 @@ def test_time_cap_ends_a_k2_bench_run_with_partial_results():
     assert export_graph(r, "dot").count("->") == len(r.edges) > 0
 
 
+def test_k1_bench_reaches_its_fixpoint_within_a_minute():
+    # re-stepping every context each time the store grows took about 100 s
+    e = load_bench("church_dist.scm")
+    r = run(Config(stage="imperative-prealloc", k=1, time_cap=60), e)
+    assert r.status == "fixpoint"
+    assert len(r.contexts) == 19_548
+    assert abstract_covers(oracle_eval(e), r.values)
+
+
 def test_run_leaves_tracemalloc_as_it_found_it():
     e = corpus_program("22_church_mult")
     assert not tracemalloc.is_tracing()

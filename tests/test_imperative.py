@@ -1,9 +1,11 @@
 """Two-version value cells, transfer-function fixpoint, preallocation."""
 
 import random
+from collections import Counter
 
 import pytest
 
+from flowladder import imperative
 from flowladder.domains import (
     AnalysisBugError,
     ApC,
@@ -35,6 +37,7 @@ from tests.support import (
     abstract_covers,
     imperative_chain,
     imperative_history,
+    load_bench,
     load_corpus,
     oracle_eval,
     OracleStuck,
@@ -121,6 +124,17 @@ def test_snapshot_view_reads_at_fixed_time():
     assert SnapshotView(vs, 1).get(BindAddr("zz", ()), None) is None
     with pytest.raises(AnalysisBugError):
         SnapshotView(vs, 1).deref(BindAddr("zz", ()))
+
+
+def test_snapshot_view_records_every_read():
+    vs = HashValueStore()
+    vs.join_at(A, U, 0)
+    view = SnapshotView(vs, 1)
+    absent = BindAddr("zz", ())
+    view.deref(A)
+    view.get(absent)
+    view.get(A, None)
+    assert view.reads == [A, absent, A]
 
 
 def _laws_case(rng):
@@ -350,6 +364,50 @@ def test_final_values_cover_oracle():
         for pre in (False, True):
             got = run_imperative(e, P0, prealloc=pre).values
             assert abstract_covers(z, got), (name, pre)
+
+
+def _count_steps(monkeypatch):
+    # step_compiled calls per context, through the name the sweep calls
+    steps = Counter()
+
+    def counted(c, view, pol, mode):
+        steps[c] += 1
+        return step_compiled(c, view, pol, mode)
+
+    monkeypatch.setattr(imperative, "step_compiled", counted)
+    return steps
+
+
+def test_step_memo_is_exact_and_steps_little_on_the_bench(monkeypatch):
+    # a context is stepped again only when a cell its last step read has
+    # grown; everywhere else the sweep replays that step's successors
+    bench = load_bench("church_dist.scm")
+    ref = compiled_widened(bench, P0)
+    steps = _count_steps(monkeypatch)
+    for pre in (False, True):
+        steps.clear()
+        r = run_imperative(bench, P0, prealloc=pre)
+        assert r.contexts == ref.contexts, pre
+        assert r.edges == ref.edges, pre
+        assert r.store == ref.store, pre
+        assert r.generations == ref.generations, pre
+        assert r.status == ref.status == "fixpoint", pre
+        assert sum(steps.values()) <= 2 * len(r.contexts), pre
+
+
+def test_step_memo_replays_and_invalidates_on_the_corpus(monkeypatch):
+    steps = _count_steps(monkeypatch)
+    replayed = restepped = 0
+    for name, src, e in load_corpus():
+        for pre in (False, True):
+            steps.clear()
+            tr = []
+            run_imperative(e, P0, prealloc=pre, trace=tr)
+            visits = sum(len(frontier) for _, frontier, *_ in tr)
+            replayed += visits - sum(steps.values())
+            restepped += sum(n > 1 for n in steps.values())
+    assert replayed > 0
+    assert restepped > 0
 
 
 def test_cap_check_stops_at_generation_boundary():
