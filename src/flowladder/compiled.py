@@ -16,13 +16,13 @@ from .domains import (
     AnalysisBugError,
     ApC,
     ArK,
-    BoolVal,
     Closure,
     CoC,
     DelayedAddr,
     EMPTY_ENV,
     EMPTY_STORE,
     EvC,
+    FF,
     FnK,
     HALT,
     Halt,
@@ -34,14 +34,12 @@ from .domains import (
     STUCK_UNBOUND,
     Store,
     StuckC,
+    TT,
     delta,
     lit_value,
 )
 from .deltas import explore_states, replay
 from .lazy import force, step_lazy
-
-FF = BoolVal(False)
-TT = BoolVal(True)
 
 
 class CompiledExpr:

@@ -462,7 +462,6 @@ class KCfaPolicy:
     """
 
     finite = True
-    name = "kcfa"
 
     def __init__(self, k: int):
         if k < 0:
@@ -497,8 +496,6 @@ class ConcretePolicy:
     """
 
     finite = False
-    name = "concrete"
-    k = None
 
     def __init__(self):
         self._next = 0

@@ -14,10 +14,11 @@ generation's sweep steps the frontier and grows the store.  ``drive`` owns
 the discipline (cap checks, iteration order, seen stamps, successor
 interning, edge labels, the frontier rebuild) and takes the sweep as a
 function.  ``run_persistent`` keeps one persistent store: this module's
-sweep joins into it and compares it structurally, the ``deltas`` one logs
-writes and replays them.  ``imperative`` writes value cells in place and
-hands back a context's last successors, unstepped, while no cell that
-step read has grown.
+sweep joins into it, the ``deltas`` one logs writes and replays them.
+``imperative`` reads its value cells in place and joins a generation's
+writes into them after the sweep, so the sweep reads the store it started
+with; it hands back a context's last successors, unstepped, while no cell
+that step read has grown.
 
 The untimestamped reference system at the bottom of the module is the same
 algorithm with the timestamps replaced by the stores they denote; the two are
@@ -147,13 +148,14 @@ def run_frontier(
     trace=None,
 ) -> AnalysisResult:
     """Frontier iteration where each generation joins the stores its
-    contexts produce and compares the result with the old store.
-    ``trace`` is run_persistent's."""
+    contexts produce; ``Store.join`` returns its receiver unless the store
+    grows, so a new store object is growth.  ``trace`` is
+    run_persistent's."""
 
     def step(order, store):
         groups, store2 = sweep_contexts(order, store, policy, mode)
         return ([(c, succs, True) for c, succs in groups], store2,
-                store2 is not store and store2 != store)
+                store2 is not store)
 
     return run_persistent(e, [inject_context(e)], EMPTY_STORE, step,
                           cap_check, order_key, trace)

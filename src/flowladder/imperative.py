@@ -1,30 +1,27 @@
-"""Imperative two-version value store, transfer-function iteration,
-preallocation.
+"""Imperative value store, transfer-function iteration, preallocation.
 
-Every store cell is a list [stamp, current, previous]: ``current`` is the
-value set visible from timestamp ``stamp`` on and ``previous`` the one
-visible before it, None where the cell did not exist yet.  A write during
-generation t lands in ``current`` stamped t+1, invisible to the
-time-filtered lookup the current generation uses, so the store can be
-updated in place while it is being read: a generation always sees the
-snapshot it started with.  The clock only moves forward, so a cell needs
-no version older than the one the current generation reads; the store
-chain of the persistent stages is rebuilt from the run's trace when one
-is asked for.  The machine is this in-place sweep under the frontier
-driver (``frontier.drive``).
+Every store cell is a list [stamp, values]: ``values`` is the cell's value
+set and ``stamp`` the clock from which it has been visible.  A generation's
+sweep reads the store in place and keeps the writes of every step in one
+list; once the last context has stepped, they are joined into the cells,
+and a cell that grows at the end of generation t is stamped t+1.  So the
+sweep reads the store it started with, as the ``deltas`` replay does, and
+each cell keeps one version.  The store chain of the persistent stages is
+rebuilt from the run's trace when one is asked for.  The machine is this
+sweep under the frontier driver (``frontier.drive``).
 
 A step is a function of its context and the cells it read: it sees the
 store only through ``SnapshotView.deref`` and ``get``, and the uniform
 k-CFA policies allocate by their arguments alone (the concrete policy
-does not; the engine runs these rungs abstract only).  A cell that grows
-while the clock reads t is stamped t+1 or later, and stamps never fall.
-So when a context stepped at t0 comes round again and no cell that step
-read is stamped after t0, stepping it again would read the same sets and
-yield the same successors and the same writes, which are already in the
-store.  The sweep keeps each context's last step and hands its
-successors back unstepped; a newer stamp among its reads makes it step
-again.  This is dependency tracking as in chaotic iteration, per cell,
-and leaves the timestamped fixpoint exactly as it was.
+does not; the engine runs these rungs abstract only).  No cell changes
+during a sweep, and stamps never fall.  So when a context stepped at t0
+comes round again and no cell that step read is stamped after t0, the
+cells it read are the ones it saw: stepping it again would yield the same
+successors and the same writes, which are already in the store.  The
+sweep keeps each context's last step and hands its successors back
+unstepped; a newer stamp among its reads makes it step again.  This is
+dependency tracking as in chaotic iteration, per cell, and leaves the
+timestamped fixpoint exactly as it was.
 
 Preallocation puts the machine on dense integer addresses: for a uniform
 k-CFA policy an address table gives each address the next free ordinal the
@@ -65,22 +62,13 @@ class UnsupportedPolicyError(ValueError):
 
 # ------------------------------------------------------------ value cells
 
-def lookup(cell, t):
-    """Value set visible at time t: current unless it is stamped in the
-    future, then previous; None while the cell does not exist at t."""
-    return cell[1] if cell[0] <= t else cell[2]
-
-
 def join_at_cell(cell, vs, t):
-    """Merge vs into a cell in place at time t.  Returns whether anything
-    grew.  New material becomes visible at t+1; a cell already grown during
-    generation t takes it into the same future version."""
+    """Merge vs into a cell in place after the sweep at time t.  Returns
+    whether anything grew; a cell that grew is stamped t+1."""
     cur = cell[1]
     if vs <= cur:
         return False
-    if cell[0] <= t:
-        cell[0] = t + 1
-        cell[2] = cur
+    cell[0] = t + 1
     cell[1] = cur | vs
     return True
 
@@ -96,7 +84,7 @@ class HashValueStore:
     def join_at(self, a, vs, t):
         cell = self.cells.get(a)
         if cell is None:
-            self.cells[a] = [t + 1, frozenset(vs), None]
+            self.cells[a] = [t + 1, frozenset(vs)]
             return True
         return join_at_cell(cell, vs, t)
 
@@ -118,7 +106,7 @@ class DenseValueStore:
     def join_at(self, a, vs, t):
         cell = self.cells[a]
         if cell is None:
-            self.cells[a] = [t + 1, frozenset(vs), None]
+            self.cells[a] = [t + 1, frozenset(vs)]
             return True
         return join_at_cell(cell, vs, t)
 
@@ -130,46 +118,40 @@ class DenseValueStore:
 
 
 class SnapshotView:
-    """Read-only store facade fixing the observation time.  What the
-    compiled stepper sees during one generation.  Every address read is
-    appended to ``reads``, which the sweep replaces before each step.  The
-    hot paths repeat lookup inline."""
+    """Read-only store facade: what the compiled stepper sees during one
+    generation.  The sweep applies its writes only after its last step, so
+    the view reads the store the sweep started with.  Every address read
+    is appended to ``reads``, which the sweep replaces before each step."""
 
-    __slots__ = ("_fetch", "t", "reads")
+    __slots__ = ("_fetch", "reads")
 
-    def __init__(self, vstore, t):
+    def __init__(self, vstore):
         cells = vstore.cells
         # dense lists hold None placeholders, so plain indexing matches
         # dict.get's absent-is-None contract
         self._fetch = cells.__getitem__ if isinstance(cells, list) else cells.get
-        self.t = t
         self.reads = []
 
     def deref(self, a):
         self.reads.append(a)
         cell = self._fetch(a)
-        vs = None if cell is None else cell[1] if cell[0] <= self.t else cell[2]
-        if vs is None:
+        if cell is None:
             raise AnalysisBugError(f"lookup of absent address {a!r}")
-        return vs
+        return cell[1]
 
     def get(self, a, default=None):
         self.reads.append(a)
         cell = self._fetch(a)
-        vs = None if cell is None else cell[1] if cell[0] <= self.t else cell[2]
-        return default if vs is None else vs
+        return default if cell is None else cell[1]
 
 
-def snapshot(vstore, tau, decode_addr=None, decode_value=None):
-    """The plain store visible at timestamp tau, which must not precede the
-    clock: cells keep only the versions visible now and next."""
+def snapshot(vstore, decode_addr=None, decode_value=None):
+    """The plain store the value cells hold."""
     m = {}
-    for a, cell in vstore.items():
-        vs = lookup(cell, tau)
-        if vs is not None:
-            if decode_value is not None:
-                vs = frozenset(decode_value(v) for v in vs)
-            m[a if decode_addr is None else decode_addr(a)] = vs
+    for a, (_, vs) in vstore.items():
+        if decode_value is not None:
+            vs = frozenset(decode_value(v) for v in vs)
+        m[a if decode_addr is None else decode_addr(a)] = vs
     return Store(m)
 
 
@@ -178,15 +160,11 @@ def snapshot(vstore, tau, decode_addr=None, decode_value=None):
 class AddressTable:
     """Dense ordinals for the addresses a uniform k-CFA policy mints, handed
     out in order of first allocation, and the allocation policy that mints
-    them.  Each allocation is looked up by a plain tuple of the policy's
-    arguments, (var, label, time) for a binding and (label, time) for a
-    continuation or value cell; only the first time a tuple is seen does
-    the wrapped policy build the structured address, which gets a new
-    ordinal, or the one it already has when another tuple named it first.
-    Every new ordinal adds one empty cell to ``store``."""
+    them: each allocation asks the wrapped policy for the structured
+    address and returns its ordinal, a new one the first time the address
+    is seen.  Every new ordinal adds one empty cell to ``store``."""
 
-    __slots__ = ("policy", "tick_ap", "store", "_addr", "_ordinal", "_bind",
-                 "_kont", "_fn", "_arg")
+    __slots__ = ("policy", "tick_ap", "store", "_addr", "_ordinal")
 
     def __init__(self, policy):
         self.policy = policy
@@ -194,10 +172,6 @@ class AddressTable:
         self.store = DenseValueStore()
         self._addr = []
         self._ordinal = {}
-        self._bind = {}
-        self._kont = {}
-        self._fn = {}
-        self._arg = {}
 
     @property
     def size(self) -> int:
@@ -218,40 +192,16 @@ class AddressTable:
         return self._addr[ordinal]
 
     def bind_addr(self, var, label, time, store):
-        key = (var, label, time)
-        try:
-            return self._bind[key]
-        except KeyError:
-            i = self._bind[key] = self._mint(
-                self.policy.bind_addr(var, label, time, store))
-            return i
+        return self._mint(self.policy.bind_addr(var, label, time, store))
 
     def fnval_addr(self, label, time, store):
-        key = (label, time)
-        try:
-            return self._fn[key]
-        except KeyError:
-            i = self._fn[key] = self._mint(
-                self.policy.fnval_addr(label, time, store))
-            return i
+        return self._mint(self.policy.fnval_addr(label, time, store))
 
     def argval_addr(self, label, time, store):
-        key = (label, time)
-        try:
-            return self._arg[key]
-        except KeyError:
-            i = self._arg[key] = self._mint(
-                self.policy.argval_addr(label, time, store))
-            return i
+        return self._mint(self.policy.argval_addr(label, time, store))
 
     def kont_addr(self, label, time, store, kont):
-        key = (label, time)
-        try:
-            return self._kont[key]
-        except KeyError:
-            i = self._kont[key] = self._mint(
-                self.policy.kont_addr(label, time, store, kont))
-            return i
+        return self._mint(self.policy.kont_addr(label, time, store, kont))
 
 
 def preallocate(policy) -> AddressTable:
@@ -315,10 +265,9 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
     """Iterate the transfer function to an empty frontier.
 
     ``trace``, if a list, receives per generation a tuple (t, frontier,
-    snapshot-at-t before the sweep, snapshot-at-t after, snapshot-at-t+1
-    after, changed), all decoded: in-place writes during a generation must
-    never alter the snapshot the generation reads, and the changed flag
-    must coincide with growth from the t snapshot to the t+1 one."""
+    snapshot before the sweep, snapshot after its writes, changed), all
+    decoded: the changed flag must coincide with growth from the one
+    snapshot to the other."""
     return run_machine(e, policy, mode, cap_check, prealloc, trace)[0]
 
 
@@ -348,11 +297,10 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
 
     def sweep(order, t):
         if trace is not None:
-            before = snapshot(vstore, t, dec_a, dec)
-        view = SnapshotView(vstore, t)
+            before = snapshot(vstore, dec_a, dec)
+        view = SnapshotView(vstore)
         fetch = view._fetch
-        join_at = vstore.join_at
-        changed = False
+        writes = []
         groups = []
         for c in order:
             last = memo.get(c)
@@ -371,20 +319,23 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
             succs = []
             for c2, log in step_compiled(c, view, pol, mode):
                 succs.append(c2)
-                for a, vs in log:
-                    if join_at(a, vs, t):
-                        changed = True
+                writes += log
             memo[c] = (t, succs, reads)
             groups.append((c, succs, True))
+        join_at = vstore.join_at
+        changed = False
+        for a, vs in writes:
+            if join_at(a, vs, t):
+                changed = True
         if trace is not None:
             frontier = tuple(order if dec is None else map(dec, order))
-            trace.append((t, frontier, before, snapshot(vstore, t, dec_a, dec),
-                          snapshot(vstore, t + 1, dec_a, dec), changed))
+            trace.append((t, frontier, before,
+                          snapshot(vstore, dec_a, dec), changed))
         return groups, changed
 
     seen, edges, generations, status, t = drive(first, sweep, cap_check)
     memo.clear()  # before decoding, which sets the run's memory peak
-    store = snapshot(vstore, t, dec_a, dec)
+    store = snapshot(vstore, dec_a, dec)
     initial = first[0]
     if layout is None:
         contexts = frozenset(seen)

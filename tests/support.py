@@ -275,8 +275,8 @@ def imperative_history(trace) -> dict:
 
 def imperative_chain(trace) -> tuple:
     """The store chain, newest first, rebuilt from a ``run_imperative``
-    trace: generation 0's starting snapshot, then the next-tick snapshot
-    of every generation that grew the store."""
+    trace: generation 0's starting snapshot, then the snapshot after the
+    writes of every generation that grew the store."""
     chain = [trace[0][2]]
-    chain += [after_t1 for _, _, _, _, after_t1, changed in trace if changed]
+    chain += [after for _, _, _, after, changed in trace if changed]
     return tuple(reversed(chain))

@@ -120,7 +120,7 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
             assert ir.generations == cw.generations, (name, pre)
             assert ir.status == cw.status, (name, pre)
             assert ir.store == cw.store, (name, pre)
-            # (d) two-version value cells replay the store chain exactly
+            # (d) the value cells' snapshots replay the store chain exactly
             assert imperative_chain(it) == ct[-1][2], (name, pre)
             assert len(ct[-1][2]) == t + 1, (name, pre)
     print(f"criterion 2 PASS: (a)-(d) exact on {len(corpus)} programs")

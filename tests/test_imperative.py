@@ -1,7 +1,12 @@
-"""Two-version value cells, transfer-function fixpoint, preallocation."""
+"""Value cells, transfer-function fixpoint, preallocation."""
 
+import json
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +32,6 @@ from flowladder.imperative import (
     UnsupportedPolicyError,
     decoder,
     join_at_cell,
-    lookup,
     preallocate,
     run_imperative,
     run_machine,
@@ -56,80 +60,70 @@ def compiled_widened(e, pol, trace=None):
     return run_logged(e, step_compiled, pol, inject=inject_compiled, trace=trace)
 
 
-def test_lookup_top_when_stamped_in_past():
-    assert lookup([3, U, None], 5) == U
-
-
-def test_lookup_skips_one_future_entry():
-    assert lookup([7, U | W, U], 5) == U
-
-
-def test_lookup_boundary_time_is_visible():
-    assert lookup([0, U, None], 0) == U
-
-
-def test_lookup_before_first_write_is_absent():
-    assert lookup([7, U, None], 5) is None
-    vs = HashValueStore()
-    vs.cells[A] = [7, U, None]
-    assert SnapshotView(vs, 5).get(A) is None
-    with pytest.raises(AnalysisBugError):
-        SnapshotView(vs, 5).deref(A)
-
-
 def test_join_at_fresh_cell():
-    # a first write is invisible to its own generation
+    # a first write is stamped one tick after the sweep that made it
     vs = HashValueStore()
     assert vs.join_at(A, frozenset({V(5)}), 3)
-    assert vs.cells[A] == [4, frozenset({V(5)}), None]
+    assert vs.cells[A] == [4, frozenset({V(5)})]
 
 
 def test_join_at_merges_into_future_entry():
-    cell = [4, frozenset({V(5)}), None]
+    # a cell grown earlier in the same replay keeps its stamp
+    cell = [4, frozenset({V(5)})]
     assert join_at_cell(cell, frozenset({V(6)}), 3)
-    assert cell == [4, frozenset({V(5), V(6)}), None]
+    assert cell == [4, frozenset({V(5), V(6)})]
 
 
 def test_join_at_no_growth_is_no_change():
-    cell = [2, frozenset({V(5)}), None]
+    cell = [2, frozenset({V(5)})]
     assert not join_at_cell(cell, frozenset({V(5)}), 3)
-    assert cell == [2, frozenset({V(5)}), None]
+    assert cell == [2, frozenset({V(5)})]
 
 
 def test_join_at_growth_pushes_future_entry():
-    cell = [2, frozenset({V(5)}), None]
+    cell = [2, frozenset({V(5)})]
     assert join_at_cell(cell, frozenset({V(6)}), 3)
-    assert cell == [4, frozenset({V(5), V(6)}), frozenset({V(5)})]
-    # the write is invisible until the clock advances
-    assert lookup(cell, 3) == frozenset({V(5)})
-    assert lookup(cell, 4) == frozenset({V(5), V(6)})
+    assert cell == [4, frozenset({V(5), V(6)})]
 
 
-def test_snapshot_never_shows_same_generation_fresh_writes():
-    # a cell born and grown within one generation: the chain records only
-    # the merged set, first visible one tick later
-    vs = HashValueStore()
-    vs.join_at(A, frozenset({V(1)}), 5)
-    vs.join_at(A, frozenset({V(2)}), 5)
-    assert snapshot(vs, 5).get(A) is None
-    assert snapshot(vs, 6).deref(A) == frozenset({V(1), V(2)})
+def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
+    # every step of a sweep sees the cells the sweep started with, because
+    # the sweep joins its writes only after its last step
+    tr, seen = [], []
+
+    def spy(c, view, pol, mode):
+        cells = view._fetch.__self__
+        seen.append((len(tr), {a: vs for a, (_, vs) in cells.items()}))
+        return step_compiled(c, view, pol, mode)
+
+    monkeypatch.setattr(imperative, "step_compiled", spy)
+    for name, src, e in load_corpus():
+        tr.clear()
+        seen.clear()
+        run_imperative(e, P0, trace=tr)
+        for gen, cells in seen:
+            assert cells == tr[gen][2].to_dict(), (name, gen)
 
 
 def test_snapshot_view_reads_at_fixed_time():
+    # the view has no clock: it reads the cells as they are, and the sweep
+    # keeps them fixed by joining its writes after its last step
     vs = HashValueStore()
     vs.join_at(A, U, 0)
+    view = SnapshotView(vs)
+    assert view.deref(A) == U
     vs.join_at(A, W, 1)
-    assert SnapshotView(vs, 1).deref(A) == U
-    assert SnapshotView(vs, 2).deref(A) == U | W
-    assert SnapshotView(vs, 1).get(BindAddr("zz", ()), None) is None
+    assert view.deref(A) == U | W
+    assert snapshot(vs).deref(A) == U | W
+    assert view.get(BindAddr("zz", ()), None) is None
     with pytest.raises(AnalysisBugError):
-        SnapshotView(vs, 1).deref(BindAddr("zz", ()))
+        view.deref(BindAddr("zz", ()))
 
 
 def test_snapshot_view_records_every_read():
     vs = HashValueStore()
     vs.join_at(A, U, 0)
-    view = SnapshotView(vs, 1)
+    view = SnapshotView(vs)
     absent = BindAddr("zz", ())
     view.deref(A)
     view.get(absent)
@@ -138,22 +132,24 @@ def test_snapshot_view_records_every_read():
 
 
 def _laws_case(rng):
+    # one version per cell: a join grows the values by exactly vs, reports
+    # growth exactly when the set grew, stamps the cell t+1 when it grew
+    # and leaves the stamp alone when it did not; a repeat changes nothing
     vstore = HashValueStore()
     t = rng.randrange(3)
     for _ in range(rng.randrange(1, 8)):
         vs = frozenset(V(rng.randrange(4)) for _ in range(rng.randrange(1, 3)))
-        cell = vstore.cells.get(A)
-        before_t = None if cell is None else lookup(cell, t)
-        before_t1 = None if cell is None else lookup(cell, t + 1)
+        old = vstore.cells.get(A)
+        stamp0, before = (None, frozenset()) if old is None else old
         changed = vstore.join_at(A, vs, t)
         cell = vstore.cells[A]
-        stamp, current, previous = cell
-        assert stamp <= t + 1
-        assert previous is None or previous < current
-        assert lookup(cell, t) == before_t
-        assert lookup(cell, t + 1) == (before_t1 or frozenset()) | vs
-        assert changed == (lookup(cell, t + 1) != before_t1)
+        assert type(cell) is list and len(cell) == 2
+        stamp, values = cell
+        assert values == before | vs
+        assert changed == (values != before)
+        assert stamp == (t + 1 if changed else stamp0)
         assert not vstore.join_at(A, vs, t)
+        assert vstore.cells[A] == [stamp, values]
         t += rng.randrange(2)
 
 
@@ -199,17 +195,15 @@ def test_snapshot_chain_equals_store_chain():
 
 
 def test_live_cells_satisfy_invariants():
-    # two versions per cell suffice even where a cell grows in three or
+    # one version per cell suffices even where a cell grows in three or
     # more generations, as some corpus cells do
     regrown = []
     for name, src, e in load_corpus():
         it = []
         _, vstore, _, t = run_machine(e, P0, trace=it)
         for cell in vstore.cells.values():
-            assert type(cell) is list and len(cell) == 3, name
-            stamp, current, previous = cell
-            assert stamp <= t, name
-            assert previous is None or previous < current, name
+            assert type(cell) is list and len(cell) == 2, name
+            assert cell[0] <= t, name
         chain = imperative_chain(it)
         if any(len({s.get(a) for s in chain} - {None}) > 2
                for a in vstore.addresses()):
@@ -227,14 +221,12 @@ def test_seen_stamps_strictly_decreasing():
 
 
 def test_no_poisoning_within_a_generation():
-    # in-place writes during a sweep never move the snapshot the sweep
-    # reads; the changed flag is exactly visible growth one tick later
+    # the changed flag is exactly the growth the sweep's writes made
     for name, src, e in load_corpus():
         tr = []
         run_imperative(e, P0, trace=tr)
-        for gen, (t, frontier, before, after_t, after_t1, changed) in enumerate(tr):
-            assert before == after_t, (name, gen)
-            assert changed == (after_t1 != after_t), (name, gen)
+        for gen, (t, frontier, before, after, changed) in enumerate(tr):
+            assert changed == (after != before), (name, gen)
 
 
 def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
@@ -308,13 +300,9 @@ def test_dense_and_hash_stores_agree_cell_by_cell():
         hstore = run_machine(e, P0)[1]
         _, pstore, lay, _ = run_machine(e, P0, prealloc=True)
         decode = decoder(lay)
-
-        def values(vs):
-            return None if vs is None else frozenset(map(decode, vs))
-
         decoded = {}
-        for i, (stamp, current, previous) in pstore.items():
-            decoded[lay.addr_of(i)] = [stamp, values(current), values(previous)]
+        for i, (stamp, vs) in pstore.items():
+            decoded[lay.addr_of(i)] = [stamp, frozenset(map(decode, vs))]
         assert decoded == hstore.cells, name
 
 
@@ -393,6 +381,46 @@ def test_step_memo_is_exact_and_steps_little_on_the_bench(monkeypatch):
         assert r.generations == ref.generations, pre
         assert r.status == ref.status == "fixpoint", pre
         assert sum(steps.values()) <= 2 * len(r.contexts), pre
+
+
+_COUNT_BENCH_STEPS = """
+import json
+from flowladder import imperative
+from flowladder.domains import kcfa_policy
+from tests.support import load_bench
+
+step = imperative.step_compiled
+calls = [0]
+
+def counted(*args):
+    calls[0] += 1
+    return step(*args)
+
+imperative.step_compiled = counted
+bench = load_bench("church_dist.scm")
+counts = []
+for pre in (False, True):
+    calls[0] = 0
+    imperative.run_imperative(bench, kcfa_policy(0), prealloc=pre)
+    counts.append(calls[0])
+print(json.dumps(counts))
+"""
+
+
+def test_bench_step_count_does_not_depend_on_the_hash_seed():
+    # no cell changes during a sweep, so whether a context is stepped again
+    # does not depend on where in its sweep it stands: both rungs make the
+    # same number of steps whatever the hash seed orders the frontier by
+    root = Path(__file__).resolve().parent.parent
+    counts = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
+        out = subprocess.run([sys.executable, "-c", _COUNT_BENCH_STEPS],
+                             env=env, cwd=root, capture_output=True,
+                             text=True, check=True).stdout
+        counts += json.loads(out)
+    assert len(set(counts)) == 1, counts
 
 
 def test_step_memo_replays_and_invalidates_on_the_corpus(monkeypatch):
