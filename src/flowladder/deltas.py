@@ -217,16 +217,20 @@ def run_logged(
 
     def step(order, store):
         logs = []
-        groups = []
+        stepped = []
         for c in order:
             succs = []
+            last = None
             for c2, log in stepper(c, store, policy, mode):
                 succs.append(c2)
-                if log:
+                # the successors a function continuation builds share one
+                # log, and replaying it once is enough
+                if log and log is not last:
                     logs.append(log)
-            groups.append((c, succs, True))
+                last = log
+            stepped.append(succs)
         store2, grew = replay(appendall(logs), store)
-        return groups, store2, grew
+        return stepped, store2, grew
 
     first, log0 = inject(e, policy)
     store0, _ = replay(log0, EMPTY_STORE)

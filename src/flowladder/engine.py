@@ -7,8 +7,10 @@ stage's runner returns an AnalysisResult carrying the reachable contexts,
 the generation-labeled edge set, whatever store artifact the stage
 produces, and its final values; ``run`` adds the stage name, k, the mode
 and the measurements.  Runs are untraced: the space cap bounds the
-process's resident set size, sampled once per generation, and the peak of
-those samples is the run's ``peak_mem_bytes``.  Graph exports render
+process's resident set size, sampled before the first generation, then
+before a generation at most once a millisecond, and at the end of the
+run; the peak of those samples is the run's ``peak_mem_bytes``.  The
+time cap is checked before every generation.  Graph exports render
 contexts through their label skeleton so nodes from different stages
 coincide when the theorems say the states do; one export renders each
 shared sub-term (an environment, a continuation, a closure) once.
@@ -115,10 +117,21 @@ def rss_bytes() -> int:
         os.close(fd)
 
 
+# the space cap reads RSS at most once per this many seconds
+_RSS_INTERVAL = 1e-3
+
+
 def _cap_check(t0, time_cap, space_cap, peak_box):
+    last_read = float("-inf")  # the first check always reads
+
     def check(n_states, generation):
-        if time.perf_counter() - t0 > time_cap:
+        nonlocal last_read
+        now = time.perf_counter()
+        if now - t0 > time_cap:
             return "time-cap"
+        if now - last_read < _RSS_INTERVAL:
+            return None
+        last_read = now
         rss = rss_bytes()
         if rss > peak_box[0]:
             peak_box[0] = rss

@@ -12,13 +12,18 @@ context's latest stamp, and nothing more.
 That discipline is the same on every later rung; what changes is how a
 generation's sweep steps the frontier and grows the store.  ``drive`` owns
 the discipline (cap checks, iteration order, seen stamps, successor
-interning, edge labels, the frontier rebuild) and takes the sweep as a
-function.  ``run_persistent`` keeps one persistent store: this module's
-sweep joins into it, the ``deltas`` one logs writes and replays them.
-``imperative`` reads its value cells in place and joins a generation's
-writes into them after the sweep, so the sweep reads the store it started
-with; it hands back a context's last successors, unstepped, while no cell
-that step read has grown.
+interning, edge labels, step replay, the frontier rebuild) and takes the
+sweep as a function.  It puts contexts on dense int ids as it interns
+them, as preallocation puts addresses on ordinals: the frontier, the seen
+stamps, the edges and a per-context step memo are ids and id-indexed
+lists, and the contexts are looked up only when a sweep steps them or the
+run is packaged.  A context whose memo holds its last successors is
+replayed from it instead of going to the sweep.  ``run_persistent`` keeps
+one persistent store and never fills the memo, so its sweeps step the
+whole frontier: this module's sweep joins into the store, the ``deltas``
+one logs writes and replays them.  ``imperative`` reads its value cells in
+place, joins a generation's writes into them after the sweep, and leaves a
+step's successors in the memo until a cell that step read grows.
 
 The untimestamped reference system at the bottom of the module is the same
 algorithm with the timestamps replaced by the stores they denote; the two are
@@ -37,91 +42,127 @@ from .widening import inject_context, sweep_contexts
 def drive(first, sweep, cap_check=None, order_key=None, trace=None):
     """Iterate generations from the contexts ``first`` to an empty frontier.
 
-    ``sweep(order, t)`` steps one generation's frontier, in order, against
-    the store at timestamp t and returns (groups, grew?); when the store
-    grew, the clock advances.  Each group (src, succs, fresh) holds the
-    successor list of one context.  A fresh group comes from a real step:
-    its list is interned in place, each successor replaced by the first
-    equal context seen, so the bookkeeping dicts compare contexts by
-    identity, and its edges are recorded.  A group that is not fresh hands
-    back a list an earlier generation interned and recorded, unchanged.
-    Every successor enters the next frontier unless it was already seen at
-    the advanced clock.
+    Each context gets a dense int id when it is first interned, and the
+    driver's bookkeeping is indexed by id: ``ctxs`` maps an id to its
+    context, ``seen[i]`` is the timestamp at which context i last entered
+    a frontier, and ``memo[i]`` is None or the successor-id list of i's
+    last step, which that step's sweep may leave there while the step
+    would still come out the same.  Before each sweep the frontier is
+    split: contexts with a memo are replayed from it, the rest go to the
+    sweep.
+
+    ``sweep(order, ctxs, memo)`` steps the contexts whose ids are in
+    ``order``, in order, against the current store and returns (successor
+    lists, grew?), one list per id in ``order``; when the store grew, the
+    clock advances.  Each list is interned in place, each successor
+    replaced by its id, and its edges are recorded.  Every successor,
+    stepped or replayed, enters the next frontier unless it was already
+    seen at the advanced clock.
 
     ``cap_check(n_contexts, generation)`` may return a status to stop
-    before a generation; ``order_key`` reorders each frontier (results must
-    not depend on it); ``trace(seen, frontier, t)``, if given, is called
-    after every generation.
+    before a generation; ``order_key`` reorders each frontier by context
+    (results must not depend on it); ``trace(swept, frontier, t)``, if
+    given, is called after every generation with the contexts the
+    generation swept, those of the next frontier and the clock.
 
-    Returns (seen, edges, generations, status, t): seen maps each context
-    to the latest timestamp at which it entered a frontier, edges holds
-    every (src, dst, generation first produced).
+    Returns (ctxs, edges, generations, status, t): edges maps each (src
+    id, dst id) to the generation that first produced it.
     """
-    seen = {}
-    canon = {}
+    ids = {}
+    ctxs = []
+    seen = []
+    memo = []
     frontier = []
     for c in first:
-        if c not in seen:
-            seen[c] = 0
-            canon[c] = c
-            frontier.append(c)
+        if c not in ids:
+            i = ids[c] = len(ctxs)
+            frontier.append(i)
+            ctxs.append(c)
+            seen.append(0)
+            memo.append(None)
     t = 0
     edges = {}
     generation = 0
     status = "fixpoint"
     while frontier:
         if cap_check is not None:
-            stop = cap_check(len(seen), generation)
+            stop = cap_check(len(ctxs), generation)
             if stop is not None:
                 status = stop
                 break
-        order = frontier if order_key is None else sorted(frontier, key=order_key)
-        groups, grew = sweep(order, t)
+        order = frontier if order_key is None else sorted(
+            frontier, key=lambda i: order_key(ctxs[i]))
+        todo = []
+        replayed = []
+        for i in order:
+            succs = memo[i]
+            if succs is None:
+                todo.append(i)
+            else:
+                replayed.append(succs)
+        stepped, grew = sweep(todo, ctxs, memo)
         if grew:
             t += 1
         frontier = []
-        for src, succs, fresh in groups:
-            if fresh:
-                for i, dst in enumerate(succs):
-                    c = canon.setdefault(dst, dst)
-                    if c is not dst:
-                        succs[i] = c
-                    edges.setdefault((src, c), generation)
-            for c in succs:
-                if seen.get(c) != t:
-                    seen[c] = t
-                    frontier.append(c)
+        for src, succs in zip(todo, stepped):
+            for j, dst in enumerate(succs):
+                i = ids.get(dst)
+                if i is None:
+                    i = ids[dst] = len(ctxs)
+                    ctxs.append(dst)
+                    seen.append(-1)  # before any clock
+                    memo.append(None)
+                succs[j] = i
+                edge = (src, i)
+                if edge not in edges:
+                    edges[edge] = generation
+                if seen[i] != t:
+                    seen[i] = t
+                    frontier.append(i)
+        for succs in replayed:
+            for i in succs:
+                if seen[i] != t:
+                    seen[i] = t
+                    frontier.append(i)
         generation += 1
         if trace is not None:
-            trace(seen, frontier, t)
-    return (seen, frozenset((s, d, g) for (s, d), g in edges.items()),
-            generation, status, t)
+            trace([ctxs[i] for i in order], [ctxs[i] for i in frontier], t)
+    return ctxs, edges, generation, status, t
+
+
+def package(ctxs, edges):
+    """A driver's run as a frozenset of contexts and one of (src, dst,
+    generation) edges.  The contexts' set is built from a dict, which
+    sizes its table once; grown from the list, the table can end up twice
+    as large, and a result is kept while it is exported."""
+    edges = frozenset((ctxs[s], ctxs[d], g) for (s, d), g in edges.items())
+    return frozenset(dict.fromkeys(ctxs)), edges
 
 
 def run_persistent(e, first, store, step, cap_check=None, order_key=None,
                    trace=None) -> AnalysisResult:
     """Drive a sweep over one persistent store, replaced when it grows.
 
-    ``step(order, store)`` steps a generation's frontier against the
-    newest store and returns (fresh groups as ``drive`` takes them, store',
-    grew?).  ``trace``, if a list, receives a snapshot tuple (seen,
-    frontier, chain, t) after every generation (for the order-isomorphism
+    ``step(contexts, store)`` steps an iterable of contexts against the
+    newest store and returns (their successor lists, store', grew?).
+    ``trace``, if a list, receives a snapshot tuple (seen, frontier,
+    chain, t) after every generation (for the order-isomorphism
     comparison), rebuilt from each generation's store and frontier: seen
     maps each context to its stamps, newest first, and chain holds every
     store so far, newest first."""
-    def sweep(order, t):
+    def sweep(order, ctxs, memo):
         nonlocal store
-        groups, store2, grew = step(order, store)
+        stepped, store2, grew = step(map(ctxs.__getitem__, order), store)
         if grew:
             store = store2
-        return groups, grew
+        return stepped, grew
 
     snap = None
     if trace is not None:
         hist = {c: (0,) for c in first}
         chain = (store,)
 
-        def snap(seen, frontier, t):
+        def snap(swept, frontier, t):
             nonlocal hist, chain
             hist = dict(hist)
             for c in frontier:
@@ -130,9 +171,9 @@ def run_persistent(e, first, store, step, cap_check=None, order_key=None,
                 chain = (store,) + chain
             trace.append((hist, tuple(frontier), chain, t))
 
-    seen, edges, generations, status, _ = drive(
+    ctxs, edges, generations, status, _ = drive(
         first, sweep, cap_check, order_key, snap)
-    contexts = frozenset(seen)
+    contexts, edges = package(ctxs, edges)
     return AnalysisResult(
         program=e, contexts=contexts, edges=edges, store=store,
         status=status, generations=generations, initial=first[0],
@@ -153,9 +194,8 @@ def run_frontier(
     run_persistent's."""
 
     def step(order, store):
-        groups, store2 = sweep_contexts(order, store, policy, mode)
-        return ([(c, succs, True) for c, succs in groups], store2,
-                store2 is not store)
+        stepped, store2 = sweep_contexts(order, store, policy, mode)
+        return stepped, store2, store2 is not store
 
     return run_persistent(e, [inject_context(e)], EMPTY_STORE, step,
                           cap_check, order_key, trace)
@@ -191,14 +231,14 @@ def inject_reference(e: Expr) -> RefSystem:
 def reference_step(sys: RefSystem, policy, mode: str = "abstract") -> RefSystem:
     if not sys.frontier:
         return sys
-    groups, store2 = sweep_contexts(sys.frontier, sys.store, policy, mode)
+    stepped, store2 = sweep_contexts(sys.frontier, sys.store, policy, mode)
     changed = store2 is not sys.store and store2 != sys.store
     chain2 = [store2] + sys.chain if changed else sys.chain
     head = chain2[0]
     seen2 = dict(sys.seen)
     frontier2 = []
     local = set()
-    for _, succs in groups:
+    for succs in stepped:
         for dst in succs:
             if dst in local:
                 continue

@@ -1,12 +1,10 @@
 """Imperative value store, transfer-function iteration, preallocation.
 
-Every store cell is a list [stamp, values]: ``values`` is the cell's value
-set and ``stamp`` the clock from which it has been visible.  A generation's
-sweep reads the store in place and keeps the writes of every step in one
-list; once the last context has stepped, they are joined into the cells,
-and a cell that grows at the end of generation t is stamped t+1.  So the
-sweep reads the store it started with, as the ``deltas`` replay does, and
-each cell keeps one version.  The store chain of the persistent stages is
+Every store cell is a plain value set.  A generation's sweep reads the
+store in place and keeps the writes of every step in one list; once the
+last context has stepped, they are joined into the cells.  So the sweep
+reads the store it started with, as the ``deltas`` replay does, and each
+cell keeps one version.  The store chain of the persistent stages is
 rebuilt from the run's trace when one is asked for.  The machine is this
 sweep under the frontier driver (``frontier.drive``).
 
@@ -14,14 +12,15 @@ A step is a function of its context and the cells it read: it sees the
 store only through ``SnapshotView.deref`` and ``get``, and the uniform
 k-CFA policies allocate by their arguments alone (the concrete policy
 does not; the engine runs these rungs abstract only).  No cell changes
-during a sweep, and stamps never fall.  So when a context stepped at t0
-comes round again and no cell that step read is stamped after t0, the
-cells it read are the ones it saw: stepping it again would yield the same
-successors and the same writes, which are already in the store.  The
-sweep keeps each context's last step and hands its successors back
-unstepped; a newer stamp among its reads makes it step again.  This is
-dependency tracking as in chaotic iteration, per cell, and leaves the
-timestamped fixpoint exactly as it was.
+during a sweep.  So while no cell a step read has grown, stepping its
+context again would yield the same successors and the same writes, which
+are already in the store.  The sweep leaves each step's successors in the
+driver's memo, where the driver replays them, and files the step under
+every address it read in a reverse read index.  When a cell grows after a
+sweep, the steps filed under it lose their memos, and those contexts step
+again the next time they come round.  This is the dependency tracking of
+chaotic iteration, per cell, and leaves the timestamped fixpoint exactly
+as it was.
 
 Preallocation puts the machine on dense integer addresses: for a uniform
 k-CFA policy an address table gives each address the next free ordinal the
@@ -53,7 +52,7 @@ from .domains import (
 )
 from .syntax import Expr
 from .compiled import inject_compiled, step_compiled
-from .frontier import drive
+from .frontier import drive, package
 
 
 class UnsupportedPolicyError(ValueError):
@@ -62,31 +61,24 @@ class UnsupportedPolicyError(ValueError):
 
 # ------------------------------------------------------------ value cells
 
-def join_at_cell(cell, vs, t):
-    """Merge vs into a cell in place after the sweep at time t.  Returns
-    whether anything grew; a cell that grew is stamped t+1."""
-    cur = cell[1]
-    if vs <= cur:
-        return False
-    cell[0] = t + 1
-    cell[1] = cur | vs
-    return True
-
-
 class HashValueStore:
-    """Addr -> value cell as a plain dict."""
+    """Addr -> value set as a plain dict."""
 
     __slots__ = ("cells",)
 
     def __init__(self):
         self.cells = {}
 
-    def join_at(self, a, vs, t):
-        cell = self.cells.get(a)
-        if cell is None:
-            self.cells[a] = [t + 1, frozenset(vs)]
+    def join_at(self, a, vs):
+        """Join vs into a's cell; returns whether the cell grew."""
+        cur = self.cells.get(a)
+        if cur is None:
+            self.cells[a] = frozenset(vs)
             return True
-        return join_at_cell(cell, vs, t)
+        if vs <= cur:
+            return False
+        self.cells[a] = cur | vs
+        return True
 
     def addresses(self):
         return self.cells.keys()
@@ -96,19 +88,23 @@ class HashValueStore:
 
 
 class DenseValueStore:
-    """Ordinal -> value cell as a flat list, one cell per minted ordinal."""
+    """Ordinal -> value set as a flat list, one cell per minted ordinal."""
 
     __slots__ = ("cells",)
 
     def __init__(self):
         self.cells = []
 
-    def join_at(self, a, vs, t):
-        cell = self.cells[a]
-        if cell is None:
-            self.cells[a] = [t + 1, frozenset(vs)]
+    def join_at(self, a, vs):
+        """Join vs into cell a; returns whether the cell grew."""
+        cur = self.cells[a]
+        if cur is None:
+            self.cells[a] = frozenset(vs)
             return True
-        return join_at_cell(cell, vs, t)
+        if vs <= cur:
+            return False
+        self.cells[a] = cur | vs
+        return True
 
     def addresses(self):
         return (i for i, c in enumerate(self.cells) if c is not None)
@@ -134,21 +130,21 @@ class SnapshotView:
 
     def deref(self, a):
         self.reads.append(a)
-        cell = self._fetch(a)
-        if cell is None:
+        vs = self._fetch(a)
+        if vs is None:
             raise AnalysisBugError(f"lookup of absent address {a!r}")
-        return cell[1]
+        return vs
 
     def get(self, a, default=None):
         self.reads.append(a)
-        cell = self._fetch(a)
-        return default if cell is None else cell[1]
+        vs = self._fetch(a)
+        return default if vs is None else vs
 
 
 def snapshot(vstore, decode_addr=None, decode_value=None):
     """The plain store the value cells hold."""
     m = {}
-    for a, (_, vs) in vstore.items():
+    for a, vs in vstore.items():
         if decode_value is not None:
             vs = frozenset(decode_value(v) for v in vs)
         m[a if decode_addr is None else decode_addr(a)] = vs
@@ -289,62 +285,72 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
 
     first, log0 = inject_compiled(e, pol)
     for a, vs in log0:
-        vstore.join_at(a, vs, -1)
+        vstore.join_at(a, vs)
 
-    # context -> (stamp of its last step, its successors, the addresses
-    # that step read)
-    memo = {}
+    # address -> the steps that read its cell, filed flat as id, successor
+    # list, id, successor list, ...
+    readers = {}
 
-    def sweep(order, t):
-        if trace is not None:
-            before = snapshot(vstore, dec_a, dec)
+    def sweep(order, ctxs, memo):
         view = SnapshotView(vstore)
-        fetch = view._fetch
         writes = []
-        groups = []
-        for c in order:
-            last = memo.get(c)
-            if last is not None:
-                t0, succs, reads = last
-                for a in reads:
-                    cell = fetch(a)
-                    if cell is not None and cell[0] > t0:
-                        break
-                else:
-                    # no cell it read grew since: the same successors, and
-                    # its writes are already in the store
-                    groups.append((c, succs, False))
-                    continue
+        stepped = []
+        for i in order:
             view.reads = reads = []
             succs = []
-            for c2, log in step_compiled(c, view, pol, mode):
+            last = None
+            for c2, log in step_compiled(ctxs[i], view, pol, mode):
                 succs.append(c2)
-                writes += log
-            memo[c] = (t, succs, reads)
-            groups.append((c, succs, True))
+                # the successors a function continuation builds share one
+                # log, and joining it once is enough
+                if log is not last:
+                    writes += log
+                    last = log
+            memo[i] = succs
+            stepped.append(succs)
+            for a in reads:
+                filed = readers.get(a)
+                if filed is None:
+                    readers[a] = [i, succs]
+                elif filed[-1] is not succs:
+                    filed += (i, succs)
         join_at = vstore.join_at
         changed = False
         for a, vs in writes:
-            if join_at(a, vs, t):
+            if join_at(a, vs):
                 changed = True
-        if trace is not None:
-            frontier = tuple(order if dec is None else map(dec, order))
-            trace.append((t, frontier, before,
-                          snapshot(vstore, dec_a, dec), changed))
-        return groups, changed
+                # a step that read the cell saw less than is there now
+                filed = readers.pop(a, None)
+                if filed is not None:
+                    for j in range(0, len(filed), 2):
+                        i = filed[j]
+                        if memo[i] is filed[j + 1]:
+                            memo[i] = None
+        return stepped, changed
 
-    seen, edges, generations, status, t = drive(first, sweep, cap_check)
-    memo.clear()  # before decoding, which sets the run's memory peak
+    snap = None
+    if trace is not None:
+        before = snapshot(vstore, dec_a, dec)
+        t0 = 0
+
+        def snap(swept, frontier, t):
+            # no cell changes between sweeps, so the store a generation's
+            # writes leave is the one the next sweep starts with
+            nonlocal before, t0
+            after = snapshot(vstore, dec_a, dec)
+            trace.append((t0, tuple(swept if dec is None else map(dec, swept)),
+                          before, after, t != t0))
+            before, t0 = after, t
+
+    ctxs, edges, generations, status, t = drive(first, sweep, cap_check,
+                                                trace=snap)
+    readers.clear()  # before decoding, which sets the run's memory peak
     store = snapshot(vstore, dec_a, dec)
-    initial = first[0]
-    if layout is None:
-        contexts = frozenset(seen)
-    else:
-        contexts = frozenset(map(dec, seen))
-        edges = frozenset((dec(s), dec(d), g) for s, d, g in edges)
-        initial = dec(initial)
+    if layout is not None:
+        ctxs = list(map(dec, ctxs))
+    contexts, edges = package(ctxs, edges)
     result = AnalysisResult(
         program=e, contexts=contexts, edges=edges, store=store,
-        status=status, generations=generations, initial=initial,
+        status=status, generations=generations, initial=ctxs[0],
         values=halt_values(contexts, store))
     return result, vstore, layout, t

@@ -142,24 +142,24 @@ def inject_wide(e: Expr) -> WideState:
 
 
 def sweep_contexts(order, store, policy, mode):
-    """Step every context in order against the store.  Returns the list of
-    (context, successor list) groups and the joined store."""
-    groups = []
+    """Step every context in order against the store.  Returns the
+    successor list of each, in order, and the joined store."""
+    stepped = []
     acc = store
     for c in order:
         succs, s2 = step_context(c, store, policy, mode)
         if s2 is not store:
             acc = acc.join_store(s2)
-        groups.append((c, succs))
-    return groups, acc
+        stepped.append(succs)
+    return stepped, acc
 
 
 def widen_step(ws: WideState, policy, mode: str = "abstract") -> WideState:
     """One literal widening iteration: C' = C plus every one-step successor,
     sigma' = join of every produced store."""
     order = sorted(ws.contexts, key=repr)
-    groups, store2 = sweep_contexts(order, ws.store, policy, mode)
-    contexts2 = ws.contexts.union(c2 for _, succs in groups for c2 in succs)
+    stepped, store2 = sweep_contexts(order, ws.store, policy, mode)
+    contexts2 = ws.contexts.union(c2 for succs in stepped for c2 in succs)
     if contexts2 == ws.contexts and store2 == ws.store:
         return ws
     return WideState(contexts2, store2)
@@ -185,9 +185,10 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
             if stop is not None:
                 status = stop
                 break
-        groups, store2 = sweep_contexts(order, store, policy, mode)
+        stepped, store2 = sweep_contexts(order, store, policy, mode)
         grew = False
-        for src, succs in groups:
+        # order grows in this loop; zip stops at the contexts swept
+        for src, succs in zip(order, stepped):
             for dst in succs:
                 if (src, dst) not in edges:
                     edges[(src, dst)] = generation

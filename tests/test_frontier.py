@@ -1,5 +1,6 @@
 """Timestamped frontier iteration and its untimestamped reference."""
 
+from flowladder import frontier
 from flowladder.compiled import inject_compiled, step_compiled
 from flowladder.deltas import run_logged, step_with_deltas
 from flowladder.domains import CoC, EMPTY_STORE, HALT, IntVal, kcfa_policy
@@ -139,3 +140,25 @@ def test_cap_check_stops():
     e = parse("((lambda (x) (x x)) (lambda (y) (y y)))")
     run = run_frontier(e, P0, cap_check=lambda n, g: "space-cap" if g >= 1 else None)
     assert run.status == "space-cap"
+
+
+def test_persistent_sweeps_never_fill_the_memo(corpus, monkeypatch):
+    # nothing is replayed on the persistent rungs: drive hands every
+    # frontier context to their sweeps
+    memos = []
+    drive = frontier.drive
+
+    def spied_drive(first, sweep, *args):
+        def spied(order, ctxs, memo):
+            memos.append(memo)
+            return sweep(order, ctxs, memo)
+        return drive(first, spied, *args)
+
+    monkeypatch.setattr(frontier, "drive", spied_drive)
+    for rung, runner in RUNNERS.items():
+        for name, src, e in corpus:
+            memos.clear()
+            run = runner(e, P0)
+            assert memos, (rung, name)
+            assert all(m is None for memo in memos for m in memo), (rung, name)
+            assert len(memos[-1]) == len(run.contexts), (rung, name)

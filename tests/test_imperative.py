@@ -31,7 +31,6 @@ from flowladder.imperative import (
     SnapshotView,
     UnsupportedPolicyError,
     decoder,
-    join_at_cell,
     preallocate,
     run_imperative,
     run_machine,
@@ -61,29 +60,39 @@ def compiled_widened(e, pol, trace=None):
 
 
 def test_join_at_fresh_cell():
-    # a first write is stamped one tick after the sweep that made it
+    # a first write makes the cell the written set
     vs = HashValueStore()
-    assert vs.join_at(A, frozenset({V(5)}), 3)
-    assert vs.cells[A] == [4, frozenset({V(5)})]
+    assert vs.join_at(A, frozenset({V(5)}))
+    assert vs.cells[A] == frozenset({V(5)})
 
 
-def test_join_at_merges_into_future_entry():
-    # a cell grown earlier in the same replay keeps its stamp
-    cell = [4, frozenset({V(5)})]
-    assert join_at_cell(cell, frozenset({V(6)}), 3)
-    assert cell == [4, frozenset({V(5), V(6)})]
+def test_join_at_grows_by_exactly_the_write():
+    vs = HashValueStore()
+    vs.join_at(A, frozenset({V(5)}))
+    assert vs.join_at(A, frozenset({V(5), V(6)}))
+    assert vs.cells[A] == frozenset({V(5), V(6)})
 
 
 def test_join_at_no_growth_is_no_change():
-    cell = [2, frozenset({V(5)})]
-    assert not join_at_cell(cell, frozenset({V(5)}), 3)
-    assert cell == [2, frozenset({V(5)})]
+    vs = HashValueStore()
+    vs.join_at(A, frozenset({V(5), V(6)}))
+    cell = vs.cells[A]
+    assert not vs.join_at(A, frozenset({V(5)}))
+    assert vs.cells[A] is cell
 
 
-def test_join_at_growth_pushes_future_entry():
-    cell = [2, frozenset({V(5)})]
-    assert join_at_cell(cell, frozenset({V(6)}), 3)
-    assert cell == [4, frozenset({V(5), V(6)})]
+def test_join_at_repeat_changes_nothing():
+    # on both stores: a repeated write reports no growth and leaves the
+    # cell as the first write left it
+    layout = preallocate(P0)
+    layout.store.cells.append(None)
+    for store, a in ((HashValueStore(), A), (layout.store, 0)):
+        assert store.join_at(a, U)
+        assert store.join_at(a, W)
+        cell = store.cells[a]
+        assert cell == U | W
+        assert not store.join_at(a, W)
+        assert store.cells[a] is cell
 
 
 def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
@@ -92,8 +101,7 @@ def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
     tr, seen = [], []
 
     def spy(c, view, pol, mode):
-        cells = view._fetch.__self__
-        seen.append((len(tr), {a: vs for a, (_, vs) in cells.items()}))
+        seen.append((len(tr), dict(view._fetch.__self__)))
         return step_compiled(c, view, pol, mode)
 
     monkeypatch.setattr(imperative, "step_compiled", spy)
@@ -109,10 +117,10 @@ def test_snapshot_view_reads_at_fixed_time():
     # the view has no clock: it reads the cells as they are, and the sweep
     # keeps them fixed by joining its writes after its last step
     vs = HashValueStore()
-    vs.join_at(A, U, 0)
+    vs.join_at(A, U)
     view = SnapshotView(vs)
     assert view.deref(A) == U
-    vs.join_at(A, W, 1)
+    vs.join_at(A, W)
     assert view.deref(A) == U | W
     assert snapshot(vs).deref(A) == U | W
     assert view.get(BindAddr("zz", ()), None) is None
@@ -122,7 +130,7 @@ def test_snapshot_view_reads_at_fixed_time():
 
 def test_snapshot_view_records_every_read():
     vs = HashValueStore()
-    vs.join_at(A, U, 0)
+    vs.join_at(A, U)
     view = SnapshotView(vs)
     absent = BindAddr("zz", ())
     view.deref(A)
@@ -132,25 +140,19 @@ def test_snapshot_view_records_every_read():
 
 
 def _laws_case(rng):
-    # one version per cell: a join grows the values by exactly vs, reports
-    # growth exactly when the set grew, stamps the cell t+1 when it grew
-    # and leaves the stamp alone when it did not; a repeat changes nothing
+    # a cell is its value set: a join grows it by exactly vs and reports
+    # growth exactly when the set grew; a repeat changes nothing
     vstore = HashValueStore()
-    t = rng.randrange(3)
     for _ in range(rng.randrange(1, 8)):
         vs = frozenset(V(rng.randrange(4)) for _ in range(rng.randrange(1, 3)))
-        old = vstore.cells.get(A)
-        stamp0, before = (None, frozenset()) if old is None else old
-        changed = vstore.join_at(A, vs, t)
-        cell = vstore.cells[A]
-        assert type(cell) is list and len(cell) == 2
-        stamp, values = cell
+        before = vstore.cells.get(A, frozenset())
+        changed = vstore.join_at(A, vs)
+        values = vstore.cells[A]
+        assert type(values) is frozenset
         assert values == before | vs
         assert changed == (values != before)
-        assert stamp == (t + 1 if changed else stamp0)
-        assert not vstore.join_at(A, vs, t)
-        assert vstore.cells[A] == [stamp, values]
-        t += rng.randrange(2)
+        assert not vstore.join_at(A, vs)
+        assert vstore.cells[A] is values
 
 
 def test_join_lookup_algebra_battery():
@@ -200,11 +202,11 @@ def test_live_cells_satisfy_invariants():
     regrown = []
     for name, src, e in load_corpus():
         it = []
-        _, vstore, _, t = run_machine(e, P0, trace=it)
-        for cell in vstore.cells.values():
-            assert type(cell) is list and len(cell) == 2, name
-            assert cell[0] <= t, name
+        vstore = run_machine(e, P0, trace=it)[1]
         chain = imperative_chain(it)
+        for a, cell in vstore.items():
+            assert type(cell) is frozenset and cell, name
+            assert cell == chain[0].get(a), name
         if any(len({s.get(a) for s in chain} - {None}) > 2
                for a in vstore.addresses()):
             regrown.append(name)
@@ -221,11 +223,14 @@ def test_seen_stamps_strictly_decreasing():
 
 
 def test_no_poisoning_within_a_generation():
-    # the changed flag is exactly the growth the sweep's writes made
+    # the sweep's writes only grow cells, and the changed flag is exactly
+    # the growth they made
     for name, src, e in load_corpus():
         tr = []
         run_imperative(e, P0, trace=tr)
         for gen, (t, frontier, before, after, changed) in enumerate(tr):
+            for a, vs in before.items():
+                assert vs <= after.get(a), (name, gen)
             assert changed == (after != before), (name, gen)
 
 
@@ -301,8 +306,8 @@ def test_dense_and_hash_stores_agree_cell_by_cell():
         _, pstore, lay, _ = run_machine(e, P0, prealloc=True)
         decode = decoder(lay)
         decoded = {}
-        for i, (stamp, vs) in pstore.items():
-            decoded[lay.addr_of(i)] = [stamp, frozenset(map(decode, vs))]
+        for i, vs in pstore.items():
+            decoded[lay.addr_of(i)] = frozenset(map(decode, vs))
         assert decoded == hstore.cells, name
 
 
@@ -380,7 +385,7 @@ def test_step_memo_is_exact_and_steps_little_on_the_bench(monkeypatch):
         assert r.store == ref.store, pre
         assert r.generations == ref.generations, pre
         assert r.status == ref.status == "fixpoint", pre
-        assert sum(steps.values()) <= 2 * len(r.contexts), pre
+        assert sum(steps.values()) == 1607, pre
 
 
 _COUNT_BENCH_STEPS = """
@@ -436,6 +441,74 @@ def test_step_memo_replays_and_invalidates_on_the_corpus(monkeypatch):
             restepped += sum(n > 1 for n in steps.values())
     assert replayed > 0
     assert restepped > 0
+
+
+def test_no_restep_is_needless(monkeypatch):
+    # a context is stepped again only once a cell its previous step read
+    # has grown: some address that step read holds another value in the
+    # trace's snapshot before the new step than in the one before the old
+    tr, steps = [], []
+
+    def spy(c, view, pol, mode):
+        out = step_compiled(c, view, pol, mode)
+        reads = view.reads
+        if isinstance(pol, imperative.AddressTable):
+            reads = map(pol.addr_of, reads)
+        steps.append((c, len(tr), frozenset(reads)))
+        return out
+
+    monkeypatch.setattr(imperative, "step_compiled", spy)
+    restepped = 0
+    for pol in (P0, P1):
+        for name, src, e in load_corpus():
+            for pre in (False, True):
+                tr.clear()
+                steps.clear()
+                run_imperative(e, pol, prealloc=pre, trace=tr)
+                last = {}
+                for c, gen, reads in steps:
+                    if c in last:
+                        gen0, reads0 = last[c]
+                        before0, before = tr[gen0][2], tr[gen][2]
+                        assert any(before0.get(a) != before.get(a)
+                                   for a in reads0), (name, pol, pre, gen)
+                        restepped += 1
+                    last[c] = (gen, reads)
+    assert restepped
+
+
+def _shrinking_reads_step(c, view, pol, mode):
+    # X reads b only until a has a value, and loops to itself; Y0 -> Y1 ->
+    # Y2 writes b two generations after X's reads shrank, and leads back
+    # to X
+    if c == "X":
+        if view.get("a") is None:
+            view.get("b")
+            return [("X", [("a", U)])]
+        return [("X", [])]
+    if c == "Y2":
+        return [("X", [("b", U)])]
+    return [("Y" + str(int(c[1]) + 1), [])]
+
+
+def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
+    # X's first step read a and b; a grew, so X stepped again and read a
+    # alone.  When b grows later, the filing of X's first step under b no
+    # longer names X's memo, so X comes round unstepped
+    steps = Counter()
+
+    def step(c, view, pol, mode):
+        steps[c] += 1
+        return _shrinking_reads_step(c, view, pol, mode)
+
+    monkeypatch.setattr(imperative, "step_compiled", step)
+    monkeypatch.setattr(imperative, "inject_compiled",
+                        lambda e, pol: (["X", "Y0"], []))
+    r, vstore, _, t = run_machine(parse("7"), P0)
+    assert r.status == "fixpoint"
+    assert dict(vstore.items()) == {"a": U, "b": U}
+    assert (r.generations, t) == (4, 2)
+    assert steps == {"X": 2, "Y0": 1, "Y1": 1, "Y2": 1}
 
 
 def test_cap_check_stops_at_generation_boundary():
