@@ -9,8 +9,14 @@ them once, and the replay's change flag replaces the store comparison.
 Lookups never consult the log: every rule reads the generation's entry
 store only, which is what makes per-successor logs order-independent.
 
-``run_logged`` is the log-and-replay sweep under the frontier driver; the
-lazy and compiled stages run their steppers through it too.
+``run_logged`` runs the log-and-replay system under the frontier driver
+with the imperative rungs' step replay (``frontier.replaying_sweep``): a
+step reads the generation's store through a read-recording view, and its
+successors are replayed from the driver's memo until a cell it read
+grows.  ``replay`` keeps every cell it does not grow as the same object,
+so a written cell grew exactly when the replayed store holds another
+object there.  The lazy and compiled stages run their steppers through
+``run_logged`` too.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from .domains import (
     lit_value,
 )
 from .syntax import App, If, Lam, Lit, Var
-from .frontier import run_persistent
+from .frontier import SnapshotView, replaying_sweep, run_persistent
 from .widening import inject_context
 
 # A change log is a list of (Addr, frozenset) join intents.  Entry order is
@@ -67,14 +73,6 @@ def replay(log, store: Store):
     if m is None:
         return store, False
     return Store(m), True
-
-
-def appendall(logs):
-    """Concatenate the per-successor logs of one generation."""
-    out = []
-    for log in logs:
-        out.extend(log)
-    return out
 
 
 def step_with_deltas(c, store: Store, policy, mode: str):
@@ -213,26 +211,25 @@ def run_logged(
     trace=None,
 ) -> AnalysisResult:
     """Frontier iteration where transitions emit logs and the store advances
-    by one replay per generation.  ``trace`` is run_persistent's."""
-
-    def step(order, store):
-        logs = []
-        stepped = []
-        for c in order:
-            succs = []
-            last = None
-            for c2, log in stepper(c, store, policy, mode):
-                succs.append(c2)
-                # the successors a function continuation builds share one
-                # log, and replaying it once is enough
-                if log and log is not last:
-                    logs.append(log)
-                last = log
-            stepped.append(succs)
-        store2, grew = replay(appendall(logs), store)
-        return stepped, store2, grew
-
+    by one replay per generation.  Each step reads the store through a
+    ``SnapshotView`` and is replayed from the driver's memo until a cell it
+    read grows (``frontier.replaying_sweep``).  ``trace`` is
+    run_persistent's."""
     first, log0 = inject(e, policy)
-    store0, _ = replay(log0, EMPTY_STORE)
-    return run_persistent(e, first, store0, step, cap_check, order_key,
-                          trace)
+    store, _ = replay(log0, EMPTY_STORE)
+    view = SnapshotView(store._m)
+
+    def apply(writes):
+        nonlocal store
+        old = store
+        store, grew = replay(writes, old)
+        if not grew:
+            return ()
+        was, now = old._m, store._m
+        view.over(now)
+        # replay keeps every cell it does not grow as the same object
+        return [a for a, _ in writes if now[a] is not was.get(a)]
+
+    sweep = replaying_sweep(stepper, policy, mode, view, apply)
+    return run_persistent(e, first, sweep, lambda: store, cap_check,
+                          order_key, trace)

@@ -19,11 +19,15 @@ stamps, the edges and a per-context step memo are ids and id-indexed
 lists, and the contexts are looked up only when a sweep steps them or the
 run is packaged.  A context whose memo holds its last successors is
 replayed from it instead of going to the sweep.  ``run_persistent`` keeps
-one persistent store and never fills the memo, so its sweeps step the
-whole frontier: this module's sweep joins into the store, the ``deltas``
-one logs writes and replays them.  ``imperative`` reads its value cells in
-place, joins a generation's writes into them after the sweep, and leaves a
-step's successors in the memo until a cell that step read grows.
+one persistent store.  ``run_frontier``'s sweep joins into it, steps the
+whole frontier and never fills the memo, so this stays the literal
+timestamp rung.  ``replaying_sweep`` is the sweep of every later rung:
+its steps read the store through a ``SnapshotView`` that records their
+reads, it leaves each step's successors in the memo and files the step
+under every address it read, and when a cell grows it clears the memos
+filed under that cell.  The rungs differ only in how a generation's
+writes reach the store: ``deltas`` replays them into a new persistent
+store, ``imperative`` joins them into its value cells in place.
 
 The untimestamped reference system at the bottom of the module is the same
 algorithm with the timestamps replaced by the stores they denote; the two are
@@ -34,7 +38,13 @@ the chain and stamp histories a trace rebuilds.
 
 from __future__ import annotations
 
-from .domains import EMPTY_STORE, AnalysisResult, Store, halt_values
+from .domains import (
+    EMPTY_STORE,
+    AnalysisBugError,
+    AnalysisResult,
+    Store,
+    halt_values,
+)
 from .syntax import Expr
 from .widening import inject_context, sweep_contexts
 
@@ -139,28 +149,20 @@ def package(ctxs, edges):
     return frozenset(dict.fromkeys(ctxs)), edges
 
 
-def run_persistent(e, first, store, step, cap_check=None, order_key=None,
+def run_persistent(e, first, sweep, newest, cap_check=None, order_key=None,
                    trace=None) -> AnalysisResult:
-    """Drive a sweep over one persistent store, replaced when it grows.
+    """Drive ``sweep`` over one persistent store, replaced when it grows.
 
-    ``step(contexts, store)`` steps an iterable of contexts against the
-    newest store and returns (their successor lists, store', grew?).
-    ``trace``, if a list, receives a snapshot tuple (seen, frontier,
-    chain, t) after every generation (for the order-isomorphism
-    comparison), rebuilt from each generation's store and frontier: seen
-    maps each context to its stamps, newest first, and chain holds every
-    store so far, newest first."""
-    def sweep(order, ctxs, memo):
-        nonlocal store
-        stepped, store2, grew = step(map(ctxs.__getitem__, order), store)
-        if grew:
-            store = store2
-        return stepped, grew
-
+    ``sweep`` is a ``drive`` sweep, and ``newest()`` returns the store the
+    sweeps have left so far.  ``trace``, if a list, receives a snapshot
+    tuple (seen, frontier, chain, t) after every generation (for the
+    order-isomorphism comparison), rebuilt from each generation's store
+    and frontier: seen maps each context to its stamps, newest first, and
+    chain holds every store so far, newest first."""
     snap = None
     if trace is not None:
         hist = {c: (0,) for c in first}
-        chain = (store,)
+        chain = (newest(),)
 
         def snap(swept, frontier, t):
             nonlocal hist, chain
@@ -168,11 +170,12 @@ def run_persistent(e, first, store, step, cap_check=None, order_key=None,
             for c in frontier:
                 hist[c] = (t,) + hist.get(c, ())
             if t == len(chain):
-                chain = (store,) + chain
+                chain = (newest(),) + chain
             trace.append((hist, tuple(frontier), chain, t))
 
     ctxs, edges, generations, status, _ = drive(
         first, sweep, cap_check, order_key, snap)
+    store = newest()
     contexts, edges = package(ctxs, edges)
     return AnalysisResult(
         program=e, contexts=contexts, edges=edges, store=store,
@@ -190,15 +193,108 @@ def run_frontier(
 ) -> AnalysisResult:
     """Frontier iteration where each generation joins the stores its
     contexts produce; ``Store.join`` returns its receiver unless the store
-    grows, so a new store object is growth.  ``trace`` is
-    run_persistent's."""
+    grows, so a new store object is growth.  Its sweep steps the whole
+    frontier and leaves the memo empty.  ``trace`` is run_persistent's."""
+    store = EMPTY_STORE
 
-    def step(order, store):
-        stepped, store2 = sweep_contexts(order, store, policy, mode)
-        return stepped, store2, store2 is not store
+    def sweep(order, ctxs, memo):
+        nonlocal store
+        stepped, store2 = sweep_contexts(map(ctxs.__getitem__, order), store,
+                                         policy, mode)
+        grew = store2 is not store
+        store = store2
+        return stepped, grew
 
-    return run_persistent(e, [inject_context(e)], EMPTY_STORE, step,
+    return run_persistent(e, [inject_context(e)], sweep, lambda: store,
                           cap_check, order_key, trace)
+
+
+# ------------------------------------------------------------- step replay
+
+class SnapshotView:
+    """Read-only store facade: what a replaying sweep's steps see.  The
+    sweep applies its writes only after its last step, so the view reads
+    the store the sweep started with.  Every address read is appended to
+    ``reads``, which the sweep replaces before each step."""
+
+    __slots__ = ("_fetch", "reads")
+
+    def __init__(self, cells):
+        self.reads = []
+        self.over(cells)
+
+    def over(self, cells):
+        """Read ``cells`` from now on: an address -> value set dict, or a
+        list indexed by ordinal whose None placeholders match dict.get's
+        absent-is-None contract."""
+        self._fetch = cells.__getitem__ if isinstance(cells, list) else cells.get
+
+    def deref(self, a):
+        self.reads.append(a)
+        vs = self._fetch(a)
+        if vs is None:
+            raise AnalysisBugError(f"lookup of absent address {a!r}")
+        return vs
+
+    def get(self, a, default=None):
+        self.reads.append(a)
+        vs = self._fetch(a)
+        return default if vs is None else vs
+
+
+def replaying_sweep(stepper, policy, mode, view, apply):
+    """A ``drive`` sweep that leaves each step's successors in the memo
+    until a cell the step read grows.
+
+    ``stepper(c, view, policy, mode)`` returns a context's (successor,
+    change log) pairs and reads the store only through ``view``, a
+    ``SnapshotView`` over the store's cells.  No cell changes during the
+    sweep.  Its writes are kept in one list, and ``apply(writes)`` joins
+    them into the store after the last step, points the view at the
+    cells they leave, and returns the addresses whose cells grew, repeats
+    allowed.  Each step is filed under every address it read in a
+    reverse read index; when a cell grows, the steps filed under it
+    whose memo is still the filed successor list lose that memo, and
+    step again when they next come round.
+    """
+    # address -> the steps that read its cell, filed flat as id, successor
+    # list, id, successor list, ...
+    readers = {}
+
+    def sweep(order, ctxs, memo):
+        writes = []
+        stepped = []
+        for i in order:
+            view.reads = reads = []
+            succs = []
+            last = None
+            for c2, log in stepper(ctxs[i], view, policy, mode):
+                succs.append(c2)
+                # the successors a function continuation builds share one
+                # log, and joining it once is enough
+                if log is not last:
+                    writes += log
+                    last = log
+            memo[i] = succs
+            stepped.append(succs)
+            for a in reads:
+                filed = readers.get(a)
+                if filed is None:
+                    readers[a] = [i, succs]
+                elif filed[-1] is not succs:
+                    filed += (i, succs)
+        grown = apply(writes)
+        for a in grown:
+            # a step that read the cell saw less than is there now
+            filed = readers.pop(a, None)
+            if filed is not None:
+                for j in range(0, len(filed), 2):
+                    i = filed[j]
+                    if memo[i] is filed[j + 1]:
+                        memo[i] = None
+        return stepped, bool(grown)
+
+    return sweep
 
 
 # ------------------------------------------------- untimestamped reference

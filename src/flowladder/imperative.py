@@ -11,16 +11,19 @@ sweep under the frontier driver (``frontier.drive``).
 A step is a function of its context and the cells it read: it sees the
 store only through ``SnapshotView.deref`` and ``get``, and the uniform
 k-CFA policies allocate by their arguments alone (the concrete policy
-does not; the engine runs these rungs abstract only).  No cell changes
-during a sweep.  So while no cell a step read has grown, stepping its
-context again would yield the same successors and the same writes, which
-are already in the store.  The sweep leaves each step's successors in the
-driver's memo, where the driver replays them, and files the step under
-every address it read in a reverse read index.  When a cell grows after a
-sweep, the steps filed under it lose their memos, and those contexts step
-again the next time they come round.  This is the dependency tracking of
-chaotic iteration, per cell, and leaves the timestamped fixpoint exactly
-as it was.
+does not; the engine runs every rung but ``naive`` abstract only).  No
+cell changes during a sweep.  So while no cell a step read has grown,
+stepping its context again would yield the same successors and the same
+writes, which are already in the store.  The sweep leaves each step's
+successors in the driver's memo, where the driver replays them, and files
+the step under every address it read in a reverse read index.  When a
+cell grows after a sweep, the steps filed under it lose their memos, and
+those contexts step again the next time they come round.  This is the
+dependency tracking of chaotic iteration, per cell, and leaves the
+timestamped fixpoint exactly as it was.  The replay is shared: the sweep
+is ``frontier.replaying_sweep``, which the logged rungs (``deltas``,
+``lazy``, ``compiled``) run over their persistent store as well; here it
+joins a generation's writes into the value cells in place.
 
 Preallocation puts the machine on dense integer addresses: for a uniform
 k-CFA policy an address table gives each address the next free ordinal the
@@ -37,7 +40,6 @@ store share their environments and continuations.
 from __future__ import annotations
 
 from .domains import (
-    AnalysisBugError,
     AnalysisResult,
     ApC,
     ArK,
@@ -52,7 +54,7 @@ from .domains import (
 )
 from .syntax import Expr
 from .compiled import inject_compiled, step_compiled
-from .frontier import drive, package
+from .frontier import SnapshotView, drive, package, replaying_sweep
 
 
 class UnsupportedPolicyError(ValueError):
@@ -111,34 +113,6 @@ class DenseValueStore:
 
     def items(self):
         return ((i, c) for i, c in enumerate(self.cells) if c is not None)
-
-
-class SnapshotView:
-    """Read-only store facade: what the compiled stepper sees during one
-    generation.  The sweep applies its writes only after its last step, so
-    the view reads the store the sweep started with.  Every address read
-    is appended to ``reads``, which the sweep replaces before each step."""
-
-    __slots__ = ("_fetch", "reads")
-
-    def __init__(self, vstore):
-        cells = vstore.cells
-        # dense lists hold None placeholders, so plain indexing matches
-        # dict.get's absent-is-None contract
-        self._fetch = cells.__getitem__ if isinstance(cells, list) else cells.get
-        self.reads = []
-
-    def deref(self, a):
-        self.reads.append(a)
-        vs = self._fetch(a)
-        if vs is None:
-            raise AnalysisBugError(f"lookup of absent address {a!r}")
-        return vs
-
-    def get(self, a, default=None):
-        self.reads.append(a)
-        vs = self._fetch(a)
-        return default if vs is None else vs
 
 
 def snapshot(vstore, decode_addr=None, decode_value=None):
@@ -287,46 +261,17 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
     for a, vs in log0:
         vstore.join_at(a, vs)
 
-    # address -> the steps that read its cell, filed flat as id, successor
-    # list, id, successor list, ...
-    readers = {}
-
-    def sweep(order, ctxs, memo):
-        view = SnapshotView(vstore)
-        writes = []
-        stepped = []
-        for i in order:
-            view.reads = reads = []
-            succs = []
-            last = None
-            for c2, log in step_compiled(ctxs[i], view, pol, mode):
-                succs.append(c2)
-                # the successors a function continuation builds share one
-                # log, and joining it once is enough
-                if log is not last:
-                    writes += log
-                    last = log
-            memo[i] = succs
-            stepped.append(succs)
-            for a in reads:
-                filed = readers.get(a)
-                if filed is None:
-                    readers[a] = [i, succs]
-                elif filed[-1] is not succs:
-                    filed += (i, succs)
+    def join(writes):
+        # in place, so the view already reads the cells the writes leave
         join_at = vstore.join_at
-        changed = False
+        grown = []
         for a, vs in writes:
             if join_at(a, vs):
-                changed = True
-                # a step that read the cell saw less than is there now
-                filed = readers.pop(a, None)
-                if filed is not None:
-                    for j in range(0, len(filed), 2):
-                        i = filed[j]
-                        if memo[i] is filed[j + 1]:
-                            memo[i] = None
-        return stepped, changed
+                grown.append(a)
+        return grown
+
+    sweep = replaying_sweep(step_compiled, pol, mode,
+                            SnapshotView(vstore.cells), join)
 
     snap = None
     if trace is not None:
@@ -344,7 +289,7 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
 
     ctxs, edges, generations, status, t = drive(first, sweep, cap_check,
                                                 trace=snap)
-    readers.clear()  # before decoding, which sets the run's memory peak
+    del sweep  # and its read index, before decoding sets the memory peak
     store = snapshot(vstore, dec_a, dec)
     if layout is not None:
         ctxs = list(map(dec, ctxs))

@@ -18,7 +18,6 @@ from flowladder.compiled import (
     to_compiled,
 )
 from flowladder.deltas import (
-    appendall,
     explore_states,
     replay,
     run_logged,
@@ -165,7 +164,7 @@ def _battery_step_vs_logged(corpus, n):
         logged = step_with_deltas(c, store, pol, "abstract")
         assert sorted(map(repr, (s for s, _ in logged))) == \
             sorted(map(repr, plain_succs)), c
-        merged, changed = replay(appendall([log for _, log in logged]), store)
+        merged, changed = replay([w for _, log in logged for w in log], store)
         assert merged == joined, c
         assert changed == (joined != store), c
     return len(cases)

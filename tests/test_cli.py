@@ -155,6 +155,18 @@ def test_check_propagates_parse_errors(tmp_path):
     assert main(["check", str(tmp_path)]) == 1
 
 
+def test_deep_program_exits_1_without_a_traceback(tmp_path, capsys):
+    # a valid program nested 3,000 deep exhausts the interpreter's stack
+    p = tmp_path / "deep.scm"
+    p.write_text("((lambda (x) " + "(add1 " * 3000 + "x" + ")" * 3000
+                 + ") 5)\n")
+    for argv in (["analyze", str(p)], ["ladder", str(p)],
+                 ["check", str(tmp_path)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err == f"error: {p}: program nested too deeply\n", argv
+
+
 def test_check_cap_exits_2(tmp_path, capsys):
     (tmp_path / "p.scm").write_text("((lambda (x) x) 5)\n")
     assert main(["check", str(tmp_path), "--time-cap", "1e-12"]) == 2

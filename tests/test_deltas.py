@@ -13,7 +13,7 @@ from flowladder.domains import (
     kcfa_policy,
 )
 from flowladder.syntax import parse
-from flowladder.deltas import appendall, replay, run_logged, step_with_deltas
+from flowladder.deltas import replay, run_logged, step_with_deltas
 from flowladder.frontier import run_frontier
 from flowladder.widening import inject_context, step_context
 
@@ -39,14 +39,6 @@ def test_replay_idempotent_join_reports_no_change():
     s2, changed = replay([(A, frozenset({IntVal(5)}))], s)
     assert not changed
     assert s2 == s
-
-
-def test_appendall():
-    assert appendall([]) == []
-    xi = [(A, frozenset({IntVal(1)}))]
-    assert appendall([xi]) == xi
-    xi2 = [(B, frozenset({IntVal(2)}))]
-    assert appendall([xi, xi2]) == xi + xi2
 
 
 def _random_config(rng):
@@ -118,7 +110,7 @@ def test_agrees_with_unlogged_step_on_corpus_configs(corpus):
             logged = step_with_deltas(c, store, P0, "abstract")
             assert sorted(map(repr, (s for s, _ in logged))) == \
                 sorted(map(repr, plain_succs)), (name, c)
-            merged, changed = replay(appendall([log for _, log in logged]), store)
+            merged, changed = replay([w for _, log in logged for w in log], store)
             assert merged == store2, (name, c)
             assert changed == (store2 != store), (name, c)
 

@@ -143,8 +143,9 @@ def test_cap_check_stops():
 
 
 def test_persistent_sweeps_never_fill_the_memo(corpus, monkeypatch):
-    # nothing is replayed on the persistent rungs: drive hands every
-    # frontier context to their sweeps
+    # frontier is the literal timestamp rung: nothing is replayed, and
+    # drive hands every frontier context to its sweep.  The logged rungs
+    # share the imperative sweep's step replay and do fill the memo
     memos = []
     drive = frontier.drive
 
@@ -155,10 +156,9 @@ def test_persistent_sweeps_never_fill_the_memo(corpus, monkeypatch):
         return drive(first, spied, *args)
 
     monkeypatch.setattr(frontier, "drive", spied_drive)
-    for rung, runner in RUNNERS.items():
-        for name, src, e in corpus:
-            memos.clear()
-            run = runner(e, P0)
-            assert memos, (rung, name)
-            assert all(m is None for memo in memos for m in memo), (rung, name)
-            assert len(memos[-1]) == len(run.contexts), (rung, name)
+    for name, src, e in corpus:
+        memos.clear()
+        run = run_frontier(e, P0)
+        assert memos, name
+        assert all(m is None for memo in memos for m in memo), name
+        assert len(memos[-1]) == len(run.contexts), name

@@ -22,13 +22,15 @@ from flowladder.domains import (
     IntVal,
     concrete_policy,
     kcfa_policy,
+    Store,
 )
 from flowladder.syntax import Lam, App, If, parse
-from flowladder.deltas import run_logged
+from flowladder.deltas import inject_plain, run_logged, step_with_deltas
+from flowladder.frontier import SnapshotView
 from flowladder.compiled import step_compiled, inject_compiled
+from flowladder.lazy import step_lazy
 from flowladder.imperative import (
     HashValueStore,
-    SnapshotView,
     UnsupportedPolicyError,
     decoder,
     preallocate,
@@ -53,6 +55,15 @@ A = BindAddr("a", ())
 V = IntVal
 U = frozenset({V(1)})
 W = frozenset({V(2)})
+
+
+# the logged rungs' steppers and injections, which run_logged sweeps with
+# the imperative rungs' step replay
+LOGGED = {
+    "deltas": (step_with_deltas, inject_plain),
+    "lazy": (step_lazy, inject_plain),
+    "compiled": (step_compiled, inject_compiled),
+}
 
 
 def compiled_widened(e, pol, trace=None):
@@ -118,7 +129,7 @@ def test_snapshot_view_reads_at_fixed_time():
     # keeps them fixed by joining its writes after its last step
     vs = HashValueStore()
     vs.join_at(A, U)
-    view = SnapshotView(vs)
+    view = SnapshotView(vs.cells)
     assert view.deref(A) == U
     vs.join_at(A, W)
     assert view.deref(A) == U | W
@@ -131,7 +142,7 @@ def test_snapshot_view_reads_at_fixed_time():
 def test_snapshot_view_records_every_read():
     vs = HashValueStore()
     vs.join_at(A, U)
-    view = SnapshotView(vs)
+    view = SnapshotView(vs.cells)
     absent = BindAddr("zz", ())
     view.deref(A)
     view.get(absent)
@@ -391,41 +402,63 @@ def test_step_memo_is_exact_and_steps_little_on_the_bench(monkeypatch):
 _COUNT_BENCH_STEPS = """
 import json
 from flowladder import imperative
+from flowladder.deltas import run_logged
 from flowladder.domains import kcfa_policy
 from tests.support import load_bench
+from tests.test_imperative import LOGGED
 
-step = imperative.step_compiled
 calls = [0]
 
-def counted(*args):
-    calls[0] += 1
-    return step(*args)
+def counted(step):
+    def stepper(*args):
+        calls[0] += 1
+        return step(*args)
+    return stepper
 
-imperative.step_compiled = counted
+imperative.step_compiled = counted(imperative.step_compiled)
 bench = load_bench("church_dist.scm")
-counts = []
-for pre in (False, True):
-    calls[0] = 0
-    imperative.run_imperative(bench, kcfa_policy(0), prealloc=pre)
-    counts.append(calls[0])
+runs = {
+    "imperative": lambda pol: imperative.run_imperative(bench, pol),
+    "imperative-prealloc": lambda pol: imperative.run_imperative(
+        bench, pol, prealloc=True),
+}
+for rung, (step, inject) in LOGGED.items():
+    runs[rung] = lambda pol, step=step, inject=inject: run_logged(
+        bench, counted(step), pol, inject=inject)
+counts = {}
+for k, rungs in ((0, runs), (1, ("compiled", "imperative"))):
+    for rung in rungs:
+        calls[0] = 0
+        runs[rung](kcfa_policy(k))
+        counts[f"{rung} k={k}"] = calls[0]
 print(json.dumps(counts))
 """
 
 
 def test_bench_step_count_does_not_depend_on_the_hash_seed():
     # no cell changes during a sweep, so whether a context is stepped again
-    # does not depend on where in its sweep it stands: both rungs make the
-    # same number of steps whatever the hash seed orders the frontier by
+    # does not depend on where in its sweep it stands: every replaying rung
+    # makes the same number of steps whatever the hash seed orders the
+    # frontier by, and the logged compiled rung as many as the imperative
+    # ones, which step the same contexts against the same cells
     root = Path(__file__).resolve().parent.parent
-    counts = []
+    procs = []
     for seed in ("0", "1"):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join((str(root / "src"), str(root))))
-        out = subprocess.run([sys.executable, "-c", _COUNT_BENCH_STEPS],
-                             env=env, cwd=root, capture_output=True,
-                             text=True, check=True).stdout
-        counts += json.loads(out)
-    assert len(set(counts)) == 1, counts
+        procs.append(subprocess.Popen([sys.executable, "-c", _COUNT_BENCH_STEPS],
+                                      env=env, cwd=root, text=True,
+                                      stdout=subprocess.PIPE))
+    counts = []
+    for proc in procs:
+        out, _ = proc.communicate(timeout=300)
+        assert proc.returncode == 0
+        counts.append(json.loads(out))
+    assert counts[0] == counts[1], counts
+    assert counts[0] == {
+        "deltas k=0": 2674, "lazy k=0": 2557, "compiled k=0": 1607,
+        "imperative k=0": 1607, "imperative-prealloc k=0": 1607,
+        "compiled k=1": 40737, "imperative k=1": 40737}, counts[0]
 
 
 def test_step_memo_replays_and_invalidates_on_the_corpus(monkeypatch):
@@ -443,38 +476,57 @@ def test_step_memo_replays_and_invalidates_on_the_corpus(monkeypatch):
     assert restepped > 0
 
 
+def _stores_before(tr):
+    # the store each generation's sweep started from, in either trace
+    if isinstance(tr[0][2], tuple):
+        # run_persistent's holds the store chain after each generation
+        return [tr[0][2][-1]] + [chain[0] for _, _, chain, _ in tr[:-1]]
+    return [before for _, _, before, _, _ in tr]
+
+
 def test_no_restep_is_needless(monkeypatch):
     # a context is stepped again only once a cell its previous step read
     # has grown: some address that step read holds another value in the
-    # trace's snapshot before the new step than in the one before the old
+    # store the new step's sweep started from than in the old one's.  The
+    # logged rungs share the imperative rungs' sweep
     tr, steps = [], []
 
-    def spy(c, view, pol, mode):
-        out = step_compiled(c, view, pol, mode)
-        reads = view.reads
-        if isinstance(pol, imperative.AddressTable):
-            reads = map(pol.addr_of, reads)
-        steps.append((c, len(tr), frozenset(reads)))
-        return out
+    def spying(stepper):
+        def spy(c, view, pol, mode):
+            out = stepper(c, view, pol, mode)
+            reads = view.reads
+            if isinstance(pol, imperative.AddressTable):
+                reads = map(pol.addr_of, reads)
+            steps.append((c, len(tr), frozenset(reads)))
+            return out
+        return spy
 
-    monkeypatch.setattr(imperative, "step_compiled", spy)
-    restepped = 0
+    monkeypatch.setattr(imperative, "step_compiled", spying(step_compiled))
+    runs = {
+        "imperative": lambda e, pol: run_imperative(e, pol, trace=tr),
+        "imperative-prealloc": lambda e, pol: run_imperative(
+            e, pol, prealloc=True, trace=tr),
+    }
+    for rung, (stepper, inject) in LOGGED.items():
+        runs[rung] = lambda e, pol, spy=spying(stepper), inject=inject: \
+            run_logged(e, spy, pol, inject=inject, trace=tr)
+    restepped = Counter()
     for pol in (P0, P1):
         for name, src, e in load_corpus():
-            for pre in (False, True):
+            for rung, run in runs.items():
                 tr.clear()
                 steps.clear()
-                run_imperative(e, pol, prealloc=pre, trace=tr)
+                run(e, pol)
+                before = _stores_before(tr)
                 last = {}
                 for c, gen, reads in steps:
                     if c in last:
                         gen0, reads0 = last[c]
-                        before0, before = tr[gen0][2], tr[gen][2]
-                        assert any(before0.get(a) != before.get(a)
-                                   for a in reads0), (name, pol, pre, gen)
-                        restepped += 1
+                        assert any(before[gen0].get(a) != before[gen].get(a)
+                                   for a in reads0), (name, pol, rung, gen)
+                        restepped[rung] += 1
                     last[c] = (gen, reads)
-    assert restepped
+    assert set(restepped) == set(runs), restepped
 
 
 def _shrinking_reads_step(c, view, pol, mode):
@@ -494,20 +546,31 @@ def _shrinking_reads_step(c, view, pol, mode):
 def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
     # X's first step read a and b; a grew, so X stepped again and read a
     # alone.  When b grows later, the filing of X's first step under b no
-    # longer names X's memo, so X comes round unstepped
+    # longer names X's memo, so X comes round unstepped, on the imperative
+    # sweep and on the logged one
     steps = Counter()
 
     def step(c, view, pol, mode):
         steps[c] += 1
         return _shrinking_reads_step(c, view, pol, mode)
 
+    def inject(e, pol):
+        return ["X", "Y0"], []
+
     monkeypatch.setattr(imperative, "step_compiled", step)
-    monkeypatch.setattr(imperative, "inject_compiled",
-                        lambda e, pol: (["X", "Y0"], []))
+    monkeypatch.setattr(imperative, "inject_compiled", inject)
     r, vstore, _, t = run_machine(parse("7"), P0)
     assert r.status == "fixpoint"
     assert dict(vstore.items()) == {"a": U, "b": U}
     assert (r.generations, t) == (4, 2)
+    assert steps == {"X": 2, "Y0": 1, "Y1": 1, "Y2": 1}
+
+    steps.clear()
+    tr = []
+    r = run_logged(parse("7"), step, P0, inject=inject, trace=tr)
+    assert r.status == "fixpoint"
+    assert r.store == Store({"a": U, "b": U})
+    assert (r.generations, tr[-1][3]) == (4, 2)
     assert steps == {"X": 2, "Y0": 1, "Y1": 1, "Y2": 1}
 
 
