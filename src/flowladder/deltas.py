@@ -16,7 +16,8 @@ successors are replayed from the driver's memo until a cell it read
 grows.  ``replay`` keeps every cell it does not grow as the same object,
 so a written cell grew exactly when the replayed store holds another
 object there.  The lazy and compiled stages run their steppers through
-``run_logged`` too.
+``run_logged`` too.  ``explore_states``, the unwidened state graph the
+bisimulation checks read, runs under the same driver, its clock at 0.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .domains import (
     lit_value,
 )
 from .syntax import App, If, Lam, Lit, Var
-from .frontier import SnapshotView, replaying_sweep, run_persistent
+from .frontier import SnapshotView, drive, replaying_sweep, run_driven
 from .widening import inject_context
 
 # A change log is a list of (Addr, frozenset) join intents.  Entry order is
@@ -162,12 +163,11 @@ def inject_plain(e, policy):
 class StateGraph:
     """Unwidened reachable (context, store) graph of a logged stepper."""
 
-    __slots__ = ("states", "edges", "initial", "status")
+    __slots__ = ("states", "edges", "status")
 
-    def __init__(self, states, edges, initial, status):
+    def __init__(self, states, edges, status):
         self.states = states    # frozenset of (Context, Store)
         self.edges = edges      # frozenset of ((Context, Store), (Context, Store))
-        self.initial = initial  # tuple of initial states
         self.status = status
 
 
@@ -179,25 +179,22 @@ def explore_states(e, stepper, policy, mode: str = "abstract", inject=inject_pla
     the bisimulation checks."""
     first, log0 = inject(e, policy)
     s0, _ = replay(log0, EMPTY_STORE)
-    initial = tuple((c, s0) for c in first)
-    seen = set(initial)
-    work = list(initial)
-    edges = set()
-    status = "fixpoint"
-    while work:
-        if len(seen) > max_states:
-            status = "state-budget-exceeded"
-            break
-        st = work.pop()
-        c, store = st
-        for c2, log in stepper(c, store, policy, mode):
-            store2, _ = replay(log, store)
-            st2 = (c2, store2)
-            edges.add((st, st2))
-            if st2 not in seen:
-                seen.add(st2)
-                work.append(st2)
-    return StateGraph(frozenset(seen), frozenset(edges), initial, status)
+
+    def sweep(order, states, memo):
+        stepped = []
+        for i in order:
+            c, store = states[i]
+            stepped.append([(c2, replay(log, store)[0])
+                            for c2, log in stepper(c, store, policy, mode)])
+        return stepped, False
+
+    def cap_check(n_states, generation):
+        return "state-budget-exceeded" if n_states > max_states else None
+
+    states, edges, _, status, _ = drive([(c, s0) for c in first], sweep,
+                                        cap_check)
+    edges = frozenset((states[s], states[d]) for s, d in edges)
+    return StateGraph(frozenset(states), edges, status)
 
 
 def run_logged(
@@ -214,7 +211,7 @@ def run_logged(
     by one replay per generation.  Each step reads the store through a
     ``SnapshotView`` and is replayed from the driver's memo until a cell it
     read grows (``frontier.replaying_sweep``).  ``trace`` is
-    run_persistent's."""
+    run_driven's."""
     first, log0 = inject(e, policy)
     store, _ = replay(log0, EMPTY_STORE)
     view = SnapshotView(store._m)
@@ -230,6 +227,6 @@ def run_logged(
         # replay keeps every cell it does not grow as the same object
         return [a for a, _ in writes if now[a] is not was.get(a)]
 
-    sweep = replaying_sweep(stepper, policy, mode, view, apply)
-    return run_persistent(e, first, sweep, lambda: store, cap_check,
-                          order_key, trace)
+    return run_driven(e, first,
+                      replaying_sweep(stepper, policy, mode, view, apply),
+                      lambda: store, cap_check, order_key, trace)

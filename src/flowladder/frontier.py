@@ -18,16 +18,20 @@ them, as preallocation puts addresses on ordinals: the frontier, the seen
 stamps, the edges and a per-context step memo are ids and id-indexed
 lists, and the contexts are looked up only when a sweep steps them or the
 run is packaged.  A context whose memo holds its last successors is
-replayed from it instead of going to the sweep.  ``run_persistent`` keeps
-one persistent store.  ``run_frontier``'s sweep joins into it, steps the
-whole frontier and never fills the memo, so this stays the literal
-timestamp rung.  ``replaying_sweep`` is the sweep of every later rung:
-its steps read the store through a ``SnapshotView`` that records their
-reads, it leaves each step's successors in the memo and files the step
-under every address it read, and when a cell grows it clears the memos
-filed under that cell.  The rungs differ only in how a generation's
-writes reach the store: ``deltas`` replays them into a new persistent
-store, ``imperative`` joins them into its value cells in place.
+replayed from it instead of going to the sweep.  ``run_driven`` packages
+every timestamped run and gives all six rungs one trace.
+``run_frontier``'s sweep joins into one persistent store, steps the whole
+frontier and never fills the memo, so this stays the literal timestamp
+rung.  ``replaying_sweep`` is the sweep of every later rung: its steps
+read the store through a ``SnapshotView`` that records their reads, it
+leaves each step's successors in the memo and files the step under every
+address it read, and when a cell grows it clears the memos filed under
+that cell.  The rungs differ only in how a generation's writes reach the
+store: ``deltas`` replays them into a new persistent store, ``imperative``
+joins them into its value cells in place.  A sweep that never reports
+growth keeps the clock at 0, which makes the discipline plain
+breadth-first closure: ``naive.explore`` and ``deltas.explore_states``
+drive (context, store) states that way.
 
 The untimestamped reference system at the bottom of the module is the same
 algorithm with the timestamps replaced by the stores they denote; the two are
@@ -71,9 +75,9 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
 
     ``cap_check(n_contexts, generation)`` may return a status to stop
     before a generation; ``order_key`` reorders each frontier by context
-    (results must not depend on it); ``trace(swept, frontier, t)``, if
-    given, is called after every generation with the contexts the
-    generation swept, those of the next frontier and the clock.
+    (results must not depend on it); ``trace(frontier, t)``, if given, is
+    called after every generation with the contexts of the next frontier
+    and the clock.
 
     Returns (ctxs, edges, generations, status, t): edges maps each (src
     id, dst id) to the generation that first produced it.
@@ -136,7 +140,7 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
                     frontier.append(i)
         generation += 1
         if trace is not None:
-            trace([ctxs[i] for i in order], [ctxs[i] for i in frontier], t)
+            trace([ctxs[i] for i in frontier], t)
     return ctxs, edges, generation, status, t
 
 
@@ -149,37 +153,46 @@ def package(ctxs, edges):
     return frozenset(dict.fromkeys(ctxs)), edges
 
 
-def run_persistent(e, first, sweep, newest, cap_check=None, order_key=None,
-                   trace=None) -> AnalysisResult:
-    """Drive ``sweep`` over one persistent store, replaced when it grows.
+def run_driven(e, first, sweep, newest, cap_check=None, order_key=None,
+               trace=None, decode=None) -> AnalysisResult:
+    """Drive ``sweep`` from ``first`` and package the run.
 
-    ``sweep`` is a ``drive`` sweep, and ``newest()`` returns the store the
-    sweeps have left so far.  ``trace``, if a list, receives a snapshot
-    tuple (seen, frontier, chain, t) after every generation (for the
-    order-isomorphism comparison), rebuilt from each generation's store
-    and frontier: seen maps each context to its stamps, newest first, and
-    chain holds every store so far, newest first."""
+    ``newest()`` returns the store the sweeps have left so far, and
+    ``decode``, if given, maps each raw context to the one the result
+    holds (``newest()`` decodes its store itself).  ``trace``, if a list,
+    receives (seen, frontier, chain, t) after every generation, decoded:
+    seen maps each context to its stamps, newest first, and chain holds
+    every store so far, newest first.  A traced run raises
+    ``AnalysisBugError`` if the store changed while the clock stood still."""
     snap = None
     if trace is not None:
-        hist = {c: (0,) for c in first}
+        dec = (lambda c: c) if decode is None else decode
+        hist = {dec(c): (0,) for c in first}
         chain = (newest(),)
 
-        def snap(swept, frontier, t):
+        def snap(frontier, t):
             nonlocal hist, chain
+            store = newest()
+            if t == len(chain):
+                chain = (store,) + chain
+            elif store != chain[0]:
+                raise AnalysisBugError(f"the store changed at clock {t}")
+            frontier = tuple(map(dec, frontier))
             hist = dict(hist)
             for c in frontier:
                 hist[c] = (t,) + hist.get(c, ())
-            if t == len(chain):
-                chain = (newest(),) + chain
-            trace.append((hist, tuple(frontier), chain, t))
+            trace.append((hist, frontier, chain, t))
 
     ctxs, edges, generations, status, _ = drive(
         first, sweep, cap_check, order_key, snap)
+    del sweep  # and its read index, before the final snapshot and decode
     store = newest()
+    if decode is not None:
+        ctxs = list(map(decode, ctxs))
     contexts, edges = package(ctxs, edges)
     return AnalysisResult(
         program=e, contexts=contexts, edges=edges, store=store,
-        status=status, generations=generations, initial=first[0],
+        status=status, generations=generations, initial=ctxs[0],
         values=halt_values(contexts, store))
 
 
@@ -194,7 +207,7 @@ def run_frontier(
     """Frontier iteration where each generation joins the stores its
     contexts produce; ``Store.join`` returns its receiver unless the store
     grows, so a new store object is growth.  Its sweep steps the whole
-    frontier and leaves the memo empty.  ``trace`` is run_persistent's."""
+    frontier and leaves the memo empty.  ``trace`` is run_driven's."""
     store = EMPTY_STORE
 
     def sweep(order, ctxs, memo):
@@ -205,8 +218,8 @@ def run_frontier(
         store = store2
         return stepped, grew
 
-    return run_persistent(e, [inject_context(e)], sweep, lambda: store,
-                          cap_check, order_key, trace)
+    return run_driven(e, [inject_context(e)], sweep, lambda: store,
+                      cap_check, order_key, trace)
 
 
 # ------------------------------------------------------------- step replay

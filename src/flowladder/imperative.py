@@ -4,9 +4,9 @@ Every store cell is a plain value set.  A generation's sweep reads the
 store in place and keeps the writes of every step in one list; once the
 last context has stepped, they are joined into the cells.  So the sweep
 reads the store it started with, as the ``deltas`` replay does, and each
-cell keeps one version.  The store chain of the persistent stages is
-rebuilt from the run's trace when one is asked for.  The machine is this
-sweep under the frontier driver (``frontier.drive``).
+cell keeps one version.  The machine is this sweep under the frontier
+driver, packaged and traced by ``frontier.run_driven`` as every
+timestamped rung is, the trace from snapshots of the cells.
 
 A step is a function of its context and the cells it read: it sees the
 store only through ``SnapshotView.deref`` and ``get``, and the uniform
@@ -32,9 +32,9 @@ by ordinal that grows one cell per new ordinal, and the machine runs on
 plain ints instead of structured address objects.  Only addresses the run
 reaches get an ordinal, so the table grows with the analysis, under the
 same per-generation caps, whatever k is.  Results are decoded back to
-structured addresses when the run is packaged, by one decoder per run that
-decodes each raw object once, so decoded contexts, edges and the final
-store share their environments and continuations.
+structured addresses when the run is packaged or traced, by one decoder
+per run that decodes each raw object once, so decoded contexts, edges and
+the final store share their environments and continuations.
 """
 
 from __future__ import annotations
@@ -50,11 +50,10 @@ from .domains import (
     FnK,
     IfK,
     Store,
-    halt_values,
 )
 from .syntax import Expr
 from .compiled import inject_compiled, step_compiled
-from .frontier import SnapshotView, drive, package, replaying_sweep
+from .frontier import SnapshotView, replaying_sweep, run_driven
 
 
 class UnsupportedPolicyError(ValueError):
@@ -232,30 +231,24 @@ def decoder(layout):
 
 def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
                    prealloc: bool = False, trace=None) -> AnalysisResult:
-    """Iterate the transfer function to an empty frontier.
-
-    ``trace``, if a list, receives per generation a tuple (t, frontier,
-    snapshot before the sweep, snapshot after its writes, changed), all
-    decoded: the changed flag must coincide with growth from the one
-    snapshot to the other."""
+    """Iterate the transfer function to an empty frontier.  ``trace`` is
+    ``frontier.run_driven``'s, decoded under preallocation."""
     return run_machine(e, policy, mode, cap_check, prealloc, trace)[0]
 
 
 def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
                 prealloc: bool = False, trace=None):
     """run_imperative's result next to the machine it leaves: (result,
-    vstore, layout, t).  vstore holds the raw value cells; layout is the
-    address table, None for the hash store; t is the final clock."""
-    layout = None
+    vstore, layout).  vstore holds the raw value cells; layout is the
+    address table, None for the hash store."""
+    layout = dec_a = dec = None
     pol = policy
     if prealloc:
         layout = pol = preallocate(policy)
         vstore = layout.store
-        dec_a = layout.addr_of
-        dec = decoder(layout)
+        dec_a, dec = layout.addr_of, decoder(layout)
     else:
         vstore = HashValueStore()
-        dec_a = dec = None
 
     first, log0 = inject_compiled(e, pol)
     for a, vs in log0:
@@ -270,32 +263,9 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
                 grown.append(a)
         return grown
 
-    sweep = replaying_sweep(step_compiled, pol, mode,
-                            SnapshotView(vstore.cells), join)
-
-    snap = None
-    if trace is not None:
-        before = snapshot(vstore, dec_a, dec)
-        t0 = 0
-
-        def snap(swept, frontier, t):
-            # no cell changes between sweeps, so the store a generation's
-            # writes leave is the one the next sweep starts with
-            nonlocal before, t0
-            after = snapshot(vstore, dec_a, dec)
-            trace.append((t0, tuple(swept if dec is None else map(dec, swept)),
-                          before, after, t != t0))
-            before, t0 = after, t
-
-    ctxs, edges, generations, status, t = drive(first, sweep, cap_check,
-                                                trace=snap)
-    del sweep  # and its read index, before decoding sets the memory peak
-    store = snapshot(vstore, dec_a, dec)
-    if layout is not None:
-        ctxs = list(map(dec, ctxs))
-    contexts, edges = package(ctxs, edges)
-    result = AnalysisResult(
-        program=e, contexts=contexts, edges=edges, store=store,
-        status=status, generations=generations, initial=ctxs[0],
-        values=halt_values(contexts, store))
-    return result, vstore, layout, t
+    result = run_driven(
+        e, first,
+        replaying_sweep(step_compiled, pol, mode, SnapshotView(vstore.cells),
+                        join),
+        lambda: snapshot(vstore, dec_a, dec), cap_check, None, trace, dec)
+    return result, vstore, layout

@@ -6,6 +6,9 @@ complete set of successor states.  Under the concrete policy the machine is
 deterministic (at most one successor) and doubles as a definitional
 interpreter; under a k-CFA policy the reachable state graph is finite but
 states multiply fast because every store mutation forks a whole store.
+``explore`` closes the step relation under the driver every later rung
+runs (``frontier.drive``): its sweep never reports store growth, so the
+clock stays at 0 and each state is stepped once, breadth first.
 
 Later engines change two things at once: values move into the store (frames
 hold addresses), and the store is widened globally.  Neither change happens
@@ -44,6 +47,7 @@ from .domains import (
     lit_value,
 )
 from .syntax import App, Expr, If, Lam, Lit, Var
+from .frontier import drive, package
 
 State = tuple  # (Context, Store)
 
@@ -184,30 +188,13 @@ def explore(e: Expr, policy, mode: str, cap_check=None) -> AnalysisResult:
     early (time or space cap); None means keep going.
     """
     initial = inject(e)
-    seen = {initial}
-    frontier = [initial]
-    edges = {}
-    generation = 0
-    status = "fixpoint"
-    while frontier:
-        if cap_check is not None:
-            stop = cap_check(len(seen), generation)
-            if stop is not None:
-                status = stop
-                break
-        nxt = []
-        for st in frontier:
-            for st2 in step_state(st, policy, mode):
-                key = (st, st2)
-                if key not in edges:
-                    edges[key] = generation
-                if st2 not in seen:
-                    seen.add(st2)
-                    nxt.append(st2)
-        frontier = nxt
-        generation += 1
+
+    def sweep(order, states, memo):
+        return [step_state(states[i], policy, mode) for i in order], False
+
+    states, edges, generations, status, _ = drive([initial], sweep, cap_check)
+    contexts, edges = package(states, edges)
     return AnalysisResult(
-        program=e, contexts=frozenset(seen),
-        edges=frozenset((src, dst, g) for (src, dst), g in edges.items()),
-        store=None, status=status, generations=generation,
-        initial=initial, values=halt_values((c for c, _ in seen), None))
+        program=e, contexts=contexts, edges=edges, store=None, status=status,
+        generations=generations, initial=initial,
+        values=halt_values((c for c, _ in states), None))

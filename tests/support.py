@@ -260,23 +260,3 @@ def store_leq(a, b):
             if not any(kont_leq(v, w, b) for w in target):
                 return False
     return True
-
-
-def imperative_history(trace) -> dict:
-    """Each context's frontier stamps, newest first, rebuilt from a
-    ``run_imperative`` trace: a context swept at clock t entered the
-    frontier at t."""
-    hist = {}
-    for t, frontier, *_ in trace:
-        for c in frontier:
-            hist[c] = (t,) + hist.get(c, ())
-    return hist
-
-
-def imperative_chain(trace) -> tuple:
-    """The store chain, newest first, rebuilt from a ``run_imperative``
-    trace: generation 0's starting snapshot, then the snapshot after the
-    writes of every generation that grew the store."""
-    chain = [trace[0][2]]
-    chain += [after for _, _, _, after, changed in trace if changed]
-    return tuple(reversed(chain))

@@ -31,7 +31,7 @@ from flowladder.frontier import (
     stamps_to_stores,
     stores_to_stamps,
 )
-from flowladder.imperative import run_imperative, run_machine
+from flowladder.imperative import run_imperative
 from flowladder.lazy import step_lazy
 from flowladder.precision import singleton_vars
 from flowladder.syntax import free_vars, node_count
@@ -39,14 +39,12 @@ from flowladder.widening import analyze_baseline, step_context
 
 from tests.support import (
     abstract_covers,
-    imperative_chain,
-    imperative_history,
     load_bench,
     oracle_eval,
     random_program,
 )
 from tests.test_deltas import _random_config
-from tests.test_imperative import _laws_case
+from tests.test_imperative import _assert_same_trace, _laws_case
 
 P0 = kcfa_policy(0)
 P1 = kcfa_policy(1)
@@ -112,16 +110,17 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
         cw = run_logged(e, step_compiled, P0, inject=inject_compiled, trace=ct)
         for pre in (False, True):
             it = []
-            ir, _, _, t = run_machine(e, P0, prealloc=pre, trace=it)
+            ir = run_imperative(e, P0, prealloc=pre, trace=it)
             assert ir.contexts == cw.contexts, (name, pre)
-            assert imperative_history(it) == ct[-1][0], (name, pre)
             assert ir.edges == cw.edges, (name, pre)
             assert ir.generations == cw.generations, (name, pre)
             assert ir.status == cw.status, (name, pre)
             assert ir.store == cw.store, (name, pre)
-            # (d) the value cells' snapshots replay the store chain exactly
-            assert imperative_chain(it) == ct[-1][2], (name, pre)
-            assert len(ct[-1][2]) == t + 1, (name, pre)
+            # (d) the value cells' snapshots replay the store chain
+            # exactly, generation by generation, along with the seen
+            # stamps, the frontier and the clock
+            _assert_same_trace(it, ct, (name, pre))
+            assert len(it[-1][2]) == it[-1][3] + 1, (name, pre)
     print(f"criterion 2 PASS: (a)-(d) exact on {len(corpus)} programs")
 
 

@@ -170,6 +170,18 @@ def test_stutter_check_passes_on_small_corpus(corpus):
         assert rep.ok, (name, rep.reason)
 
 
+def test_state_budget_stops_both_explorations():
+    # 22_church_mult closes at 281 lazy and 158 compiled states
+    name, src, e = [c for c in load_corpus() if c[0] == "22_church_mult"][0]
+    for stepper, kw in ((step_lazy, {}), (step_compiled, {"inject": inject_compiled})):
+        g = explore_states(e, stepper, P0, max_states=40, **kw)
+        assert g.status == "state-budget-exceeded", stepper
+        assert 40 < len(g.states) < 158, stepper
+    rep = stutter_check(e, P0, max_states=40)
+    assert not rep.ok
+    assert rep.reason == "state budget exceeded"
+
+
 def test_identity_application_contracts_with_matching_endpoint():
     e = parse("((lambda (x) x) 5)")
     rep = stutter_check(e, P0)

@@ -1,9 +1,19 @@
 """Timestamped frontier iteration and its untimestamped reference."""
 
+import pytest
+
 from flowladder import frontier
 from flowladder.compiled import inject_compiled, step_compiled
 from flowladder.deltas import run_logged, step_with_deltas
-from flowladder.domains import CoC, EMPTY_STORE, HALT, IntVal, kcfa_policy
+from flowladder.domains import (
+    AnalysisBugError,
+    CoC,
+    EMPTY_STORE,
+    HALT,
+    IntVal,
+    kcfa_policy,
+)
+from flowladder.imperative import run_imperative
 from flowladder.lazy import step_lazy
 from flowladder.syntax import parse
 from flowladder.frontier import (
@@ -64,7 +74,11 @@ def test_empty_frontier_is_fixpoint():
 
 
 def test_chain_invariants_every_generation(corpus):
-    for rung, runner in RUNNERS.items():
+    # every driven rung, the imperative ones through their decoded trace
+    runners = dict(RUNNERS, imperative=run_imperative)
+    runners["imperative-prealloc"] = lambda e, pol, **kw: run_imperative(
+        e, pol, prealloc=True, **kw)
+    for rung, runner in runners.items():
         for name, src, e in corpus:
             trace = []
             run = runner(e, P0, trace=trace)
@@ -134,6 +148,27 @@ def test_final_values_subset_of_widened(corpus):
         fr = run_frontier(e, P0)
         br = analyze_baseline(e, P0)
         assert fr.values <= br.values, name
+
+
+def test_traced_run_rejects_growth_without_a_clock_tick():
+    # the sweep grows the store newest() returns but reports no growth:
+    # the trace's snapshot catches it, and an untraced run reads nothing
+    def run(trace):
+        store = EMPTY_STORE
+
+        def sweep(order, ctxs, memo):
+            nonlocal store
+            store = store.join("a", frozenset({IntVal(1)}))
+            return [[] for _ in order], False
+
+        return frontier.run_driven(parse("7"), ["X"], sweep, lambda: store,
+                                   trace=trace)
+
+    with pytest.raises(AnalysisBugError):
+        run([])
+    r = run(None)
+    assert (r.status, r.generations) == ("fixpoint", 1)
+    assert r.store.deref("a") == frozenset({IntVal(1)})
 
 
 def test_cap_check_stops():

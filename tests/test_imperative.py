@@ -40,8 +40,6 @@ from flowladder.imperative import (
 )
 from tests.support import (
     abstract_covers,
-    imperative_chain,
-    imperative_history,
     load_bench,
     load_corpus,
     oracle_eval,
@@ -68,6 +66,25 @@ LOGGED = {
 
 def compiled_widened(e, pol, trace=None):
     return run_logged(e, step_compiled, pol, inject=inject_compiled, trace=trace)
+
+
+def _stores_before(tr):
+    # the store each generation's sweep started from: the trace holds the
+    # store chain after each generation
+    return [tr[0][2][-1]] + [chain[0] for _, _, chain, _ in tr[:-1]]
+
+
+def _assert_same_trace(tr, ref, label):
+    # entry by entry: the seen stamps, the frontier as a set, the store
+    # chain and the clock
+    assert len(tr) == len(ref), label
+    for gen, (entry, want) in enumerate(zip(tr, ref)):
+        (seen, frontier, chain, t), (wseen, wfrontier, wchain, wt) = entry, want
+        assert seen == wseen, (label, gen)
+        assert len(frontier) == len(wfrontier), (label, gen)
+        assert set(frontier) == set(wfrontier), (label, gen)
+        assert chain == wchain, (label, gen)
+        assert t == wt, (label, gen)
 
 
 def test_join_at_fresh_cell():
@@ -120,8 +137,9 @@ def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
         tr.clear()
         seen.clear()
         run_imperative(e, P0, trace=tr)
+        before = _stores_before(tr)
         for gen, cells in seen:
-            assert cells == tr[gen][2].to_dict(), (name, gen)
+            assert cells == before[gen].to_dict(), (name, gen)
 
 
 def test_snapshot_view_reads_at_fixed_time():
@@ -188,7 +206,7 @@ def test_matches_compiled_widened_run():
                 it = []
                 ir = run_imperative(e, pol, prealloc=pre, trace=it)
                 assert ir.contexts == lr.contexts, (name, pre)
-                assert imperative_history(it) == trace[-1][0], (name, pre)
+                _assert_same_trace(it, trace, (name, pre))
                 assert ir.edges == lr.edges, (name, pre)
                 assert ir.generations == lr.generations, (name, pre)
                 assert ir.status == lr.status, (name, pre)
@@ -197,14 +215,17 @@ def test_matches_compiled_widened_run():
 
 
 def test_snapshot_chain_equals_store_chain():
+    # the value cells' snapshots replay the persistent store chain, and
+    # the last one is the result's store
     for pol in (P0, P1):
         for name, src, e in load_corpus():
             trace = []
             compiled_widened(e, pol, trace)
             for pre in (False, True):
                 it = []
-                run_imperative(e, pol, prealloc=pre, trace=it)
-                assert imperative_chain(it) == trace[-1][2], (name, pre)
+                ir = run_imperative(e, pol, prealloc=pre, trace=it)
+                _assert_same_trace(it, trace, (name, pre))
+                assert it[-1][2][0] == ir.store, (name, pre)
 
 
 def test_live_cells_satisfy_invariants():
@@ -214,7 +235,7 @@ def test_live_cells_satisfy_invariants():
     for name, src, e in load_corpus():
         it = []
         vstore = run_machine(e, P0, trace=it)[1]
-        chain = imperative_chain(it)
+        chain = it[-1][2]
         for a, cell in vstore.items():
             assert type(cell) is frozenset and cell, name
             assert cell == chain[0].get(a), name
@@ -227,22 +248,27 @@ def test_live_cells_satisfy_invariants():
 def test_seen_stamps_strictly_decreasing():
     for name, src, e in load_corpus():
         it = []
-        t = run_machine(e, P0, trace=it)[3]
-        for stamps in imperative_history(it).values():
+        run_imperative(e, P0, trace=it)
+        seen, _, _, t = it[-1]
+        for stamps in seen.values():
             assert stamps[0] <= t
             assert all(a > b for a, b in zip(stamps, stamps[1:])), name
 
 
 def test_no_poisoning_within_a_generation():
-    # the sweep's writes only grow cells, and the changed flag is exactly
-    # the growth they made
+    # the sweep's writes only grow cells, and the clock advances exactly
+    # when they grew one
     for name, src, e in load_corpus():
         tr = []
         run_imperative(e, P0, trace=tr)
-        for gen, (t, frontier, before, after, changed) in enumerate(tr):
+        t0 = 0
+        for gen, (before, (_, _, chain, t)) in enumerate(
+                zip(_stores_before(tr), tr)):
+            after = chain[0]
             for a, vs in before.items():
                 assert vs <= after.get(a), (name, gen)
-            assert changed == (after != before), (name, gen)
+            assert (t != t0) == (after != before), (name, gen)
+            t0 = t
 
 
 def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
@@ -254,8 +280,11 @@ def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
         ir = run_imperative(e, P0, trace=tr)
         if ir.status != "fixpoint":
             continue
+        # generation 0 sweeps the injected context, and generation g + 1
+        # the frontier generation g left
+        swept = [{ir.initial}] + [set(frontier) for _, frontier, _, _ in tr]
         for s, d, g in ir.edges:
-            assert s in tr[g][1], (name, g)
+            assert s in swept[g], (name, g)
 
 
 def _address_bound_k0(e):
@@ -314,7 +343,7 @@ def test_hash_run_addresses_all_within_layout():
 def test_dense_and_hash_stores_agree_cell_by_cell():
     for name, src, e in load_corpus()[:8]:
         hstore = run_machine(e, P0)[1]
-        _, pstore, lay, _ = run_machine(e, P0, prealloc=True)
+        _, pstore, lay = run_machine(e, P0, prealloc=True)
         decode = decoder(lay)
         decoded = {}
         for i, vs in pstore.items():
@@ -469,19 +498,12 @@ def test_step_memo_replays_and_invalidates_on_the_corpus(monkeypatch):
             steps.clear()
             tr = []
             run_imperative(e, P0, prealloc=pre, trace=tr)
-            visits = sum(len(frontier) for _, frontier, *_ in tr)
+            # the injected context, then every frontier a generation left
+            visits = 1 + sum(len(frontier) for _, frontier, _, _ in tr)
             replayed += visits - sum(steps.values())
             restepped += sum(n > 1 for n in steps.values())
     assert replayed > 0
     assert restepped > 0
-
-
-def _stores_before(tr):
-    # the store each generation's sweep started from, in either trace
-    if isinstance(tr[0][2], tuple):
-        # run_persistent's holds the store chain after each generation
-        return [tr[0][2][-1]] + [chain[0] for _, _, chain, _ in tr[:-1]]
-    return [before for _, _, before, _, _ in tr]
 
 
 def test_no_restep_is_needless(monkeypatch):
@@ -559,10 +581,11 @@ def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
 
     monkeypatch.setattr(imperative, "step_compiled", step)
     monkeypatch.setattr(imperative, "inject_compiled", inject)
-    r, vstore, _, t = run_machine(parse("7"), P0)
+    tr = []
+    r, vstore, _ = run_machine(parse("7"), P0, trace=tr)
     assert r.status == "fixpoint"
     assert dict(vstore.items()) == {"a": U, "b": U}
-    assert (r.generations, t) == (4, 2)
+    assert (r.generations, tr[-1][3]) == (4, 2)
     assert steps == {"X": 2, "Y0": 1, "Y1": 1, "Y2": 1}
 
     steps.clear()
