@@ -1,8 +1,9 @@
 """Command-line front end: analyze one program, time the ladder, check a corpus.
 
 Exit codes: 0 success, 1 program does not parse (free variables included)
-or is nested too deeply for Python's recursion limit, 2 a cap was
-exceeded, 3 bad flags, 4 a cross-stage check failed.
+or is nested too deeply for the passes that recurse on its syntax tree
+(the parser itself takes any depth), 2 a cap was exceeded, 3 bad flags,
+4 a cross-stage check failed.
 """
 
 from __future__ import annotations
@@ -118,8 +119,10 @@ def _load_program(path: str):
 
 
 def _too_deep(path) -> int:
-    """The parser, the compiler and the exports recurse on the syntax tree,
-    so a program nested deeply enough exhausts the interpreter's stack."""
+    """The parser builds a tree of any depth with an explicit stack, but
+    ``free_vars``, ``node_count`` and the ``CompiledExpr`` builder recurse
+    on it, so a program nested deeply enough exhausts the interpreter's
+    stack there, at ``free_vars`` first."""
     print(f"error: {path}: program nested too deeply", file=sys.stderr)
     return EXIT_PARSE
 

@@ -24,7 +24,7 @@ on first use, and ``MutStore`` updates it in place.
 
 from __future__ import annotations
 
-from .syntax import App, Expr, If, Lam, Term
+from .syntax import App, Expr, If, Lam, Lit, Term, Var
 
 Time = tuple  # tuple of application labels, newest first
 
@@ -76,7 +76,7 @@ class ConcreteAddr(Term):
 def fmt_time(t: Time) -> str:
     if not t:
         return "."
-    return "-".join(str(x) for x in t)
+    return "-".join(map(str, t))
 
 
 # ------------------------------------------------------------------- values
@@ -579,42 +579,101 @@ def skeleton(obj, memo=None) -> str:
     ``memo``, if a dict, keeps each rendering under the term rendered, so
     equal sub-terms that many contexts hold (an environment, a continuation,
     a closure) are rendered once, whether or not they are one object.  Keep
-    one memo for one export or one comparison."""
+    one memo for one export or one comparison.
+
+    A term renders by the entry for its type in ``_RENDER``.  A type
+    without one is classified on first sight and the answer kept there:
+    ``CompiledExpr``, which this module does not import, renders by its
+    label and anything else by its ``repr``."""
     if memo is not None:
         hit = memo.get(obj)
         if hit is not None:
             return hit
-    if isinstance(obj, EvC):
-        s = (f"ev({skeleton(obj.expr, memo)},{skeleton(obj.env, memo)},"
-             f"{skeleton(obj.kont, memo)},{fmt_time(obj.time)})")
-    elif isinstance(obj, CoC):
-        s = f"co({skeleton(obj.kont, memo)},{skeleton(obj.val, memo)})"
-    elif isinstance(obj, ApC):
-        s = (f"ap({skeleton(obj.fn, memo)},{skeleton(obj.arg, memo)},"
-             f"{skeleton(obj.kont, memo)},l{obj.label},{fmt_time(obj.time)})")
-    elif isinstance(obj, StuckC):
-        s = repr(obj)
-    elif isinstance(obj, ArK):
-        s = (f"ar({skeleton(obj.expr, memo)},{skeleton(obj.env, memo)},"
-             f"{skeleton(obj.kaddr, memo)},l{obj.label},{fmt_time(obj.time)})")
-    elif isinstance(obj, FnK):
-        s = (f"fn({skeleton(obj.fv, memo)},{skeleton(obj.kaddr, memo)},"
-             f"l{obj.label},{fmt_time(obj.time)})")
-    elif isinstance(obj, IfK):
-        s = (f"if({skeleton(obj.then, memo)},{skeleton(obj.els, memo)},"
-             f"{skeleton(obj.env, memo)},{skeleton(obj.kaddr, memo)},"
-             f"{fmt_time(obj.time)})")
-    elif isinstance(obj, Closure):
-        s = f"clos({obj.var},{skeleton(obj.body, memo)},{skeleton(obj.env, memo)})"
-    elif isinstance(obj, DelayedAddr):
-        s = f"~{skeleton(obj.addr, memo)}"
-    elif isinstance(obj, Env):
-        inner = ",".join(f"{k}:{skeleton(v, memo)}" for k, v in sorted(obj.items()))
-        s = "{" + inner + "}"
-    elif is_compiled_node(obj) or type(obj).__name__ in ("Var", "Lit", "Lam", "App", "If"):
-        s = f"e{obj.label}"
-    else:
-        s = repr(obj)
+    cls = type(obj)
+    render = _RENDER.get(cls)
+    if render is None:
+        render = _RENDER[cls] = (_render_expr if is_compiled_node(obj)
+                                 else _render_repr)
+    s = render(obj, memo)
     if memo is not None:
         memo[obj] = s
     return s
+
+
+# Expressions render as ``e<label>``, inline where a field always holds one.
+
+def _render_expr(e, memo):
+    return f"e{e.label}"
+
+
+def _render_repr(obj, memo):
+    return repr(obj)
+
+
+def _render_ev(c, memo):
+    return (f"ev(e{c.expr.label},{skeleton(c.env, memo)},"
+            f"{skeleton(c.kont, memo)},{fmt_time(c.time)})")
+
+
+def _render_co(c, memo):
+    return f"co({skeleton(c.kont, memo)},{skeleton(c.val, memo)})"
+
+
+def _render_ap(c, memo):
+    return (f"ap({skeleton(c.fn, memo)},{skeleton(c.arg, memo)},"
+            f"{skeleton(c.kont, memo)},l{c.label},{fmt_time(c.time)})")
+
+
+def _render_ar(k, memo):
+    return (f"ar(e{k.expr.label},{skeleton(k.env, memo)},"
+            f"{skeleton(k.kaddr, memo)},l{k.label},{fmt_time(k.time)})")
+
+
+def _render_fn(k, memo):
+    return (f"fn({skeleton(k.fv, memo)},{skeleton(k.kaddr, memo)},"
+            f"l{k.label},{fmt_time(k.time)})")
+
+
+def _render_if(k, memo):
+    return (f"if(e{k.then.label},e{k.els.label},{skeleton(k.env, memo)},"
+            f"{skeleton(k.kaddr, memo)},{fmt_time(k.time)})")
+
+
+def _render_closure(v, memo):
+    return f"clos({v.var},e{v.body.label},{skeleton(v.env, memo)})"
+
+
+def _render_delayed(v, memo):
+    return f"~{skeleton(v.addr, memo)}"
+
+
+def _render_env(env, memo):
+    return "{" + ",".join([f"{x}:{skeleton(a, memo)}"
+                           for x, a in sorted(env.items())]) + "}"
+
+
+# addresses render as their repr does, without the call through ``repr``
+
+def _render_bind_addr(a, memo):
+    return f"{a.var}@{fmt_time(a.ctx)}"
+
+
+def _render_kont_addr(a, memo):
+    return f"k{a.label}@{fmt_time(a.time)}"
+
+
+def _render_val_addr(a, memo):
+    return f"{'f' if a.slot == FN_SLOT else 'a'}{a.label}@{fmt_time(a.time)}"
+
+
+_RENDER = {
+    EvC: _render_ev, CoC: _render_co, ApC: _render_ap, StuckC: _render_repr,
+    ArK: _render_ar, FnK: _render_fn, IfK: _render_if, Halt: _render_repr,
+    Closure: _render_closure, DelayedAddr: _render_delayed, Env: _render_env,
+    IntVal: _render_repr, BoolVal: _render_repr, PrimVal: _render_repr,
+    AbstractInt: _render_repr,
+    BindAddr: _render_bind_addr, KontAddr: _render_kont_addr,
+    ValAddr: _render_val_addr, ConcreteAddr: _render_repr,
+    Var: _render_expr, Lit: _render_expr, Lam: _render_expr,
+    App: _render_expr, If: _render_expr,
+}

@@ -22,8 +22,8 @@ import json
 import os
 import sys
 import time
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, islice
+from operator import eq, itemgetter
 
 from .domains import (
     AnalysisResult,
@@ -171,31 +171,34 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
 # ------------------------------------------------------------ graph export
 
 def _graph_rows(result):
-    """Nodes ordered by (skeleton, repr), their skeleton labels, and
-    index-resolved edges.  Each skeleton is rendered once, for both the
-    order and the label, through one memo, so a sub-term that many nodes
-    share is rendered once too; repr is only taken to order nodes whose
-    skeletons tie, and both sorts are stable, so ties beyond that keep set
-    order."""
+    """Nodes ordered by (skeleton, repr), their contexts, their skeleton
+    labels, and index-resolved edges.  A naive node is a (context, store)
+    pair; every other node is its context.  Each skeleton is rendered
+    once, for both the order and the label, through one memo, so a
+    sub-term that many nodes share is rendered once too.  The nodes are
+    sorted once, by label; repr is only taken to order a run of
+    neighbours whose labels tie, which only naive runs have, and both
+    sorts are stable, so ties beyond that keep set order."""
     naive = result.stage == "naive"
-
-    def ctx_of(n):
-        return n[0] if naive else n
-
     memo = {}
-    keyed = sorted(((skeleton(ctx_of(n), memo), n) for n in result.contexts),
-                   key=itemgetter(0))
-    nodes, labels = [], []
-    for label, group in groupby(keyed, key=itemgetter(0)):
-        group = [n for _, n in group]
-        if len(group) > 1:
-            group.sort(key=repr)
-        nodes += group
-        labels += [label] * len(group)
+    keyed = [(skeleton(n[0] if naive else n, memo), n)
+             for n in result.contexts]
+    del memo
+    keyed.sort(key=itemgetter(0))
+    labels = [label for label, _ in keyed]
+    nodes = [n for _, n in keyed]
     del keyed
+    if any(map(eq, labels, islice(labels, 1, None))):
+        start = 0
+        for _, run in groupby(labels):
+            end = start + sum(1 for _ in run)
+            if end - start > 1:
+                nodes[start:end] = sorted(nodes[start:end], key=repr)
+            start = end
+    contexts = [n[0] for n in nodes] if naive else nodes
     index = {n: i for i, n in enumerate(nodes)}
     edges = sorted((index[s], index[d], g) for s, d, g in result.edges)
-    return nodes, labels, index, edges, ctx_of
+    return contexts, labels, index, edges
 
 
 def _node_color(c) -> str:
@@ -222,19 +225,19 @@ def export_graph(result: AnalysisResult, fmt: str = "dot", path=None) -> str:
     everything else white."""
     if fmt not in ("dot", "json"):
         raise ValueError(f"unknown graph format {fmt!r}")
-    nodes, labels, index, edges, ctx_of = _graph_rows(result)
+    contexts, labels, index, edges = _graph_rows(result)
     if fmt == "dot":
         out = ["digraph analysis {", "  rankdir=LR;",
            "  node [style=filled, fontname=\"monospace\"];"]
         # pop each label as its line is written, so that the labels and
         # the lines are never all alive at once
         labels.reverse()
-        for i, n in enumerate(nodes):
+        for i, c in enumerate(contexts):
             label = labels.pop()
-            c = ctx_of(n)
+            if "\\" in label or '"' in label:
+                label = label.replace("\\", "\\\\").replace('"', '\\"')
             color = _node_color(c)
             font = "white" if color == "black" else "black"
-            label = label.replace("\\", "\\\\").replace('"', '\\"')
             out.append(f'  n{i} [label="{label}", fillcolor={color}, '
                        f'fontcolor={font}];')
         for s, d, g in edges:
@@ -244,10 +247,9 @@ def export_graph(result: AnalysisResult, fmt: str = "dot", path=None) -> str:
     else:
         payload = {
             "nodes": [
-                {"id": i, "label": label,
-                 "shape": _node_shape(ctx_of(n)),
-                 "color": _node_color(ctx_of(n))}
-                for i, (n, label) in enumerate(zip(nodes, labels))
+                {"id": i, "label": label, "shape": _node_shape(c),
+                 "color": _node_color(c)}
+                for i, (c, label) in enumerate(zip(contexts, labels))
             ],
             "edges": [{"src": s, "dst": d, "generation": g}
                       for s, d, g in edges],

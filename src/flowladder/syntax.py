@@ -22,6 +22,7 @@ constructor, a cached hash and structural equality written from them.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 PRIM_NAMES = ("zero?", "add1", "sub1")
 KEYWORDS = ("lambda", "if")
@@ -136,165 +137,146 @@ class If(Term):
 Expr = Var | Lit | Lam | App | If
 
 
-# ---------------------------------------------------------------- tokenizer
+# ------------------------------------------------------------------- parser
 
-class _Token:
-    __slots__ = ("kind", "text", "line", "col")
-
-    def __init__(self, kind, text, line, col):
-        self.kind = kind
-        self.text = text
-        self.line = line
-        self.col = col
+# A token is a parenthesis or an atom: a run of anything but a space, tab,
+# CR, LF, parenthesis or ``;``.  A comment, from ``;`` to the end of its
+# line, matches as a token too and is dropped.
+_TOKEN_RE = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+_CONSTANTS = {"#t": True, "#f": False, **{p: p for p in PRIM_NAMES}}
 
 
-def _tokenize(src: str) -> list[_Token]:
-    toks = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and src[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Token(ch, ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and src[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Token("atom", src[start:i], line, start_col))
+def _tokens(src: str) -> list[str]:
+    toks = _TOKEN_RE.findall(src)
+    if ";" in src:
+        toks = [t for t in toks if t[0] != ";"]
     return toks
 
 
-def _read_sexpr(toks: list[_Token], pos: int):
-    """Return (tree, next_pos); tree is a _Token or (list, open_token)."""
-    if pos >= len(toks):
-        last = toks[-1] if toks else None
-        line = last.line if last else 1
-        col = last.col if last else 1
-        raise ParseError("unexpected end of input", line, col)
-    tok = toks[pos]
-    if tok.kind == "(":
-        items = []
-        pos += 1
-        while True:
-            if pos >= len(toks):
-                raise ParseError("unclosed parenthesis", tok.line, tok.col)
-            if toks[pos].kind == ")":
-                return (items, tok), pos + 1
-            item, pos = _read_sexpr(toks, pos)
-            items.append(item)
-    if tok.kind == ")":
-        raise ParseError("unexpected ')'", tok.line, tok.col)
-    return tok, pos + 1
+def _error(reason: str, src: str, index: int) -> ParseError:
+    """The error at the ``index``-th token of ``src``.  Tokens carry no
+    positions; only a fault needs one, so the source is scanned again.  A
+    column counts characters, a tab or a CR as one."""
+    starts = (m.start() for m in _TOKEN_RE.finditer(src) if m[0][0] != ";")
+    start = next(islice(starts, index, None))
+    line = src.count("\n", 0, start) + 1
+    return ParseError(reason, line, start - src.rfind("\n", 0, start))
+
+
+def _read(toks: list[str], src: str) -> list[int]:
+    """Check that the tokens hold exactly one s-expression and return, at
+    the index of each ``(``, the number of items in its list.  Raises the
+    reader's errors, which come before any error in what the lists hold."""
+    sizes = [0] * len(toks)
+    first = toks[0]
+    end = 1
+    if first == ")":
+        raise _error("unexpected ')'", src, 0)
+    if first == "(":
+        opens = [0]
+        for i in range(1, len(toks)):
+            t = toks[i]
+            if t == ")":
+                opens.pop()
+                if not opens:
+                    end = i + 1
+                    break
+            else:
+                sizes[opens[-1]] += 1
+                if t == "(":
+                    opens.append(i)
+        else:
+            raise _error("unclosed parenthesis", src, opens[-1])
+    if end != len(toks):
+        raise _error("trailing input after program", src, end)
+    return sizes
 
 
 def _is_identifier(text: str) -> bool:
-    if text in KEYWORDS or text in PRIM_NAMES:
-        return False
-    if text.startswith("#") or _INT_RE.match(text):
-        return False
-    return True
+    return not (text in KEYWORDS or text in _CONSTANTS
+                or text[0] == "#" or _INT_RE.match(text))
 
 
-class _Builder:
-    def __init__(self):
-        self.next_label = 0
-
-    def fresh(self) -> int:
-        lbl = self.next_label
-        self.next_label += 1
-        return lbl
-
-    def build(self, tree) -> Expr:
-        if isinstance(tree, _Token):
-            return self._atom(tree)
-        items, open_tok = tree
-        if not items:
-            raise ParseError("empty application", open_tok.line, open_tok.col)
-        head = items[0]
-        if isinstance(head, _Token) and head.text == "lambda":
-            return self._lambda(items, open_tok)
-        if isinstance(head, _Token) and head.text == "if":
-            return self._if(items, open_tok)
-        if len(items) != 2:
-            raise ParseError(
-                f"application takes exactly one argument, got {len(items) - 1}",
-                open_tok.line,
-                open_tok.col,
-            )
-        lbl = self.fresh()
-        fn = self.build(items[0])
-        arg = self.build(items[1])
-        return App(fn, arg, lbl)
-
-    def _atom(self, tok: _Token) -> Expr:
-        text = tok.text
-        if _INT_RE.match(text):
-            return Lit(int(text), self.fresh())
-        if text == "#t":
-            return Lit(True, self.fresh())
-        if text == "#f":
-            return Lit(False, self.fresh())
-        if text.startswith("#"):
-            raise ParseError(f"unknown literal {text!r}", tok.line, tok.col)
-        if text in PRIM_NAMES:
-            return Lit(text, self.fresh())
-        if text in KEYWORDS:
-            raise ParseError(f"keyword {text!r} is not an expression", tok.line, tok.col)
-        return Var(text, self.fresh())
-
-    def _lambda(self, items, open_tok) -> Expr:
-        if len(items) != 3:
-            raise ParseError("lambda takes a parameter list and one body", open_tok.line, open_tok.col)
-        params = items[1]
-        if isinstance(params, _Token):
-            raise ParseError("lambda parameter list must be parenthesized", params.line, params.col)
-        plist, ptok = params
-        if len(plist) != 1:
-            raise ParseError(
-                f"lambda takes exactly one parameter, got {len(plist)}", ptok.line, ptok.col
-            )
-        ptoken = plist[0]
-        if not isinstance(ptoken, _Token) or not _is_identifier(ptoken.text):
-            where = ptoken if isinstance(ptoken, _Token) else _Token("(", "(", ptok.line, ptok.col)
-            raise ParseError("lambda parameter must be an identifier", where.line, where.col)
-        lbl = self.fresh()
-        body = self.build(items[2])
-        return Lam(ptoken.text, body, lbl)
-
-    def _if(self, items, open_tok) -> Expr:
-        if len(items) != 4:
-            raise ParseError("if takes a guard and two branches", open_tok.line, open_tok.col)
-        lbl = self.fresh()
-        guard = self.build(items[1])
-        then = self.build(items[2])
-        els = self.build(items[3])
-        return If(guard, then, els, lbl)
+def _build(toks: list[str], sizes: list[int], src: str) -> Expr:
+    """The tree of a program that ``_read`` accepted.  Tokens come in
+    preorder, so a node takes the next label when its first token is
+    reached; a compound node is made when its ``)`` is, from the nodes
+    its children left on ``done``.  No recursion: a program nested
+    thousands deep builds like a flat one."""
+    done: list[Expr] = []   # finished nodes whose parent is still open
+    opens = []              # (class, label, bound variable) of open nodes
+    label = 0
+    i, n = 0, len(toks)
+    while i < n:
+        t = toks[i]
+        if t == "(":
+            size = sizes[i]
+            if size == 0:
+                raise _error("empty application", src, i)
+            head = toks[i + 1]
+            if head == "lambda":
+                if size != 3:
+                    raise _error("lambda takes a parameter list and one body",
+                                 src, i)
+                p = i + 2
+                if toks[p] != "(":
+                    raise _error("lambda parameter list must be parenthesized",
+                                 src, p)
+                if sizes[p] != 1:
+                    raise _error("lambda takes exactly one parameter, "
+                                 f"got {sizes[p]}", src, p)
+                var = toks[p + 1]
+                if var == "(" or not _is_identifier(var):
+                    raise _error("lambda parameter must be an identifier",
+                                 src, p if var == "(" else p + 1)
+                opens.append((Lam, label, var))
+                i = p + 3
+            elif head == "if":
+                if size != 4:
+                    raise _error("if takes a guard and two branches", src, i)
+                opens.append((If, label, None))
+                i += 2
+            elif size != 2:
+                raise _error("application takes exactly one argument, "
+                             f"got {size - 1}", src, i)
+            else:
+                opens.append((App, label, None))
+                i += 1
+            label += 1
+            continue
+        if t == ")":
+            cls, lbl, var = opens.pop()
+            if cls is App:
+                arg = done.pop()
+                done[-1] = App(done[-1], arg, lbl)
+            elif cls is Lam:
+                done[-1] = Lam(var, done[-1], lbl)
+            else:
+                els, then = done.pop(), done.pop()
+                done[-1] = If(done[-1], then, els, lbl)
+            i += 1
+            continue
+        if t in _CONSTANTS:
+            done.append(Lit(_CONSTANTS[t], label))
+        elif t[0] == "#":
+            raise _error(f"unknown literal {t!r}", src, i)
+        elif t in KEYWORDS:
+            raise _error(f"keyword {t!r} is not an expression", src, i)
+        elif t[0] in "+-0123456789" and _INT_RE.match(t):
+            done.append(Lit(int(t), label))
+        else:
+            done.append(Var(t, label))
+        label += 1
+        i += 1
+    return done[0]
 
 
 def parse(src: str) -> Expr:
     """Parse one program, assigning preorder labels starting at 0."""
-    toks = _tokenize(src)
+    toks = _tokens(src)
     if not toks:
         raise ParseError("empty input", 1, 1)
-    tree, pos = _read_sexpr(toks, 0)
-    if pos != len(toks):
-        extra = toks[pos]
-        raise ParseError("trailing input after program", extra.line, extra.col)
-    return _Builder().build(tree)
+    return _build(toks, _read(toks, src), src)
 
 
 def unparse(e: Expr) -> str:

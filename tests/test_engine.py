@@ -1,9 +1,12 @@
 """Unified driver, graph export, cross-stage comparison."""
 
 import gc
+import hashlib
 import json
+import re
 import tracemalloc
 import types
+from pathlib import Path
 
 import pytest
 
@@ -192,6 +195,60 @@ def test_exports_are_deterministic_across_fresh_runs():
             assert export_graph(a, "json") == export_graph(b, "json"), (name, stage)
 
 
+DIGESTS_PATH = Path(__file__).with_name("export_digests.json")
+# bench stages cheap enough at k=0 for a unit test
+DIGEST_BENCH_STAGES = ("deltas", "compiled", "imperative-prealloc")
+
+
+def export_digests():
+    """SHA-256 of the DOT and of the JSON export, keyed "program stage k=K":
+    every corpus program under every stage at k=0 and k=1, and the bench at
+    k=0 under ``DIGEST_BENCH_STAGES``.  The naive runs cover the tie-break
+    by repr between contexts with equal skeletons."""
+    runs = [(name, e, stage, k) for name, _, e in load_corpus()
+            for k in (0, 1) for stage in STAGES]
+    bench = load_bench("church_dist.scm")
+    runs += [("church_dist", bench, stage, 0) for stage in DIGEST_BENCH_STAGES]
+    out = {}
+    for name, e, stage, k in runs:
+        r = run(Config(stage=stage, k=k), e)
+        assert r.status == "fixpoint", (name, stage, k)
+        out[f"{name} {stage} k={k}"] = [
+            hashlib.sha256(export_graph(r, fmt).encode()).hexdigest()
+            for fmt in ("dot", "json")]
+    return out
+
+
+def test_exports_match_pinned_digests():
+    # re-pin after a deliberate change to the export format with
+    # ``PYTHONPATH=src python3 -m tests.test_engine``
+    want = json.loads(DIGESTS_PATH.read_text())
+    got = export_digests()
+    assert got.keys() == want.keys()
+    changed = [key for key in want if got[key] != want[key]]
+    assert not changed, f"{len(changed)} exports changed, first {changed[:5]}"
+
+
+def test_dot_labels_escape_quotes_and_backslashes():
+    # atoms may hold '"' and '\\', so variable names, and the labels that
+    # name them, can too; DOT must get them escaped, and every label must
+    # read back as the JSON export's
+    e = parse('((lambda (a"b) ((lambda (c\\d) (a"b c\\d)) a"b))'
+              ' (lambda (x) x))')
+    label_re = re.compile(r'label="((?:[^"\\]|\\.)*)", fillcolor')
+    for stage in STAGES:
+        r = run(Config(stage=stage), e)
+        dot = export_graph(r, "dot")
+        labels = [m[1] for m in label_re.finditer(dot)]
+        nodes = json.loads(export_graph(r, "json"))["nodes"]
+        assert len(labels) == len(nodes) == dot.count("fillcolor"), stage
+        assert [re.sub(r"\\(.)", r"\1", s) for s in labels] \
+            == [n["label"] for n in nodes], stage
+        assert 'a\\"b' in dot and "c\\\\d" in dot, stage
+        assert any('"' in n["label"] and "\\" in n["label"]
+                   for n in nodes), stage
+
+
 def test_export_writes_requested_path(tmp_path):
     r = run(Config(stage="lazy"), corpus_program("23_fanout"))
     p = tmp_path / "g.dot"
@@ -254,3 +311,9 @@ def test_frontier_can_be_a_strict_subset_of_widened():
 def test_compare_stages_needs_two():
     with pytest.raises(ValueError):
         compare_stages(parse("7"), ["widened"])
+
+
+if __name__ == "__main__":
+    with open(DIGESTS_PATH, "w") as f:
+        json.dump(export_digests(), f, indent=0, sort_keys=True)
+        f.write("\n")

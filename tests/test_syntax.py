@@ -1,10 +1,14 @@
 """Parser, labeling, and syntax utilities."""
 
 import random
+import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowladder.syntax import (
+    PRIM_NAMES,
     App,
     If,
     Lam,
@@ -115,6 +119,86 @@ def test_unparse_round_trip_random():
         assert parse(unparse(e)) == e
 
 
+# ------------------------------------------------- generated round trips
+
+_NAMES = ("x", "y", "f", "acc", "n1")
+_SEPARATORS = (" ", "\t", "\n", "\r\n", " \t ", "; note\n",
+               "\r\n;(x) ;)\r\n\t")
+
+
+@st.composite
+def closed_shapes(draw, scope=(), depth=0):
+    """A closed program as nested tuples: ("var", name), ("lit", value),
+    ("lam", name, body), ("app", fn, arg), ("if", guard, then, els)."""
+    leaves = [st.tuples(st.just("lit"), st.integers(-999, 999)
+                        | st.booleans() | st.sampled_from(PRIM_NAMES))]
+    if scope:
+        leaves.append(st.tuples(st.just("var"), st.sampled_from(scope)))
+    kinds = ["leaf"] + (["lam", "app", "if"] if depth < 4 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "leaf":
+        return draw(st.one_of(leaves))
+    if kind == "lam":
+        x = draw(st.sampled_from(_NAMES))
+        return ("lam", x, draw(closed_shapes(scope + (x,), depth + 1)))
+    arity = 2 if kind == "app" else 3
+    return (kind, *(draw(closed_shapes(scope, depth + 1))
+                    for _ in range(arity)))
+
+
+def labeled(shape):
+    """The expression of a shape, labeled in preorder from 0."""
+    next_label = 0
+
+    def build(sh):
+        nonlocal next_label
+        label = next_label
+        next_label += 1
+        kind = sh[0]
+        if kind == "var":
+            return Var(sh[1], label)
+        if kind == "lit":
+            return Lit(sh[1], label)
+        if kind == "lam":
+            return Lam(sh[1], build(sh[2]), label)
+        parts = [build(c) for c in sh[1:]]
+        return App(*parts, label) if kind == "app" else If(*parts, label)
+
+    return build(shape)
+
+
+@settings(max_examples=200, deadline=None)
+@given(closed_shapes(), st.data())
+def test_unparse_round_trip_generated(shape, data):
+    e = labeled(shape)
+    text = unparse(e)
+    assert parse(text) == e
+    # any run of spaces, tabs, CRLF or LF line ends and comments between
+    # tokens leaves the tree and its labels as they were
+    tokens = re.findall(r"[()]|[^ ()]+", text)
+    seps = data.draw(st.lists(st.sampled_from(_SEPARATORS),
+                              min_size=len(tokens) + 1,
+                              max_size=len(tokens) + 1))
+    spaced = seps[0] + "".join(t + sep for t, sep in zip(tokens, seps[1:]))
+    assert parse(spaced) == e
+    assert parse(spaced + "; no newline at the end") == e
+
+
+def test_deep_program_parses_without_recursion():
+    depth = 3000
+    e = parse("((lambda (x) " + "(add1 " * depth + "x" + ")" * depth
+              + ") 5)")
+    assert isinstance(e, App) and e.label == 0 and e.fn.label == 1
+    node = e.fn.body
+    for i in range(depth):
+        assert isinstance(node, App) and node.label == 2 + 2 * i
+        assert node.fn.value == "add1" and node.fn.label == 3 + 2 * i
+        node = node.arg
+    assert isinstance(node, Var) and node.name == "x"
+    assert node.label == 2 + 2 * depth
+    assert e.arg.value == 5 and e.arg.label == 3 + 2 * depth
+
+
 def test_free_vars():
     assert free_vars(parse("(lambda (x) (x y))")) == frozenset({"y"})
     assert free_vars(parse("(lambda (x) (lambda (y) (x y)))")) == frozenset()
@@ -134,36 +218,79 @@ def test_shadowing_free_vars():
     assert free_vars(e) == frozenset()
 
 
-@pytest.mark.parametrize(
-    "src",
-    [
-        "",
-        "   ; only a comment",
-        "(",
-        ")",
-        "()",
-        "(f 1 2)",
-        "(f)",
-        "(lambda (x))",
-        "(lambda (x) 1 2)",
-        "(lambda x 1)",
-        "(lambda (x y) x)",
-        "(lambda () 1)",
-        "(lambda (5) 1)",
-        "(lambda (lambda) 1)",
-        "(lambda (zero?) 1)",
-        "(if 1 2)",
-        "(if 1 2 3 4)",
-        "lambda",
-        "if",
-        "#q",
-        "(add1 1) extra",
-        "((add1 1)",
-    ],
-)
-def test_parse_errors(src):
-    with pytest.raises(ParseError):
+ONE_ARG = "application takes exactly one argument, got {}"
+ONE_PARAM = "lambda takes exactly one parameter, got {}"
+NOT_IDENT = "lambda parameter must be an identifier"
+LAMBDA_ARITY = "lambda takes a parameter list and one body"
+IF_ARITY = "if takes a guard and two branches"
+UNCLOSED = "unclosed parenthesis"
+TRAILING = "trailing input after program"
+
+
+PARSE_ERRORS = [
+    ("", "empty input", 1, 1),
+    ("   ; only a comment", "empty input", 1, 1),
+    ("(", UNCLOSED, 1, 1),
+    (")", "unexpected ')'", 1, 1),
+    (") (", "unexpected ')'", 1, 1),
+    ("()", "empty application", 1, 1),
+    ("(f 1 2)", ONE_ARG.format(2), 1, 1),
+    ("(f)", ONE_ARG.format(0), 1, 1),
+    ("(lambda (x))", LAMBDA_ARITY, 1, 1),
+    ("(lambda (x) 1 2)", LAMBDA_ARITY, 1, 1),
+    ("(lambda x 1)", "lambda parameter list must be parenthesized", 1, 9),
+    ("(lambda (x y) x)", ONE_PARAM.format(2), 1, 9),
+    ("(lambda () 1)", ONE_PARAM.format(0), 1, 9),
+    ("(lambda (5) 1)", NOT_IDENT, 1, 10),
+    ("(lambda (lambda) 1)", NOT_IDENT, 1, 10),
+    ("(lambda (zero?) 1)", NOT_IDENT, 1, 10),
+    # a parameter that is a list is reported at the parameter list
+    ("(lambda ((x)) x)", NOT_IDENT, 1, 9),
+    ("(lambda ((x) y) x)", ONE_PARAM.format(2), 1, 9),
+    ("(if 1 2)", IF_ARITY, 1, 1),
+    ("(if 1 2 3 4)", IF_ARITY, 1, 1),
+    ("(lambda (x) (if x))", IF_ARITY, 1, 13),
+    ("lambda", "keyword 'lambda' is not an expression", 1, 1),
+    ("if", "keyword 'if' is not an expression", 1, 1),
+    ("#q", "unknown literal '#q'", 1, 1),
+    ("(#q (f 1 2))", "unknown literal '#q'", 1, 2),
+    ("(add1 1) extra", TRAILING, 1, 10),
+    ("(add1 1) )", TRAILING, 1, 10),
+    ("((add1 1)", UNCLOSED, 1, 1),
+    ("((add1 1", UNCLOSED, 1, 2),
+    # the reader's errors come before the builder's
+    ("((lambda (x y) x) 1", UNCLOSED, 1, 1),
+    ("(f 1 2", UNCLOSED, 1, 1),
+    # the builder's come in preorder: a list's arity before its items
+    ("((lambda (x) x)\n  (f #q 2))", ONE_ARG.format(2), 2, 3),
+    # comments, up to the end of input
+    ("(add1 1 ; unclosed", UNCLOSED, 1, 1),
+    ("(f ; )\n 1 2)", ONE_ARG.format(2), 1, 1),
+    ("(add1\n #q) ; trailing comment", "unknown literal '#q'", 2, 2),
+    ("(add1 1) ; c\nextra", TRAILING, 2, 1),
+    ("(add1 1)\n#q ; c", TRAILING, 2, 1),
+    # a CR is a column of its line, at a CRLF line end too
+    ("(add1\r#q)", "unknown literal '#q'", 1, 7),
+    ("(add1\r\n  (f 1 2))", ONE_ARG.format(2), 2, 3),
+    ("(add1 1)\r\n)", TRAILING, 2, 1),
+    ("(if #t 1 #q)\r\n; end", "unknown literal '#q'", 1, 10),
+    ("; c\n(lambda\t(x)\r\n #t #f)", LAMBDA_ARITY, 2, 1),
+    # a tab is one column
+    ("\t(add1\t#q)", "unknown literal '#q'", 1, 8),
+    ("(lambda (x)\r\n\t(x x x))", ONE_ARG.format(2), 2, 2),
+    # only space, tab, CR and LF separate atoms
+    ("(add1\xa01)", ONE_ARG.format(0), 1, 1),
+]
+
+
+@pytest.mark.parametrize("src, reason, line, col", PARSE_ERRORS,
+                         ids=[case[0] for case in PARSE_ERRORS])
+def test_parse_errors(src, reason, line, col):
+    with pytest.raises(ParseError) as ei:
         parse(src)
+    err = ei.value
+    assert (err.reason, err.line, err.col) == (reason, line, col)
+    assert str(err) == f"{reason} (line {line}, column {col})"
 
 
 def test_parse_error_positions():
