@@ -105,6 +105,9 @@ def _load_program(path: str):
     except OSError as ex:
         print(f"parse error: {ex}", file=sys.stderr)
         return EXIT_PARSE, None
+    except UnicodeDecodeError as ex:
+        print(f"parse error: {path}: {ex}", file=sys.stderr)
+        return EXIT_PARSE, None
     try:
         e = parse(src)
     except ParseError as ex:

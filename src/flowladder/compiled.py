@@ -5,13 +5,9 @@ continuation, runs the whole deterministic ev corridor at native speed and
 returns the single co or stuck context the corridor ends in, appending its
 store writes to the log.  Variable lookup stays lazy, so the corridor never
 branches; all fan-out lives in the co/ap transfer function `step_compiled`.
-
-`stutter_check` verifies on small programs that the compiled machine is the
-lazy machine with its ev corridors contracted: a stuttering bisimulation
-with all the stutter on the lazy side.
 """
 
-from .syntax import App, If, Lam, Lit, Var, descendant_labels
+from .syntax import App, If, Lam, Lit, Var
 from .domains import (
     AnalysisBugError,
     ApC,
@@ -32,14 +28,12 @@ from .domains import (
     STUCK_IF,
     STUCK_PRIM,
     STUCK_UNBOUND,
-    Store,
     StuckC,
     TT,
     delta,
     lit_value,
 )
-from .deltas import explore_states, replay
-from .lazy import force, step_lazy
+from .lazy import force
 
 
 class CompiledExpr:
@@ -127,22 +121,6 @@ def compile_expr(e, policy) -> CompiledExpr:
     return CompiledExpr(e, policy)
 
 
-def compiled_nodes(ce: CompiledExpr) -> dict:
-    """Label -> CompiledExpr for every node under ce."""
-    table = {}
-    work = [ce]
-    while work:
-        n = work.pop()
-        table[n.label] = n
-        if n.kind == "lam":
-            work.append(n.body)
-        elif n.kind == "app":
-            work.extend((n.fn, n.arg))
-        elif n.kind == "if":
-            work.extend((n.guard, n.then, n.els))
-    return table
-
-
 def inject_compiled(e, policy):
     """Initial contexts and log: run the program's root corridor against the
     empty store.  Shaped for the logged fixpoint runner."""
@@ -214,129 +192,3 @@ def step_compiled(c, store, policy, mode: str = "abstract"):
         raise AnalysisBugError("compiled machine reached an ev context")
     raise AnalysisBugError(f"unknown context {c!r}")
 
-
-# -- Translating lazy-machine objects into compiled-machine objects --------
-
-def to_compiled(obj, table):
-    """Swap every source expression inside a context, continuation, value,
-    or closure for its compiled counterpart, keyed by label."""
-    if isinstance(obj, CoC):
-        return CoC(to_compiled(obj.kont, table), to_compiled(obj.val, table))
-    if isinstance(obj, ApC):
-        return ApC(to_compiled(obj.fn, table), obj.arg,
-                   to_compiled(obj.kont, table), obj.label, obj.time)
-    if isinstance(obj, StuckC):
-        return obj
-    if isinstance(obj, ArK):
-        return ArK(table[obj.expr.label], obj.env, obj.kaddr, obj.label, obj.time)
-    if isinstance(obj, FnK):
-        return obj
-    if isinstance(obj, IfK):
-        return IfK(table[obj.then.label], table[obj.els.label],
-                   obj.env, obj.kaddr, obj.time)
-    if isinstance(obj, Halt):
-        return obj
-    if isinstance(obj, Closure):
-        return Closure(obj.var, table[obj.body.label], obj.env)
-    return obj
-
-
-def store_to_compiled(store, table):
-    m = {}
-    changed = False
-    for a, vs in store.items():
-        vs2 = frozenset(to_compiled(v, table) for v in vs)
-        changed = changed or vs2 != vs
-        m[a] = vs2
-    return Store(m) if changed else store
-
-
-class StutterReport:
-    """Outcome of the lazy-vs-compiled bisimulation check."""
-
-    __slots__ = ("ok", "reason", "witness", "lazy_states", "compiled_states")
-
-    def __init__(self, ok, reason, witness, lazy_states, compiled_states):
-        self.ok = ok
-        self.reason = reason
-        self.witness = witness
-        self.lazy_states = lazy_states
-        self.compiled_states = compiled_states
-
-    def __bool__(self):
-        return self.ok
-
-    def __repr__(self):
-        tag = "ok" if self.ok else f"FAIL: {self.reason}"
-        return (f"StutterReport({tag}, lazy={self.lazy_states}, "
-                f"compiled={self.compiled_states})")
-
-
-def _fail(reason, witness, gl, gc):
-    return StutterReport(False, reason, witness, len(gl.states), len(gc.states))
-
-
-def stutter_check(e, policy, mode: str = "abstract",
-                  max_states: int = 200_000) -> StutterReport:
-    """Check that the compiled machine bisimulates the lazy machine up to
-    stuttering, with the compiled side never the one stuttering.
-
-    Both machines are explored without widening so each state is an exact
-    (context, store) pair.  The refinement map r sends a lazy state to the
-    compiled state it denotes: non-ev states swap expressions for their
-    compiled forms; an ev state commits, running the compiled corridor for
-    its expression and replaying the corridor's log.  The check demands
-
-      1. r maps the lazy reachable set onto exactly the compiled one,
-      2. contracting lazy edges along r (dropping r-loops) gives exactly
-         the compiled edge set, and
-      3. every dropped edge is an ev step whose target sits strictly later
-         in the same corridor, so lazy stutter phases are finite.
-    """
-    table = compiled_nodes(compile_expr(e, policy))
-    desc = descendant_labels(e)
-    gl = explore_states(e, step_lazy, policy, mode, max_states=max_states)
-    gc = explore_states(e, step_compiled, policy, mode,
-                        inject=inject_compiled, max_states=max_states)
-    if gl.status != "fixpoint" or gc.status != "fixpoint":
-        return _fail("state budget exceeded", None, gl, gc)
-
-    def refine(state):
-        c, store = state
-        cstore = store_to_compiled(store, table)
-        if isinstance(c, EvC):
-            log = []
-            ctx = table[c.expr.label].run(
-                cstore, c.env, log, to_compiled(c.kont, table), c.time)
-            s2, _ = replay(log, cstore)
-            return (ctx, s2)
-        return (to_compiled(c, table), cstore)
-
-    rmap = {s: refine(s) for s in gl.states}
-
-    image = frozenset(rmap.values())
-    if image != gc.states:
-        extra = image - gc.states
-        missing = gc.states - image
-        w = next(iter(extra or missing))
-        return _fail("state sets differ under refinement", w, gl, gc)
-
-    contracted = set()
-    for s, s2 in gl.edges:
-        r1, r2 = rmap[s], rmap[s2]
-        if r1 == r2:
-            c = s[0]
-            if not isinstance(c, EvC):
-                return _fail("non-ev lazy step stuttered", (s, s2), gl, gc)
-            c2 = s2[0]
-            if isinstance(c2, EvC):
-                if c2.expr.label not in desc[c.expr.label]:
-                    return _fail("stutter step did not descend", (s, s2), gl, gc)
-        else:
-            contracted.add((r1, r2))
-    if contracted != gc.edges:
-        extra = contracted - gc.edges
-        missing = gc.edges - contracted
-        w = next(iter(extra or missing))
-        return _fail("edge sets differ under contraction", w, gl, gc)
-    return StutterReport(True, None, None, len(gl.states), len(gc.states))

@@ -16,8 +16,7 @@ successors are replayed from the driver's memo until a cell it read
 grows.  ``replay`` keeps every cell it does not grow as the same object,
 so a written cell grew exactly when the replayed store holds another
 object there.  The lazy and compiled stages run their steppers through
-``run_logged`` too.  ``explore_states``, the unwidened state graph the
-bisimulation checks read, runs under the same driver, its clock at 0.
+``run_logged`` too.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ from .domains import (
     lit_value,
 )
 from .syntax import App, If, Lam, Lit, Var
-from .frontier import SnapshotView, drive, replaying_sweep, run_driven
+from .frontier import SnapshotView, replaying_sweep, run_driven
 from .widening import inject_context
 
 # A change log is a list of (Addr, frozenset) join intents.  Entry order is
@@ -158,43 +157,6 @@ def step_with_deltas(c, store: Store, policy, mode: str):
 def inject_plain(e, policy):
     """Injection for steppers whose start state is the root ev context."""
     return [inject_context(e)], []
-
-
-class StateGraph:
-    """Unwidened reachable (context, store) graph of a logged stepper."""
-
-    __slots__ = ("states", "edges", "status")
-
-    def __init__(self, states, edges, status):
-        self.states = states    # frozenset of (Context, Store)
-        self.edges = edges      # frozenset of ((Context, Store), (Context, Store))
-        self.status = status
-
-
-def explore_states(e, stepper, policy, mode: str = "abstract", inject=inject_plain,
-                   max_states: int = 200_000) -> StateGraph:
-    """Breadth-first closure of a logged stepper WITHOUT store widening:
-    every state carries its own store, and each transition's log is replayed
-    into a per-successor store.  Only feasible on small programs; used for
-    the bisimulation checks."""
-    first, log0 = inject(e, policy)
-    s0, _ = replay(log0, EMPTY_STORE)
-
-    def sweep(order, states, memo):
-        stepped = []
-        for i in order:
-            c, store = states[i]
-            stepped.append([(c2, replay(log, store)[0])
-                            for c2, log in stepper(c, store, policy, mode)])
-        return stepped, False
-
-    def cap_check(n_states, generation):
-        return "state-budget-exceeded" if n_states > max_states else None
-
-    states, edges, _, status, _ = drive([(c, s0) for c in first], sweep,
-                                        cap_check)
-    edges = frozenset((states[s], states[d]) for s, d in edges)
-    return StateGraph(frozenset(states), edges, status)
 
 
 def run_logged(

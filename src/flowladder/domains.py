@@ -172,9 +172,6 @@ class Env(Term):
         m[var] = addr
         return Env(m)
 
-    def domain(self) -> frozenset[str]:
-        return frozenset(self._m)
-
     def items(self):
         return self._m.items()
 
@@ -236,9 +233,6 @@ class Store:
     def to_dict(self) -> dict:
         """A fresh, mutable copy of the address map."""
         return dict(self._m)
-
-    def domain(self):
-        return self._m.keys()
 
     def __contains__(self, addr):
         return addr in self._m

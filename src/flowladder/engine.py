@@ -84,7 +84,7 @@ class Config:
                               "naive stage; every other stage widens")
         if not isinstance(k, int) or k < 0:
             raise ConfigError(f"k must be a natural number, got {k!r}")
-        if time_cap <= 0 or space_cap <= 0:
+        if not (time_cap > 0 and space_cap > 0):  # NaN too
             raise ConfigError("caps must be positive")
         self.stage = stage
         self.k = k

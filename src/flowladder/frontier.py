@@ -30,14 +30,8 @@ that cell.  The rungs differ only in how a generation's writes reach the
 store: ``deltas`` replays them into a new persistent store, ``imperative``
 joins them into its value cells in place.  A sweep that never reports
 growth keeps the clock at 0, which makes the discipline plain
-breadth-first closure: ``naive.explore`` and ``deltas.explore_states``
-drive (context, store) states that way.
-
-The untimestamped reference system at the bottom of the module is the same
-algorithm with the timestamps replaced by the stores they denote; the two are
-related by an order isomorphism (timestamp i <-> i-th store of the chain),
-implemented here in both directions and compared exactly in tests against
-the chain and stamp histories a trace rebuilds.
+breadth-first closure: ``naive.explore`` drives (context, store) states
+that way.
 """
 
 from __future__ import annotations
@@ -46,7 +40,6 @@ from .domains import (
     EMPTY_STORE,
     AnalysisBugError,
     AnalysisResult,
-    Store,
     halt_values,
 )
 from .syntax import Expr
@@ -309,83 +302,3 @@ def replaying_sweep(stepper, policy, mode, view, apply):
 
     return sweep
 
-
-# ------------------------------------------------- untimestamped reference
-
-class RefSystem:
-    """The same frontier algorithm with stores where the timestamps were.
-
-    seen maps a context to the tuple of global stores (newest first) under
-    which it entered a frontier.  This is the ordering-faithful widened
-    semantics the timestamped system abstracts; it is kept naive on purpose.
-    """
-
-    __slots__ = ("seen", "frontier", "chain")
-
-    def __init__(self, seen, frontier, chain):
-        self.seen = seen          # dict Context -> tuple of Stores, newest first
-        self.frontier = frontier  # list of Context
-        self.chain = chain        # list of Store, newest first
-
-    @property
-    def store(self) -> Store:
-        return self.chain[0]
-
-
-def inject_reference(e: Expr) -> RefSystem:
-    c0 = inject_context(e)
-    return RefSystem(seen={c0: (EMPTY_STORE,)}, frontier=[c0], chain=[EMPTY_STORE])
-
-
-def reference_step(sys: RefSystem, policy, mode: str = "abstract") -> RefSystem:
-    if not sys.frontier:
-        return sys
-    stepped, store2 = sweep_contexts(sys.frontier, sys.store, policy, mode)
-    changed = store2 is not sys.store and store2 != sys.store
-    chain2 = [store2] + sys.chain if changed else sys.chain
-    head = chain2[0]
-    seen2 = dict(sys.seen)
-    frontier2 = []
-    local = set()
-    for succs in stepped:
-        for dst in succs:
-            if dst in local:
-                continue
-            stores = seen2.get(dst)
-            if stores is not None and head in stores:
-                continue
-            local.add(dst)
-            seen2[dst] = (head,) + (stores or ())
-            frontier2.append(dst)
-    return RefSystem(seen2, frontier2, chain2)
-
-
-def run_reference(e: Expr, policy, mode: str = "abstract", trace=None, max_generations=None):
-    sys = inject_reference(e)
-    generation = 0
-    while sys.frontier:
-        if max_generations is not None and generation >= max_generations:
-            break
-        sys = reference_step(sys, policy, mode)
-        generation += 1
-        if trace is not None:
-            trace.append((dict(sys.seen), tuple(sys.frontier), tuple(sys.chain)))
-    return sys
-
-
-# --------------------------------------------------- order isomorphism maps
-
-def stamps_to_stores(seen: dict, chain) -> dict:
-    """Translate a timestamped seen map through the chain: stamp i names the
-    i-th store counted from the oldest."""
-    n = len(chain)
-    return {c: tuple(chain[n - 1 - s] for s in stamps) for c, stamps in seen.items()}
-
-
-def stores_to_stamps(seen: dict, chain) -> dict:
-    """Inverse translation; every store in the map must occur in the chain."""
-    n = len(chain)
-    index = {}
-    for i, s in enumerate(chain):
-        index[s] = n - 1 - i
-    return {c: tuple(index[s] for s in stores) for c, stores in seen.items()}

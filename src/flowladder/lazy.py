@@ -136,11 +136,3 @@ def step_lazy(c, store: Store, policy, mode: str):
         return []
     raise TypeError(f"not a context: {c!r}")
 
-
-def store_has_delayed(store: Store) -> bool:
-    """Invariant probe: delayed values must never be written."""
-    for _, vals in store.items():
-        for v in vals:
-            if isinstance(v, DelayedAddr):
-                return True
-    return False

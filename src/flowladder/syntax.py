@@ -323,51 +323,3 @@ def free_vars(e: Expr) -> frozenset[str]:
 def node_count(e: Expr) -> int:
     return 1 + sum(node_count(c) for c in children(e))
 
-
-def label_table(e: Expr) -> dict[int, Expr]:
-    """Map every label in the program to its AST node."""
-    table: dict[int, Expr] = {}
-
-    def walk(node):
-        table[node.label] = node
-        for c in children(node):
-            walk(c)
-
-    walk(e)
-    return table
-
-
-def descendant_labels(e: Expr) -> dict[int, frozenset[int]]:
-    """Map each label to the labels of its strict descendants."""
-    out: dict[int, frozenset[int]] = {}
-
-    def walk(node) -> frozenset[int]:
-        acc: frozenset[int] = frozenset()
-        for c in children(node):
-            acc |= walk(c) | {c.label}
-        out[node.label] = acc
-        return acc
-
-    walk(e)
-    return out
-
-
-def same_shape(a: Expr, b: Expr) -> bool:
-    """Structural equality that ignores labels (round-trip testing)."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, Var):
-        return a.name == b.name
-    if isinstance(a, Lit):
-        return type(a.value) is type(b.value) and a.value == b.value
-    if isinstance(a, Lam):
-        return a.var == b.var and same_shape(a.body, b.body)
-    if isinstance(a, App):
-        return same_shape(a.fn, b.fn) and same_shape(a.arg, b.arg)
-    if isinstance(a, If):
-        return (
-            same_shape(a.guard, b.guard)
-            and same_shape(a.then, b.then)
-            and same_shape(a.els, b.els)
-        )
-    return False

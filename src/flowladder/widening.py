@@ -40,7 +40,7 @@ from .domains import (
     halt_values,
     lit_value,
 )
-from .syntax import App, Expr, If, Lam, Lit, Term, Var
+from .syntax import App, Expr, If, Lam, Lit, Var
 
 
 def inject_context(e: Expr):
@@ -128,19 +128,6 @@ def step_context(c, store: Store, policy, mode: str = "abstract"):
     raise TypeError(f"not a context: {c!r}")
 
 
-class WideState(Term):
-    """One global store paired with every context discovered so far."""
-
-    __slots__ = ("contexts", "store")
-
-    def __repr__(self):
-        return f"WideState(|C|={len(self.contexts)}, |dom|={len(self.store)})"
-
-
-def inject_wide(e: Expr) -> WideState:
-    return WideState(frozenset((inject_context(e),)), EMPTY_STORE)
-
-
 def sweep_contexts(order, store, policy, mode):
     """Step every context in order against the store.  Returns the
     successor list of each, in order, and the joined store."""
@@ -154,19 +141,11 @@ def sweep_contexts(order, store, policy, mode):
     return stepped, acc
 
 
-def widen_step(ws: WideState, policy, mode: str = "abstract") -> WideState:
-    """One literal widening iteration: C' = C plus every one-step successor,
-    sigma' = join of every produced store."""
-    order = sorted(ws.contexts, key=repr)
-    stepped, store2 = sweep_contexts(order, ws.store, policy, mode)
-    contexts2 = ws.contexts.union(c2 for succs in stepped for c2 in succs)
-    if contexts2 == ws.contexts and store2 == ws.store:
-        return ws
-    return WideState(contexts2, store2)
-
-
 def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) -> AnalysisResult:
-    """Least fixpoint of widen_step from the injected context.
+    """Least fixpoint of the literal widening iteration from the injected
+    context: each iteration steps every context discovered so far against
+    the current store, adds every successor, and joins every produced
+    store.
 
     Edges are labeled with the iteration at which they were first produced.
     ``cap_check(n_contexts, generation)`` may return a status string to stop

@@ -8,35 +8,26 @@ are stated inline next to each assert.
 import random
 import time
 
-from flowladder.compiled import (
-    compile_expr,
-    compiled_nodes,
-    inject_compiled,
-    step_compiled,
-    store_to_compiled,
-    stutter_check,
-    to_compiled,
-)
-from flowladder.deltas import (
-    explore_states,
-    replay,
-    run_logged,
-    step_with_deltas,
-)
+from flowladder.compiled import compile_expr, inject_compiled, step_compiled
+from flowladder.deltas import replay, run_logged, step_with_deltas
 from flowladder.domains import EvC, kcfa_policy
 from flowladder.engine import STAGES, Config, export_graph, run
-from flowladder.frontier import (
-    run_frontier,
-    run_reference,
-    stamps_to_stores,
-    stores_to_stamps,
-)
+from flowladder.frontier import run_frontier
 from flowladder.imperative import run_imperative
 from flowladder.lazy import step_lazy
 from flowladder.precision import singleton_vars
 from flowladder.syntax import free_vars, node_count
 from flowladder.widening import analyze_baseline, step_context
 
+from tests.reference import (
+    explore_states,
+    label_table,
+    refine,
+    run_reference,
+    stamps_to_stores,
+    stores_to_stamps,
+    stutter_check,
+)
 from tests.support import (
     abstract_covers,
     load_bench,
@@ -169,17 +160,6 @@ def _battery_step_vs_logged(corpus, n):
     return len(cases)
 
 
-def _commit(ctx, store, table):
-    """Drive an ev context through its compiled corridor; other contexts
-    translate as they stand."""
-    if isinstance(ctx, EvC):
-        log = []
-        out = table[ctx.expr.label].run(
-            store, ctx.env, log, to_compiled(ctx.kont, table), ctx.time)
-        return (out, replay(log, store)[0])
-    return (to_compiled(ctx, table), store)
-
-
 def _battery_compile_commit(corpus, n):
     cases = []
     for name, src, e in corpus:
@@ -196,12 +176,10 @@ def _battery_compile_commit(corpus, n):
     for e, c, store in cases:
         table = tables.get(e)
         if table is None:
-            table = tables[e] = compiled_nodes(compile_expr(e, P0))
-        state_a = _commit(c, store_to_compiled(store, table), table)
+            table = tables[e] = label_table(compile_expr(e, P0))
         (c2, xi), = step_lazy(c, store, P0, "abstract")
         s2, _ = replay(xi, store)
-        state_b = _commit(c2, store_to_compiled(s2, table), table)
-        assert state_a == state_b, (c, c2)
+        assert refine((c, store), table) == refine((c2, s2), table), (c, c2)
     return len(cases)
 
 

@@ -63,10 +63,22 @@ def test_unreadable_and_unparsable_files(tmp_path, capsys):
     assert "parse error" in capsys.readouterr().err
 
 
+def test_non_utf8_file_is_a_parse_error(tmp_path, capsys):
+    p = tmp_path / "latin.scm"
+    p.write_bytes(b"((lambda (x) x) \xff)\n")
+    for argv in (["analyze", str(p)], ["ladder", str(p)],
+                 ["check", str(tmp_path)]):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"parse error: {p}: "), argv
+        assert err.count("\n") == 1 and "Traceback" not in err, argv
+
+
 def test_invalid_flag_combinations_exit_3(id5, capsys):
     assert main(["analyze", id5, "--stage", "bogus"]) == 3
     assert main(["analyze", id5, "--k", "-1"]) == 3
     assert main(["analyze", id5, "--stage", "widened", "--concrete"]) == 3
+    assert main(["analyze", id5, "--time-cap", "nan"]) == 3
     capsys.readouterr()
     with pytest.raises(SystemExit) as ex:
         main(["analyze", id5, "--bad-flag"])

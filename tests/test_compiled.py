@@ -21,20 +21,17 @@ from flowladder.domains import (
     KontAddr,
     kcfa_policy,
 )
-from flowladder.syntax import label_table, node_count, parse
+from flowladder.syntax import node_count, parse
 from flowladder.compiled import (
     CompiledExpr,
     compile_expr,
-    compiled_nodes,
     inject_compiled,
     step_compiled,
-    store_to_compiled,
-    stutter_check,
-    to_compiled,
 )
-from flowladder.deltas import explore_states, replay, run_logged
+from flowladder.deltas import replay, run_logged
 from flowladder.lazy import step_lazy
 
+from tests.reference import explore_states, label_table, refine, stutter_check
 from tests.support import abstract_covers, load_corpus, oracle_eval, random_program
 
 
@@ -43,7 +40,7 @@ P0 = kcfa_policy(0)
 
 def test_compiled_tree_mirrors_source_labels():
     e = parse("((lambda (x) (if (zero? x) 1 x)) 0)")
-    table = compiled_nodes(compile_expr(e, P0))
+    table = label_table(compile_expr(e, P0))
     assert set(table) == set(label_table(e))
     for lbl, ce in table.items():
         assert ce.label == lbl
@@ -152,13 +149,11 @@ def test_unwidened_nonev_sets_match_lazy(corpus):
     # reachable non-ev states of the two machines coincide under the
     # expression swap, committing nothing (ev states excluded outright)
     for name, src, e in corpus:
-        table = compiled_nodes(compile_expr(e, P0))
+        table = label_table(compile_expr(e, P0))
         gl = explore_states(e, step_lazy, P0)
         gc = explore_states(e, step_compiled, P0, inject=inject_compiled)
-        lazy_nonev = {
-            (to_compiled(c, table), store_to_compiled(s, table))
-            for (c, s) in gl.states if not isinstance(c, EvC)
-        }
+        lazy_nonev = {refine(st, table) for st in gl.states
+                      if not isinstance(st[0], EvC)}
         assert lazy_nonev == set(gc.states), name
 
 
@@ -187,12 +182,11 @@ def test_identity_application_contracts_with_matching_endpoint():
     rep = stutter_check(e, P0)
     assert rep.ok
     assert rep.compiled_states < rep.lazy_states
-    table = compiled_nodes(compile_expr(e, P0))
+    table = label_table(compile_expr(e, P0))
     gl = explore_states(e, step_lazy, P0)
     gc = explore_states(e, step_compiled, P0, inject=inject_compiled)
     lazy_halts = {
-        (to_compiled(c, table), store_to_compiled(s, table))
-        for (c, s) in gl.states
+        refine((c, s), table) for (c, s) in gl.states
         if isinstance(c, CoC) and not isinstance(c.val, DelayedAddr)
         and type(c.kont).__name__ == "Halt"
     }
@@ -221,23 +215,9 @@ def test_compile_commit_square(corpus):
     # once and committing the successor, as (context, store) pairs
     checked = 0
     for e, c, store in _harvest_ev_states(corpus):
-        table = compiled_nodes(compile_expr(e, P0))
-        cstore = store_to_compiled(store, table)
-        log_a = []
-        ctx_a = table[c.expr.label].run(
-            cstore, c.env, log_a, to_compiled(c.kont, table), c.time)
-        state_a = (ctx_a, replay(log_a, cstore)[0])
-
+        table = label_table(compile_expr(e, P0))
         (c2, xi), = step_lazy(c, store, P0, "abstract")
         s2, _ = replay(xi, store)
-        if isinstance(c2, EvC):
-            cs2 = store_to_compiled(s2, table)
-            log_b = []
-            ctx_b = table[c2.expr.label].run(
-                cs2, c2.env, log_b, to_compiled(c2.kont, table), c2.time)
-            state_b = (ctx_b, replay(log_b, cs2)[0])
-        else:
-            state_b = (to_compiled(c2, table), store_to_compiled(s2, table))
-        assert state_a == state_b
+        assert refine((c, store), table) == refine((c2, s2), table)
         checked += 1
     assert checked > 300

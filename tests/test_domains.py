@@ -129,7 +129,7 @@ def test_env_lookup_extend():
     env2 = env.extend("y", b)
     assert env2.lookup("x") == a and env2.lookup("y") == b
     assert env.lookup("y") is None  # persistence
-    assert env2.domain() == frozenset({"x", "y"})
+    assert dict(env2.items()) == {"x": a, "y": b}
 
 
 def test_env_equality_order_independent():

@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import json
+import random
 import re
 import tracemalloc
 import types
@@ -10,8 +11,9 @@ from pathlib import Path
 
 import pytest
 
+from flowladder.cli import LADDER_STAGES, _verdict_violations
 from flowladder.domains import IntVal, Store
-from flowladder.syntax import parse
+from flowladder.syntax import parse, unparse
 from flowladder.engine import (
     DEFAULT_SPACE_CAP,
     STAGES,
@@ -27,7 +29,9 @@ from tests.support import (
     load_bench,
     load_corpus,
     oracle_eval,
+    OracleFuelOut,
     OracleStuck,
+    random_program,
 )
 
 ABSTRACT_STAGES = STAGES[1:]
@@ -48,6 +52,10 @@ def test_config_rejects_invalid_combinations():
         Config(k="one")
     with pytest.raises(ConfigError):
         Config(time_cap=0)
+    with pytest.raises(ConfigError):
+        Config(time_cap=float("nan"))
+    with pytest.raises(ConfigError):
+        Config(space_cap=float("nan"))
     Config(stage="naive", mode="concrete")
 
 
@@ -306,6 +314,26 @@ def test_frontier_can_be_a_strict_subset_of_widened():
     e = corpus_program("22_church_mult")
     cmp = compare_stages(e, ["widened", "frontier"])
     assert cmp.verdicts == [("widened", "frontier", "subset")]
+
+
+def test_generated_programs_meet_the_verdict_table():
+    # the relations ``flowladder check`` demands, on programs no corpus
+    # holds; every rung must also cover the oracle's value when it has one
+    rng = random.Random(15)
+    for n in range(300):
+        e = random_program(rng, budget=rng.randrange(2, 20))
+        try:
+            ov, ends = oracle_eval(e, fuel=10_000), True
+        except (OracleStuck, OracleFuelOut):
+            ov, ends = None, False
+        for k in (0, 1):
+            where = (n, k, unparse(e))
+            cmp = compare_stages(e, list(LADDER_STAGES), k=k)
+            assert _verdict_violations(cmp) == [], where
+            for r in cmp.results:
+                assert r.status == "fixpoint", (r.stage,) + where
+                if ends:
+                    assert abstract_covers(ov, r.values), (r.stage,) + where
 
 
 def test_compare_stages_needs_two():

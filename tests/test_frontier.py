@@ -16,13 +16,10 @@ from flowladder.domains import (
 from flowladder.imperative import run_imperative
 from flowladder.lazy import step_lazy
 from flowladder.syntax import parse
-from flowladder.frontier import (
-    run_frontier,
-    run_reference,
-    stamps_to_stores,
-    stores_to_stamps,
-)
+from flowladder.frontier import run_frontier
 from flowladder.widening import analyze_baseline, inject_context
+
+from tests.reference import run_reference, stamps_to_stores, stores_to_stamps
 
 
 P0 = kcfa_policy(0)

@@ -22,10 +22,11 @@ from flowladder.domains import (
 )
 from flowladder.syntax import node_count, parse
 from flowladder.deltas import run_logged, step_with_deltas
-from flowladder.lazy import force, step_lazy, store_has_delayed
+from flowladder.lazy import force, step_lazy
 from flowladder.naive import explore, step_state
 from flowladder.widening import analyze_baseline
 
+from tests.reference import store_has_delayed
 from tests.support import ctx_leq, store_leq
 
 

@@ -9,7 +9,6 @@ from pathlib import Path
 import flowladder
 from flowladder.domains import (
     ARG_SLOT,
-    EMPTY_STORE,
     HALT,
     STUCK_APPLY,
     AbstractInt,
@@ -33,7 +32,6 @@ from flowladder.domains import (
     ValAddr,
 )
 from flowladder.syntax import Lit, Term, Var, parse
-from flowladder.widening import WideState
 
 SRC = Path(flowladder.__file__).resolve().parent
 
@@ -63,8 +61,6 @@ def _examples():
         EvC(e, env, HALT, ()), CoC(HALT, IntVal(3)),
         ApC(Closure("x", lam.body, env), addr, kaddr, 0, t),
         StuckC(STUCK_APPLY, 0),
-        WideState(frozenset({CoC(HALT, IntVal(3))}),
-                  EMPTY_STORE.join(addr, {IntVal(1)})),
     ]
 
 

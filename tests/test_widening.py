@@ -22,14 +22,7 @@ from flowladder.domains import (
 )
 from flowladder.syntax import App, node_count, parse
 from flowladder.naive import explore
-from flowladder.widening import (
-    WideState,
-    analyze_baseline,
-    inject_context,
-    inject_wide,
-    step_context,
-    widen_step,
-)
+from flowladder.widening import analyze_baseline, inject_context, step_context
 
 from tests.support import ctx_leq, store_leq
 
@@ -50,18 +43,23 @@ def test_identity_final_store():
     assert run.values == frozenset({IntVal(5)})
 
 
+def _stop_at(g):
+    """A cap_check that ends a baseline run after g widening iterations."""
+    return lambda n, generation: "time-cap" if generation >= g else None
+
+
 def test_literal_one_step():
-    ws = inject_wide(parse("5"))
-    ws2 = widen_step(ws, P0)
-    assert CoC(HALT, IntVal(5)) in ws2.contexts
-    assert ws2.store == EMPTY_STORE
+    e = parse("5")
+    run = analyze_baseline(e, P0, cap_check=_stop_at(1))
+    assert run.generations == 1
+    assert run.contexts == {inject_context(e), CoC(HALT, IntVal(5))}
+    assert run.store == EMPTY_STORE
 
 
 def test_terminal_context_is_fixpoint():
-    ws = WideState(frozenset({CoC(HALT, IntVal(3))}), EMPTY_STORE)
-    ws2 = widen_step(ws, P0)
-    assert ws2.contexts == ws.contexts
-    assert ws2.store == ws.store
+    succs, store = step_context(CoC(HALT, IntVal(3)), EMPTY_STORE, P0)
+    assert succs == []
+    assert store is EMPTY_STORE
 
 
 def test_fn_frame_holds_value_address():
@@ -98,15 +96,17 @@ def test_fn_address_with_two_closures_fans_out():
 
 def test_store_grows_monotonically(small_corpus):
     for name, src, e in small_corpus:
-        ws = inject_wide(e)
-        for _ in range(200):
-            ws2 = widen_step(ws, P0)
-            for addr, vals in ws.store.items():
-                assert vals <= ws2.store.deref(addr), (name, addr)
-            assert ws.contexts <= ws2.contexts, name
-            if ws2 == ws:
-                break
-            ws = ws2
+        final = analyze_baseline(e, P0)
+        assert final.status == "fixpoint", name
+        before = analyze_baseline(e, P0, cap_check=_stop_at(0))
+        for g in range(final.generations + 1):
+            after = analyze_baseline(e, P0, cap_check=_stop_at(g + 1))
+            for addr, vals in before.store.items():
+                assert vals <= after.store.deref(addr), (name, g, addr)
+            assert before.contexts <= after.contexts, (name, g)
+            before = after
+        assert before.contexts == final.contexts, name
+        assert before.store == final.store, name
 
 
 def test_sound_for_naive_small_programs(corpus):
