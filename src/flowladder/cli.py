@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 program does not parse (free variables included)
 or is nested too deeply for the passes that recurse on its syntax tree
-(the parser itself takes any depth), 2 a cap was exceeded, 3 bad flags,
-4 a cross-stage check failed.
+(the parser itself takes any depth), 2 a cap was exceeded, 3 bad flags
+or an output path that cannot be written, 4 a cross-stage check failed.
 """
 
 from __future__ import annotations
@@ -130,6 +130,16 @@ def _too_deep(path) -> int:
     return EXIT_PARSE
 
 
+def _write(path, text) -> bool:
+    """Write an output file, or say why it cannot be written and fail."""
+    try:
+        Path(path).write_text(text)
+    except OSError as ex:
+        print(f"error: {path}: {ex.strerror or ex}", file=sys.stderr)
+        return False
+    return True
+
+
 def _config(stage, args, mode="abstract"):
     return Config(stage=stage, k=args.k, mode=mode,
                   time_cap=args.time_cap, space_cap=args.mem_cap)
@@ -150,11 +160,11 @@ def cmd_analyze(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FLAGS
     r = run(cfg, e)
-    if args.dot:
-        export_graph(r, "dot", path=args.dot)
-    if args.json:
-        Path(args.json).write_text(
-            json.dumps(r.metrics(), sort_keys=True, indent=1) + "\n")
+    if args.dot and not _write(args.dot, export_graph(r, "dot")):
+        return EXIT_FLAGS
+    if args.json and not _write(args.json, json.dumps(
+            r.metrics(), sort_keys=True, indent=1) + "\n"):
+        return EXIT_FLAGS
     print(f"stage={r.stage} states={len(r.contexts)} "
           f"time={r.wall_time_s:.3f}s status={r.status}")
     if args.concrete:
@@ -209,10 +219,10 @@ def cmd_ladder(args) -> int:
               f"{m['status']:>10}{_factor(base, m):>9}")
 
     text = _csv_text(rows)
-    if args.csv:
-        Path(args.csv).write_text(text)
-    else:
+    if not args.csv:
         print(text, end="")
+    elif not _write(args.csv, text):
+        return EXIT_FLAGS
     return EXIT_CAP if any(_capped(m["status"]) for m in rows) else EXIT_OK
 
 

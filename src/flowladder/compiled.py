@@ -1,9 +1,10 @@
 """Abstract compilation: expressions become invokable objects.
 
-A compiled expression, handed a store, an environment, a change log, and a
+A compiled expression, handed an environment, a change log, and a
 continuation, runs the whole deterministic ev corridor at native speed and
 returns the single co or stuck context the corridor ends in, appending its
-store writes to the log.  Variable lookup stays lazy, so the corridor never
+store writes to the log.  It reads no store: allocation takes only the
+label and time.  Variable lookup stays lazy, so the corridor never
 branches; all fan-out lives in the co/ap transfer function `step_compiled`.
 """
 
@@ -16,7 +17,6 @@ from .domains import (
     CoC,
     DelayedAddr,
     EMPTY_ENV,
-    EMPTY_STORE,
     EvC,
     FF,
     FnK,
@@ -39,7 +39,7 @@ from .lazy import force
 class CompiledExpr:
     """An expression fused with its ev-dispatch.
 
-    `run(store, env, log, kont, t)` executes the corridor rooted at this
+    `run(env, log, kont, t)` executes the corridor rooted at this
     expression: it allocates continuation addresses, appends the resulting
     store joins to `log`, and returns the one context where the corridor
     leaves ev territory (a co context, or stuck on an unbound variable).
@@ -91,7 +91,7 @@ class CompiledExpr:
     def __repr__(self):
         return f"CompiledExpr({self.source!r})"
 
-    def run(self, store, env, log, kont, t):
+    def run(self, env, log, kont, t):
         ce = self
         while True:
             kind = ce.kind
@@ -105,12 +105,12 @@ class CompiledExpr:
             if kind == "lam":
                 return CoC(kont, Closure(ce.var, ce.body, env))
             if kind == "app":
-                ka = ce.policy.kont_addr(ce.label, t, store, kont)
+                ka = ce.policy.kont_addr(ce.label, t)
                 log.append((ka, frozenset((kont,))))
                 kont = ArK(ce.arg, env, ka, ce.label, t)
                 ce = ce.fn
             else:  # if
-                ka = ce.policy.kont_addr(ce.label, t, store, kont)
+                ka = ce.policy.kont_addr(ce.label, t)
                 log.append((ka, frozenset((kont,))))
                 kont = IfK(ce.then, ce.els, env, ka, t)
                 ce = ce.guard
@@ -122,11 +122,11 @@ def compile_expr(e, policy) -> CompiledExpr:
 
 
 def inject_compiled(e, policy):
-    """Initial contexts and log: run the program's root corridor against the
-    empty store.  Shaped for the logged fixpoint runner."""
+    """Initial contexts and log: run the program's root corridor.  Shaped
+    for the logged fixpoint runner."""
     ce = compile_expr(e, policy)
     log = []
-    c0 = ce.run(EMPTY_STORE, EMPTY_ENV, log, HALT, ())
+    c0 = ce.run(EMPTY_ENV, log, HALT, ())
     return [c0], log
 
 
@@ -140,14 +140,14 @@ def step_compiled(c, store, policy, mode: str = "abstract"):
         if isinstance(kont, Halt):
             return out
         if isinstance(kont, ArK):
-            af = policy.fnval_addr(kont.label, kont.time, store)
+            af = policy.fnval_addr(kont.label, kont.time)
             log = [(af, force(store, v))]
             nk = FnK(af, kont.kaddr, kont.label, kont.time)
-            ctx = kont.expr.run(store, kont.env, log, nk, kont.time)
+            ctx = kont.expr.run(kont.env, log, nk, kont.time)
             out.append((ctx, log))
             return out
         if isinstance(kont, FnK):
-            av = policy.argval_addr(kont.label, kont.time, store)
+            av = policy.argval_addr(kont.label, kont.time)
             log = [(av, force(store, v))]
             for f in store.deref(kont.fv):
                 for k2 in store.deref(kont.kaddr):
@@ -158,10 +158,10 @@ def step_compiled(c, store, policy, mode: str = "abstract"):
             for k2 in store.deref(kont.kaddr):
                 if TT in forced:
                     log = []
-                    out.append((kont.then.run(store, kont.env, log, k2, kont.time), log))
+                    out.append((kont.then.run(kont.env, log, k2, kont.time), log))
                 if FF in forced:
                     log = []
-                    out.append((kont.els.run(store, kont.env, log, k2, kont.time), log))
+                    out.append((kont.els.run(kont.env, log, k2, kont.time), log))
             if not out:
                 out.append((StuckC(STUCK_IF, kont.then.label), []))
             return out
@@ -170,9 +170,9 @@ def step_compiled(c, store, policy, mode: str = "abstract"):
         f, av, kont, lbl, t = c.fn, c.arg, c.kont, c.label, c.time
         if isinstance(f, Closure):
             t2 = policy.tick_ap(lbl, t)
-            ax = policy.bind_addr(f.var, lbl, t, store)
+            ax = policy.bind_addr(f.var, lbl, t)
             log = [(ax, store.deref(av))]
-            ctx = f.body.run(store, f.env.extend(f.var, ax), log, kont, t2)
+            ctx = f.body.run(f.env.extend(f.var, ax), log, kont, t2)
             out.append((ctx, log))
             return out
         if isinstance(f, PrimVal):

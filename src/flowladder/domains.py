@@ -24,7 +24,7 @@ on first use, and ``MutStore`` updates it in place.
 
 from __future__ import annotations
 
-from .syntax import App, Expr, If, Lam, Lit, Term, Var
+from .syntax import App, If, Lam, Lit, Term, Var
 
 Time = tuple  # tuple of application labels, newest first
 
@@ -44,15 +44,9 @@ ARG_SLOT = 1
 class BindAddr(Term):
     __slots__ = ("var", "ctx")
 
-    def __repr__(self):
-        return f"{self.var}@{fmt_time(self.ctx)}"
-
 
 class KontAddr(Term):
     __slots__ = ("label", "time")
-
-    def __repr__(self):
-        return f"k{self.label}@{fmt_time(self.time)}"
 
 
 class ValAddr(Term):
@@ -60,10 +54,6 @@ class ValAddr(Term):
     slot 1 the operand value."""
 
     __slots__ = ("label", "time", "slot")
-
-    def __repr__(self):
-        tag = "f" if self.slot == FN_SLOT else "a"
-        return f"{tag}{self.label}@{fmt_time(self.time)}"
 
 
 class ConcreteAddr(Term):
@@ -133,9 +123,6 @@ class DelayedAddr(Term):
 
     __slots__ = ("addr",)
 
-    def __repr__(self):
-        return f"~{self.addr!r}"
-
 
 def lit_value(v):
     """Value denoted by a literal payload (int, bool, or primitive name)."""
@@ -177,10 +164,6 @@ class Env(Term):
 
     def __len__(self):
         return len(self._m)
-
-    def __repr__(self):
-        inner = ",".join(f"{k}:{v!r}" for k, v in sorted(self._m.items()))
-        return "{" + inner + "}"
 
 
 EMPTY_ENV = Env()
@@ -299,9 +282,6 @@ class ArK(Term):
 
     __slots__ = ("expr", "env", "kaddr", "label", "time")
 
-    def __repr__(self):
-        return f"ar(e{node_tag(self.expr)},{self.env!r},{self.kaddr!r},l{self.label},{fmt_time(self.time)})"
-
 
 class FnK(Term):
     """Apply-the-operator frame.  ``fv`` is the operator value itself in the
@@ -309,25 +289,9 @@ class FnK(Term):
 
     __slots__ = ("fv", "kaddr", "label", "time")
 
-    def __repr__(self):
-        return f"fn({self.fv!r},{self.kaddr!r},l{self.label},{fmt_time(self.time)})"
-
 
 class IfK(Term):
     __slots__ = ("then", "els", "env", "kaddr", "time")
-
-    def __repr__(self):
-        return (
-            f"if(e{node_tag(self.then)},e{node_tag(self.els)},{self.env!r},"
-            f"{self.kaddr!r},{fmt_time(self.time)})"
-        )
-
-
-def node_tag(node) -> str:
-    """Render an expression position compactly: plain nodes by label, compiled
-    nodes by label with a c prefix."""
-    lbl = node.label
-    return f"c{lbl}" if is_compiled_node(node) else str(lbl)
 
 
 def is_compiled_node(node) -> bool:
@@ -341,17 +305,11 @@ class EvC(Term):
 
     __slots__ = ("expr", "env", "kont", "time")
 
-    def __repr__(self):
-        return f"ev(e{node_tag(self.expr)},{self.env!r},{self.kont!r},{fmt_time(self.time)})"
-
 
 class CoC(Term):
     """Returning a value to a continuation."""
 
     __slots__ = ("kont", "val")
-
-    def __repr__(self):
-        return f"co({self.kont!r},{self.val!r})"
 
 
 class ApC(Term):
@@ -359,9 +317,6 @@ class ApC(Term):
     the naive engine and the operand cell's address in every later one."""
 
     __slots__ = ("fn", "arg", "kont", "label", "time")
-
-    def __repr__(self):
-        return f"ap({self.fn!r},{self.arg!r},{self.kont!r},l{self.label},{fmt_time(self.time)})"
 
 
 class StuckC(Term):
@@ -465,16 +420,16 @@ class KCfaPolicy:
     def tick_ap(self, label: int, time: Time) -> Time:
         return ((label,) + time)[:self.k]
 
-    def bind_addr(self, var: str, label: int, time: Time, store) -> BindAddr:
+    def bind_addr(self, var: str, label: int, time: Time) -> BindAddr:
         return BindAddr(var, self.tick_ap(label, time))
 
-    def fnval_addr(self, label: int, time: Time, store) -> ValAddr:
+    def fnval_addr(self, label: int, time: Time) -> ValAddr:
         return ValAddr(label, time, FN_SLOT)
 
-    def argval_addr(self, label: int, time: Time, store) -> ValAddr:
+    def argval_addr(self, label: int, time: Time) -> ValAddr:
         return ValAddr(label, time, ARG_SLOT)
 
-    def kont_addr(self, label: int, time: Time, store, kont) -> KontAddr:
+    def kont_addr(self, label: int, time: Time) -> KontAddr:
         return KontAddr(label, time)
 
     def __repr__(self):
@@ -502,16 +457,16 @@ class ConcretePolicy:
     def tick_ap(self, label: int, time: Time) -> Time:
         return time
 
-    def bind_addr(self, var: str, label: int, time: Time, store) -> ConcreteAddr:
+    def bind_addr(self, var: str, label: int, time: Time) -> ConcreteAddr:
         return self._fresh()
 
-    def fnval_addr(self, label: int, time: Time, store) -> ConcreteAddr:
+    def fnval_addr(self, label: int, time: Time) -> ConcreteAddr:
         return self._fresh()
 
-    def argval_addr(self, label: int, time: Time, store) -> ConcreteAddr:
+    def argval_addr(self, label: int, time: Time) -> ConcreteAddr:
         return self._fresh()
 
-    def kont_addr(self, label: int, time: Time, store, kont) -> ConcreteAddr:
+    def kont_addr(self, label: int, time: Time) -> ConcreteAddr:
         return self._fresh()
 
     def __repr__(self):
@@ -646,7 +601,7 @@ def _render_env(env, memo):
                            for x, a in sorted(env.items())]) + "}"
 
 
-# addresses render as their repr does, without the call through ``repr``
+# Addresses.  A concrete address, like every leaf, renders by its own repr.
 
 def _render_bind_addr(a, memo):
     return f"{a.var}@{fmt_time(a.ctx)}"
@@ -671,3 +626,11 @@ _RENDER = {
     Var: _render_expr, Lit: _render_expr, Lam: _render_expr,
     App: _render_expr, If: _render_expr,
 }
+
+# A compound term or an address prints as its skeleton, so its text is
+# written once, in the table above.  The loop variable is deleted so that
+# no module-level name is left aliasing a term class.
+for _cls in (BindAddr, KontAddr, ValAddr, DelayedAddr, Env,
+             ArK, FnK, IfK, EvC, CoC, ApC):
+    _cls.__repr__ = skeleton
+del _cls

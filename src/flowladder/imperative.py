@@ -9,21 +9,22 @@ driver, packaged and traced by ``frontier.run_driven`` as every
 timestamped rung is, the trace from snapshots of the cells.
 
 A step is a function of its context and the cells it read: it sees the
-store only through ``SnapshotView.deref`` and ``get``, and the uniform
-k-CFA policies allocate by their arguments alone (the concrete policy
-does not; the engine runs every rung but ``naive`` abstract only).  No
-cell changes during a sweep.  So while no cell a step read has grown,
-stepping its context again would yield the same successors and the same
-writes, which are already in the store.  The sweep leaves each step's
-successors in the driver's memo, where the driver replays them, and files
-the step under every address it read in a reverse read index.  When a
-cell grows after a sweep, the steps filed under it lose their memos, and
-those contexts step again the next time they come round.  This is the
-dependency tracking of chaotic iteration, per cell, and leaves the
-timestamped fixpoint exactly as it was.  The replay is shared: the sweep
-is ``frontier.replaying_sweep``, which the logged rungs (``deltas``,
-``lazy``, ``compiled``) run over their persistent store as well; here it
-joins a generation's writes into the value cells in place.
+store only through ``SnapshotView.deref`` and ``get``.  An allocation is
+handed no store, only a label, a time and, for a binding, the variable,
+and the uniform k-CFA policies build the address from those alone (the
+concrete policy counts its calls instead; the engine runs every rung but
+``naive`` abstract only).  No cell changes during a sweep.  So while no
+cell a step read has grown, stepping its context again would yield the
+same successors and the same writes, which are already in the store.  The
+sweep leaves each step's successors in the driver's memo, where the driver
+replays them, and files the step under every address it read in a reverse
+read index.  When a cell grows after a sweep, the steps filed under it
+lose their memos, and those contexts step again the next time they come
+round.  This is the dependency tracking of chaotic iteration, per cell,
+and leaves the timestamped fixpoint exactly as it was.  The replay is
+shared: the sweep is ``frontier.replaying_sweep``, which the logged rungs
+(``deltas``, ``lazy``, ``compiled``) run over their persistent store as
+well; here it joins a generation's writes into the value cells in place.
 
 Preallocation puts the machine on dense integer addresses: for a uniform
 k-CFA policy an address table gives each address the next free ordinal the
@@ -81,9 +82,6 @@ class HashValueStore:
         self.cells[a] = cur | vs
         return True
 
-    def addresses(self):
-        return self.cells.keys()
-
     def items(self):
         return self.cells.items()
 
@@ -106,9 +104,6 @@ class DenseValueStore:
             return False
         self.cells[a] = cur | vs
         return True
-
-    def addresses(self):
-        return (i for i, c in enumerate(self.cells) if c is not None)
 
     def items(self):
         return ((i, c) for i, c in enumerate(self.cells) if c is not None)
@@ -154,23 +149,20 @@ class AddressTable:
             self.store.cells.append(None)
         return i
 
-    def ordinal_of(self, addr) -> int:
-        return self._ordinal[addr]
-
     def addr_of(self, ordinal: int):
         return self._addr[ordinal]
 
-    def bind_addr(self, var, label, time, store):
-        return self._mint(self.policy.bind_addr(var, label, time, store))
+    def bind_addr(self, var, label, time):
+        return self._mint(self.policy.bind_addr(var, label, time))
 
-    def fnval_addr(self, label, time, store):
-        return self._mint(self.policy.fnval_addr(label, time, store))
+    def fnval_addr(self, label, time):
+        return self._mint(self.policy.fnval_addr(label, time))
 
-    def argval_addr(self, label, time, store):
-        return self._mint(self.policy.argval_addr(label, time, store))
+    def argval_addr(self, label, time):
+        return self._mint(self.policy.argval_addr(label, time))
 
-    def kont_addr(self, label, time, store, kont):
-        return self._mint(self.policy.kont_addr(label, time, store, kont))
+    def kont_addr(self, label, time):
+        return self._mint(self.policy.kont_addr(label, time))
 
 
 def preallocate(policy) -> AddressTable:

@@ -71,11 +71,11 @@ def step_lazy(c, store: Store, policy, mode: str):
         if isinstance(e, Lam):
             return [(CoC(kont, Closure(e.var, e.body, env)), [])]
         if isinstance(e, App):
-            ka = policy.kont_addr(e.label, t, store, kont)
+            ka = policy.kont_addr(e.label, t)
             succ = EvC(e.fn, env, ArK(e.arg, env, ka, e.label, t), t)
             return [(succ, [(ka, frozenset((kont,)))])]
         if isinstance(e, If):
-            ka = policy.kont_addr(e.label, t, store, kont)
+            ka = policy.kont_addr(e.label, t)
             succ = EvC(e.guard, env, IfK(e.then, e.els, env, ka, t), t)
             return [(succ, [(ka, frozenset((kont,)))])]
         raise TypeError(f"not an expression: {e!r}")
@@ -85,11 +85,11 @@ def step_lazy(c, store: Store, policy, mode: str):
         if isinstance(kont, Halt):
             return []
         if isinstance(kont, ArK):
-            af = policy.fnval_addr(kont.label, kont.time, store)
+            af = policy.fnval_addr(kont.label, kont.time)
             succ = EvC(kont.expr, kont.env, FnK(af, kont.kaddr, kont.label, kont.time), kont.time)
             return [(succ, [(af, force(store, v))])]
         if isinstance(kont, FnK):
-            av = policy.argval_addr(kont.label, kont.time, store)
+            av = policy.argval_addr(kont.label, kont.time)
             log = [(av, force(store, v))]
             return [
                 (ApC(f, av, k2, kont.label, kont.time), log)
@@ -118,7 +118,7 @@ def step_lazy(c, store: Store, policy, mode: str):
         f, av, kont, lbl, t = c.fn, c.arg, c.kont, c.label, c.time
         if isinstance(f, Closure):
             t2 = policy.tick_ap(lbl, t)
-            ax = policy.bind_addr(f.var, lbl, t, store)
+            ax = policy.bind_addr(f.var, lbl, t)
             succ = EvC(f.body, f.env.extend(f.var, ax), kont, t2)
             return [(succ, [(ax, store.deref(av))])]
         if isinstance(f, PrimVal):

@@ -30,10 +30,8 @@ from .domains import (
     FnK,
     Halt,
     IfK,
-    IntVal,
     MutStore,
     PrimVal,
-    Store,
     StuckC,
     STUCK_APPLY,
     STUCK_IF,
@@ -77,12 +75,12 @@ def step_state(state: State, policy, mode: str) -> list[State]:
         elif isinstance(e, Lam):
             out.append((CoC(kont, Closure(e.var, e.body, env)), store))
         elif isinstance(e, App):
-            ka = policy.kont_addr(e.label, t, store, kont)
+            ka = policy.kont_addr(e.label, t)
             store2 = store.join(ka, (kont,))
             frame = ArK(e.arg, env, ka, e.label, t)
             out.append((EvC(e.fn, env, frame, t), store2))
         elif isinstance(e, If):
-            ka = policy.kont_addr(e.label, t, store, kont)
+            ka = policy.kont_addr(e.label, t)
             store2 = store.join(ka, (kont,))
             frame = IfK(e.then, e.els, env, ka, t)
             out.append((EvC(e.guard, env, frame, t), store2))
@@ -117,7 +115,7 @@ def step_state(state: State, policy, mode: str) -> list[State]:
         f, v, kont, lbl, t = c.fn, c.arg, c.kont, c.label, c.time
         if isinstance(f, Closure):
             t2 = policy.tick_ap(lbl, t)
-            a = policy.bind_addr(f.var, lbl, t, store)
+            a = policy.bind_addr(f.var, lbl, t)
             store2 = store.join(a, (v,))
             return [(EvC(f.body, f.env.extend(f.var, a), kont, t2), store2)]
         if isinstance(f, PrimVal):

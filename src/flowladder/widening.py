@@ -68,11 +68,11 @@ def step_context(c, store: Store, policy, mode: str = "abstract"):
         if isinstance(e, Lam):
             return [CoC(kont, Closure(e.var, e.body, env))], store
         if isinstance(e, App):
-            ka = policy.kont_addr(e.label, t, store, kont)
+            ka = policy.kont_addr(e.label, t)
             store2 = store.join(ka, (kont,))
             return [EvC(e.fn, env, ArK(e.arg, env, ka, e.label, t), t)], store2
         if isinstance(e, If):
-            ka = policy.kont_addr(e.label, t, store, kont)
+            ka = policy.kont_addr(e.label, t)
             store2 = store.join(ka, (kont,))
             return [EvC(e.guard, env, IfK(e.then, e.els, env, ka, t), t)], store2
         raise TypeError(f"not an expression: {e!r}")
@@ -82,12 +82,12 @@ def step_context(c, store: Store, policy, mode: str = "abstract"):
         if isinstance(kont, Halt):
             return [], store
         if isinstance(kont, ArK):
-            af = policy.fnval_addr(kont.label, kont.time, store)
+            af = policy.fnval_addr(kont.label, kont.time)
             store2 = store.join(af, (v,))
             frame = FnK(af, kont.kaddr, kont.label, kont.time)
             return [EvC(kont.expr, kont.env, frame, kont.time)], store2
         if isinstance(kont, FnK):
-            av = policy.argval_addr(kont.label, kont.time, store)
+            av = policy.argval_addr(kont.label, kont.time)
             store2 = store.join(av, (v,))
             out = [
                 ApC(f, av, k2, kont.label, kont.time)
@@ -109,7 +109,7 @@ def step_context(c, store: Store, policy, mode: str = "abstract"):
         f, av, kont, lbl, t = c.fn, c.arg, c.kont, c.label, c.time
         if isinstance(f, Closure):
             t2 = policy.tick_ap(lbl, t)
-            ax = policy.bind_addr(f.var, lbl, t, store)
+            ax = policy.bind_addr(f.var, lbl, t)
             store2 = store.join(ax, store.deref(av))
             return [EvC(f.body, f.env.extend(f.var, ax), kont, t2)], store2
         if isinstance(f, PrimVal):

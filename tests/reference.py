@@ -246,7 +246,7 @@ def refine(state, table):
     if isinstance(c, EvC):
         log = []
         ctx = table[c.expr.label].run(
-            cstore, c.env, log, to_compiled(c.kont, table), c.time)
+            c.env, log, to_compiled(c.kont, table), c.time)
         return (ctx, replay(log, cstore)[0])
     return (to_compiled(c, table), cstore)
 

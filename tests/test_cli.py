@@ -132,6 +132,19 @@ def test_ladder_csv_file(church, tmp_path, capsys):
     assert "stage," not in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["analyze", "--dot"], "missing"),
+    (["analyze", "--json"], "directory"),
+    (["ladder", "--stages", "widened", "--csv"], "missing"),
+], ids=["dot", "json", "csv"])
+def test_unwritable_output_path_exits_3(id5, tmp_path, capsys, argv, where):
+    path = str(tmp_path / "no" / "x" if where == "missing" else tmp_path)
+    assert main([argv[0], id5, *argv[1:], path]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_ladder_cap_exits_2(church, capsys):
     assert main(["ladder", church, "--time-cap", "1e-9"]) == 2
 

@@ -71,7 +71,7 @@ def test_equality_goes_by_source_node():
 def test_literal_corridor():
     ce = compile_expr(parse("5"), P0)
     log = []
-    ctx = ce.run(EMPTY_STORE, EMPTY_ENV, log, HALT, ())
+    ctx = ce.run(EMPTY_ENV, log, HALT, ())
     assert ctx == CoC(HALT, IntVal(5))
     assert log == []
 
@@ -81,7 +81,7 @@ def test_variable_corridor_emits_delayed_address():
     env = EMPTY_ENV.extend("x", a)
     ce = compile_expr(parse("x"), P0)
     log = []
-    ctx = ce.run(EMPTY_STORE.join(a, (IntVal(1),)), env, log, HALT, ())
+    ctx = ce.run(env, log, HALT, ())
     assert ctx == CoC(HALT, DelayedAddr(a))
     assert log == []
 
@@ -93,10 +93,9 @@ def test_application_corridor_logs_exactly_the_kont_write():
     af = BindAddr("f", ())
     ay = BindAddr("y", ())
     env = EMPTY_ENV.extend("f", af).extend("y", ay)
-    store = EMPTY_STORE.join(af, (IntVal(0),)).join(ay, (IntVal(1),))
     ce = compile_expr(app, P0)
     log = []
-    ctx = ce.run(store, env, log, HALT, ())
+    ctx = ce.run(env, log, HALT, ())
     assert len(log) == 1
     ka, konts = log[0]
     assert ka == KontAddr(app.label, ())

@@ -230,12 +230,12 @@ def test_kcfa_tick_truncates():
 
 def test_kcfa_addresses():
     p = kcfa_policy(0)
-    assert p.bind_addr("x", 4, (), EMPTY_STORE) == BindAddr("x", ())
-    assert p.kont_addr(4, (), EMPTY_STORE, None) == KontAddr(4, ())
-    assert p.fnval_addr(4, (), EMPTY_STORE) == ValAddr(4, (), FN_SLOT)
-    assert p.argval_addr(4, (), EMPTY_STORE) == ValAddr(4, (), ARG_SLOT)
+    assert p.bind_addr("x", 4, ()) == BindAddr("x", ())
+    assert p.kont_addr(4, ()) == KontAddr(4, ())
+    assert p.fnval_addr(4, ()) == ValAddr(4, (), FN_SLOT)
+    assert p.argval_addr(4, ()) == ValAddr(4, (), ARG_SLOT)
     p1 = kcfa_policy(1)
-    assert p1.bind_addr("x", 4, (2,), EMPTY_STORE) == BindAddr("x", (4,))
+    assert p1.bind_addr("x", 4, (2,)) == BindAddr("x", (4,))
 
 
 def test_kcfa_rejects_negative_k():
@@ -245,9 +245,9 @@ def test_kcfa_rejects_negative_k():
 
 def test_concrete_policy_fresh():
     p = concrete_policy()
-    a0 = p.bind_addr("x", 0, (), EMPTY_STORE)
-    a1 = p.kont_addr(0, (), EMPTY_STORE, None)
-    a2 = p.fnval_addr(0, (), EMPTY_STORE)
+    a0 = p.bind_addr("x", 0, ())
+    a1 = p.kont_addr(0, ())
+    a2 = p.fnval_addr(0, ())
     assert len({a0, a1, a2}) == 3
     assert p.tick_ap(5, (1, 2)) == (1, 2)
     assert not p.finite and kcfa_policy(0).finite

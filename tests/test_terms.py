@@ -1,4 +1,5 @@
-"""The Term base: equality and hashes written from a class's fields."""
+"""The Term base: equality and hashes written from a class's fields, and
+one printed form per term."""
 
 import ast
 import os
@@ -30,7 +31,10 @@ from flowladder.domains import (
     PrimVal,
     StuckC,
     ValAddr,
+    kcfa_policy,
+    skeleton,
 )
+from flowladder.compiled import compile_expr
 from flowladder.syntax import Lit, Term, Var, parse
 
 SRC = Path(flowladder.__file__).resolve().parent
@@ -104,7 +108,9 @@ def test_hashes_repeat_under_one_seed():
     assert outs[0] and outs[0] == outs[1]
 
 
-def test_only_the_term_base_and_three_exceptions_write_equality():
+def _classes_writing(*methods) -> set[str]:
+    """The package's classes whose body defines or assigns one of
+    ``methods``."""
     writers = set()
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
@@ -117,6 +123,48 @@ def test_only_the_term_base_and_three_exceptions_write_equality():
                     names = [t.id for t in item.targets if isinstance(t, ast.Name)]
                 else:
                     continue
-                if {"__eq__", "__hash__"} & set(names):
+                if set(methods) & set(names):
                     writers.add(node.name)
-    assert writers == {"Term", "Store", "Lit", "CompiledExpr"}
+    return writers
+
+
+def test_only_the_term_base_and_three_exceptions_write_equality():
+    assert _classes_writing("__eq__", "__hash__") == {
+        "Term", "Store", "Lit", "CompiledExpr"}
+
+
+# the compound terms and addresses, which print as their label skeleton
+_PRINTED_BY_SKELETON = {BindAddr, KontAddr, ValAddr, DelayedAddr, Env,
+                        ArK, FnK, IfK, EvC, CoC, ApC}
+
+
+def test_compound_terms_and_addresses_print_as_their_skeleton():
+    shown = set()
+    for t in _examples():
+        if type(t) in _PRINTED_BY_SKELETON:
+            assert repr(t) == skeleton(t), type(t).__name__
+            shown.add(type(t))
+    assert shown == _PRINTED_BY_SKELETON
+
+
+def test_compiled_and_plain_terms_print_alike():
+    e = parse("((lambda (x) x) 5)")
+    lam, arg = e.fn, e.arg
+    c_lam, c_arg = (compile_expr(n, kcfa_policy(0)) for n in (lam, arg))
+    env = Env({"x": BindAddr("x", ())})
+    kaddr = KontAddr(e.label, ())
+    for plain, compiled in (
+            (ArK(arg, env, kaddr, e.label, ()),
+             ArK(c_arg, env, kaddr, e.label, ())),
+            (CoC(HALT, Closure("x", lam.body, env)),
+             CoC(HALT, Closure("x", c_lam.body, env)))):
+        assert repr(plain) == repr(compiled) == skeleton(compiled)
+
+
+def test_only_leaves_and_records_write_their_printed_form():
+    leaves = {"IntVal", "BoolVal", "PrimVal", "AbstractInt", "Halt",
+              "StuckC", "ConcreteAddr"}
+    syntax = {"Var", "Lit", "Lam", "App", "If", "CompiledExpr"}
+    records = {"Closure", "Store", "KCfaPolicy", "ConcretePolicy",
+               "ConcreteOutcome"}
+    assert _classes_writing("__repr__") == leaves | syntax | records
