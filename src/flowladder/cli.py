@@ -1,9 +1,10 @@
 """Command-line front end: analyze one program, time the ladder, check a corpus.
 
 Exit codes: 0 success, 1 program does not parse (free variables included)
-or is nested too deeply for the passes that recurse on its syntax tree
-(the parser itself takes any depth), 2 a cap was exceeded, 3 bad flags
-or an output path that cannot be written, 4 a cross-stage check failed.
+or is nested too deeply for ``free_vars`` and ``node_count``, which recurse
+on its syntax tree (the parser itself takes any depth), 2 a cap was
+exceeded, 3 bad flags or an output path that cannot be written, 4 a
+cross-stage check failed.
 """
 
 from __future__ import annotations
@@ -123,9 +124,9 @@ def _load_program(path: str):
 
 def _too_deep(path) -> int:
     """The parser builds a tree of any depth with an explicit stack, but
-    ``free_vars``, ``node_count`` and the ``CompiledExpr`` builder recurse
-    on it, so a program nested deeply enough exhausts the interpreter's
-    stack there, at ``free_vars`` first."""
+    ``free_vars`` and ``node_count`` recurse on it, so a program nested
+    deeply enough exhausts the interpreter's stack there, at ``free_vars``
+    first."""
     print(f"error: {path}: program nested too deeply", file=sys.stderr)
     return EXIT_PARSE
 

@@ -24,7 +24,7 @@ on first use, and ``MutStore`` updates it in place.
 
 from __future__ import annotations
 
-from .syntax import App, If, Lam, Lit, Term, Var
+from .syntax import PRIM_NAMES, App, If, Lam, Lit, Term, Var
 
 Time = tuple  # tuple of application labels, newest first
 
@@ -107,8 +107,7 @@ ZINT = AbstractInt()
 
 
 class Closure(Term):
-    """Function value: binder, body (plain or compiled expression), captured
-    environment."""
+    """Function value: binder, body expression, captured environment."""
 
     __slots__ = ("var", "body", "env")
 
@@ -124,19 +123,23 @@ class DelayedAddr(Term):
     __slots__ = ("addr",)
 
 
+_PRIMS = {p: PrimVal(p) for p in PRIM_NAMES}
+
+
 def lit_value(v):
-    """Value denoted by a literal payload (int, bool, or primitive name)."""
+    """Value denoted by a literal payload (int, bool, or primitive name).
+    The booleans and primitives are built once."""
     if v is True:
         return TT
     if v is False:
         return FF
     if isinstance(v, int):
         return IntVal(v)
-    return PrimVal(v)
+    return _PRIMS[v]
 
 
 def body_label_of(body) -> int:
-    """Label of a closure body, plain or compiled."""
+    """Label of a closure body."""
     return body.label
 
 
@@ -294,10 +297,6 @@ class IfK(Term):
     __slots__ = ("then", "els", "env", "kaddr", "time")
 
 
-def is_compiled_node(node) -> bool:
-    return type(node).__name__ == "CompiledExpr"
-
-
 # ----------------------------------------------------------------- contexts
 
 class EvC(Term):
@@ -361,16 +360,16 @@ class AnalysisResult:
     (context, store) pairs for the naive one; ``edges`` holds (src, dst,
     generation first produced); ``store`` is the final store, None for the
     naive stage.  No stage keeps its store history: a run's trace rebuilds
-    it when asked.  ``engine.run`` fills in the stage, k, mode, wall time
-    and peak memory."""
+    it when asked.  ``engine.run`` fills in the stage, k, wall time and
+    peak memory."""
 
-    __slots__ = ("stage", "k", "mode", "program", "contexts", "edges", "store",
+    __slots__ = ("stage", "k", "program", "contexts", "edges", "store",
                  "status", "generations", "initial", "wall_time_s",
                  "peak_mem_bytes", "values")
 
     def __init__(self, *, program, contexts, edges, store, status,
                  generations, initial, values):
-        self.stage = self.k = self.mode = None
+        self.stage = self.k = None
         self.program = program
         self.contexts = contexts
         self.edges = edges
@@ -521,29 +520,22 @@ _SET_Z = frozenset((ZINT,))
 # ----------------------------------------------------- cross-stage utilities
 
 def skeleton(obj, memo=None) -> str:
-    """Canonical label-skeleton rendering: compiled and plain expressions in
-    the same position render identically, so contexts from different engine
-    stages can be compared as graph nodes.
+    """Canonical label-skeleton rendering: an expression renders as its
+    label, so contexts from different engine stages can be compared as
+    graph nodes.
 
     ``memo``, if a dict, keeps each rendering under the term rendered, so
     equal sub-terms that many contexts hold (an environment, a continuation,
     a closure) are rendered once, whether or not they are one object.  Keep
     one memo for one export or one comparison.
 
-    A term renders by the entry for its type in ``_RENDER``.  A type
-    without one is classified on first sight and the answer kept there:
-    ``CompiledExpr``, which this module does not import, renders by its
-    label and anything else by its ``repr``."""
+    A term renders by the entry for its type in ``_RENDER``, and a type
+    without one by its ``repr``."""
     if memo is not None:
         hit = memo.get(obj)
         if hit is not None:
             return hit
-    cls = type(obj)
-    render = _RENDER.get(cls)
-    if render is None:
-        render = _RENDER[cls] = (_render_expr if is_compiled_node(obj)
-                                 else _render_repr)
-    s = render(obj, memo)
+    s = _RENDER.get(type(obj), _render_repr)(obj, memo)
     if memo is not None:
         memo[obj] = s
     return s

@@ -5,8 +5,8 @@ A stage is selected by name, the ladder order being naive, widened,
 frontier, deltas, lazy, compiled, imperative, imperative-prealloc.  Every
 stage's runner returns an AnalysisResult carrying the reachable contexts,
 the generation-labeled edge set, whatever store artifact the stage
-produces, and its final values; ``run`` adds the stage name, k, the mode
-and the measurements.  Runs are untraced: the space cap bounds the
+produces, and its final values; ``run`` adds the stage name, k and the
+measurements.  Runs are untraced: the space cap bounds the
 process's resident set size, sampled before the first generation, then
 before a generation at most once a millisecond, and at the end of the
 run; the peak of those samples is the run's ``peak_mem_bytes``.  The
@@ -164,7 +164,7 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
                            prealloc=(stage == "imperative-prealloc"))
     r.wall_time_s = time.perf_counter() - t0
     r.peak_mem_bytes = max(peak_box[0], rss_bytes())
-    r.stage, r.k, r.mode = stage, cfg.k, cfg.mode
+    r.stage, r.k = stage, cfg.k
     return r
 
 
@@ -219,7 +219,7 @@ def _node_shape(c) -> str:
     return "ap"
 
 
-def export_graph(result: AnalysisResult, fmt: str = "dot", path=None) -> str:
+def export_graph(result: AnalysisResult, fmt: str = "dot") -> str:
     """Render the reachable-state graph.  Nodes carry the label skeleton;
     states that follow a variable reference are gray, ev states black,
     everything else white."""
@@ -243,24 +243,19 @@ def export_graph(result: AnalysisResult, fmt: str = "dot", path=None) -> str:
         for s, d, g in edges:
             out.append(f'  n{s} -> n{d} [label="{g}"];')
         out.append("}")
-        text = "\n".join(out) + "\n"
-    else:
-        payload = {
-            "nodes": [
-                {"id": i, "label": label, "shape": _node_shape(c),
-                 "color": _node_color(c)}
-                for i, (c, label) in enumerate(zip(contexts, labels))
-            ],
-            "edges": [{"src": s, "dst": d, "generation": g}
-                      for s, d, g in edges],
-            # a run capped before its first state has no initial node
-            "initial": index.get(result.initial),
-        }
-        text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text)
-    return text
+        return "\n".join(out) + "\n"
+    payload = {
+        "nodes": [
+            {"id": i, "label": label, "shape": _node_shape(c),
+             "color": _node_color(c)}
+            for i, (c, label) in enumerate(zip(contexts, labels))
+        ],
+        "edges": [{"src": s, "dst": d, "generation": g}
+                  for s, d, g in edges],
+        # a run capped before its first state has no initial node
+        "initial": index.get(result.initial),
+    }
+    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
 
 
 # ------------------------------------------------------- stage comparison
@@ -299,7 +294,7 @@ def _verdict(ra: AnalysisResult, rb: AnalysisResult) -> str:
     return "diverged"
 
 
-def compare_stages(e: Expr, stages, k: int = 0, mode: str = "abstract",
+def compare_stages(e: Expr, stages, k: int = 0,
                    time_cap: float = DEFAULT_TIME_CAP,
                    space_cap: int = DEFAULT_SPACE_CAP) -> StageComparison:
     """Run each stage on e and report metrics plus the equivalence class of
@@ -307,8 +302,7 @@ def compare_stages(e: Expr, stages, k: int = 0, mode: str = "abstract",
     if len(stages) < 2:
         raise ValueError("compare_stages needs at least two stages")
     results = [
-        run(Config(stage=s, k=k, mode=mode,
-                   time_cap=time_cap, space_cap=space_cap), e)
+        run(Config(stage=s, k=k, time_cap=time_cap, space_cap=space_cap), e)
         for s in stages
     ]
     rows = [r.metrics() for r in results]

@@ -19,7 +19,6 @@ from .domains import (
     Closure,
     IntVal,
     PrimVal,
-    is_compiled_node,
 )
 from .engine import STAGES, Config, run
 from .syntax import Expr, Lam, children, free_vars
@@ -47,8 +46,7 @@ def is_inlinable(v) -> bool:
     if isinstance(v, (IntVal, BoolVal, PrimVal)):
         return True
     if isinstance(v, Closure):
-        body = v.body.source if is_compiled_node(v.body) else v.body
-        return free_vars(body) <= frozenset((v.var,))
+        return free_vars(v.body) <= frozenset((v.var,))
     return False
 
 
@@ -75,11 +73,10 @@ def singleton_vars(r) -> frozenset:
     return frozenset(out)
 
 
-def _singleton_sets(e, stages, k, mode):
+def _singleton_sets(e, stages, k):
     if not stages:
         raise ValueError("need at least one stage")
-    return [singleton_vars(run(Config(stage=s, k=k, mode=mode), e))
-            for s in stages]
+    return [singleton_vars(run(Config(stage=s, k=k), e)) for s in stages]
 
 
 def _disagreements(sets):
@@ -90,22 +87,20 @@ def _disagreements(sets):
     return tuple(sorted(union - common))
 
 
-def precision_equal(e: Expr, stages=STORE_STAGES, k: int = 0,
-                    mode: str = "abstract"):
+def precision_equal(e: Expr, stages=STORE_STAGES, k: int = 0):
     """Run every stage on e and compare their singleton sets.
 
     Returns (equal, disagreements) where disagreements is the sorted
     tuple of (variable, label) pairs that some stages report and others
     do not.  A single-stage list is trivially equal.
     """
-    disagreements = _disagreements(_singleton_sets(e, stages, k, mode))
+    disagreements = _disagreements(_singleton_sets(e, stages, k))
     return (not disagreements, disagreements)
 
 
-def precision_report(e: Expr, stages=STORE_STAGES, k: int = 0,
-                     mode: str = "abstract") -> str:
+def precision_report(e: Expr, stages=STORE_STAGES, k: int = 0) -> str:
     """JSON report of the singleton set per stage plus the comparison."""
-    sets = _singleton_sets(e, stages, k, mode)
+    sets = _singleton_sets(e, stages, k)
     disagreements = _disagreements(sets)
     return json.dumps(
         {

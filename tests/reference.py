@@ -13,22 +13,9 @@ rather than in the package.
 
 from __future__ import annotations
 
-from flowladder.compiled import compile_expr, inject_compiled, step_compiled
+from flowladder.compiled import corridor, inject_compiled, step_compiled
 from flowladder.deltas import inject_plain, replay
-from flowladder.domains import (
-    EMPTY_STORE,
-    ApC,
-    ArK,
-    Closure,
-    CoC,
-    DelayedAddr,
-    EvC,
-    FnK,
-    Halt,
-    IfK,
-    Store,
-    StuckC,
-)
+from flowladder.domains import EMPTY_STORE, DelayedAddr, EvC, Store
 from flowladder.frontier import drive
 from flowladder.lazy import step_lazy
 from flowladder.syntax import Expr, children
@@ -37,21 +24,14 @@ from flowladder.widening import inject_context, sweep_contexts
 
 # ------------------------------------------------------------ label tables
 
-_CHILD_FIELDS = ("body", "fn", "arg", "guard", "then", "els")
-
-
-def label_table(tree) -> dict:
-    """Label -> node for every node under ``tree``, a source expression or
-    a compiled one: both keep their children in the same fields."""
+def label_table(e: Expr) -> dict:
+    """Label -> node for every node under ``e``."""
     table = {}
-    work = [tree]
+    work = [e]
     while work:
         n = work.pop()
         table[n.label] = n
-        for field in _CHILD_FIELDS:
-            child = getattr(n, field, None)
-            if child is not None:
-                work.append(child)
+        work.extend(children(n))
     return table
 
 
@@ -200,55 +180,18 @@ def store_has_delayed(store: Store) -> bool:
     return False
 
 
-# -- Translating lazy-machine objects into compiled-machine objects --------
+# ------------------------------------------- lazy to compiled refinement
 
-def to_compiled(obj, table):
-    """Swap every source expression inside a context, continuation, value,
-    or closure for its compiled counterpart, keyed by label."""
-    if isinstance(obj, CoC):
-        return CoC(to_compiled(obj.kont, table), to_compiled(obj.val, table))
-    if isinstance(obj, ApC):
-        return ApC(to_compiled(obj.fn, table), obj.arg,
-                   to_compiled(obj.kont, table), obj.label, obj.time)
-    if isinstance(obj, StuckC):
-        return obj
-    if isinstance(obj, ArK):
-        return ArK(table[obj.expr.label], obj.env, obj.kaddr, obj.label, obj.time)
-    if isinstance(obj, FnK):
-        return obj
-    if isinstance(obj, IfK):
-        return IfK(table[obj.then.label], table[obj.els.label],
-                   obj.env, obj.kaddr, obj.time)
-    if isinstance(obj, Halt):
-        return obj
-    if isinstance(obj, Closure):
-        return Closure(obj.var, table[obj.body.label], obj.env)
-    return obj
-
-
-def store_to_compiled(store, table):
-    m = {}
-    changed = False
-    for a, vs in store.items():
-        vs2 = frozenset(to_compiled(v, table) for v in vs)
-        changed = changed or vs2 != vs
-        m[a] = vs2
-    return Store(m) if changed else store
-
-
-def refine(state, table):
+def refine(state, policy):
     """The compiled (context, store) state a lazy one denotes: an ev
-    context commits, running the compiled corridor for its expression and
-    replaying the corridor's log; any other context swaps its expressions
-    for their compiled forms."""
+    context commits, running its expression's corridor and replaying the
+    corridor's log; any other state denotes itself."""
     c, store = state
-    cstore = store_to_compiled(store, table)
     if isinstance(c, EvC):
         log = []
-        ctx = table[c.expr.label].run(
-            c.env, log, to_compiled(c.kont, table), c.time)
-        return (ctx, replay(log, cstore)[0])
-    return (to_compiled(c, table), cstore)
+        ctx = corridor(c.expr, c.env, log, c.kont, c.time, policy)
+        return (ctx, replay(log, store)[0])
+    return state
 
 
 class StutterReport:
@@ -291,7 +234,6 @@ def stutter_check(e, policy, mode: str = "abstract",
       3. every dropped edge is an ev step whose target sits strictly later
          in the same corridor, so lazy stutter phases are finite.
     """
-    table = label_table(compile_expr(e, policy))
     desc = descendant_labels(e)
     gl = explore_states(e, step_lazy, policy, mode, max_states=max_states)
     gc = explore_states(e, step_compiled, policy, mode,
@@ -299,7 +241,7 @@ def stutter_check(e, policy, mode: str = "abstract",
     if gl.status != "fixpoint" or gc.status != "fixpoint":
         return _fail("state budget exceeded", None, gl, gc)
 
-    rmap = {s: refine(s, table) for s in gl.states}
+    rmap = {s: refine(s, policy) for s in gl.states}
 
     image = frozenset(rmap.values())
     if image != gc.states:

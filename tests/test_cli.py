@@ -192,6 +192,19 @@ def test_deep_program_exits_1_without_a_traceback(tmp_path, capsys):
         assert err == f"error: {p}: program nested too deeply\n", argv
 
 
+@pytest.mark.parametrize("stage", ["imperative-prealloc", "compiled"])
+def test_deep_program_reaches_its_fixpoint(tmp_path, capsys, stage):
+    # nested 900 deep; of what analyze runs, only free_vars recurses on it
+    p = tmp_path / "deep.scm"
+    p.write_text("((lambda (x) " + "(add1 " * 900 + "x" + ")" * 900
+                 + ") 5)\n")
+    argv = ["analyze", str(p)]
+    if stage != "imperative-prealloc":  # the default stage
+        argv += ["--stage", stage]
+    assert main(argv) == 0
+    assert "status=fixpoint" in capsys.readouterr().out
+
+
 def test_check_cap_exits_2(tmp_path, capsys):
     (tmp_path / "p.scm").write_text("((lambda (x) x) 5)\n")
     assert main(["check", str(tmp_path), "--time-cap", "1e-12"]) == 2

@@ -21,13 +21,9 @@ from flowladder.domains import (
     KontAddr,
     kcfa_policy,
 )
+from flowladder.engine import Config, run
 from flowladder.syntax import node_count, parse
-from flowladder.compiled import (
-    CompiledExpr,
-    compile_expr,
-    inject_compiled,
-    step_compiled,
-)
+from flowladder.compiled import corridor, inject_compiled, step_compiled
 from flowladder.deltas import replay, run_logged
 from flowladder.lazy import step_lazy
 
@@ -38,40 +34,18 @@ from tests.support import abstract_covers, load_corpus, oracle_eval, random_prog
 P0 = kcfa_policy(0)
 
 
-def test_compiled_tree_mirrors_source_labels():
-    e = parse("((lambda (x) (if (zero? x) 1 x)) 0)")
-    table = label_table(compile_expr(e, P0))
-    assert set(table) == set(label_table(e))
-    for lbl, ce in table.items():
-        assert ce.label == lbl
-        assert ce.source is label_table(e)[lbl] or ce.source == label_table(e)[lbl]
-
-
-def test_equality_is_by_label():
-    e = parse("((lambda (x) x) 5)")
-    c1 = compile_expr(e, P0)
-    c2 = compile_expr(e, P0)
-    assert c1 == c2
-    assert hash(c1) == hash(c2)
-    assert c1 != c2.fn
-
-
 def test_equality_goes_by_source_node():
     # two lambda bodies at the same label in different programs
-    ids = [parse("(lambda (x) x)").body, parse("(lambda (x) 5)").body]
-    compiled = [compile_expr(parse(s), P0).body
-                for s in ("(lambda (x) x)", "(lambda (x) 5)")]
-    for bodies in (ids, compiled):
-        c1, c5 = (Closure("x", b, EMPTY_ENV) for b in bodies)
-        assert bodies[0].label == bodies[1].label
-        assert c1 != c5
-        assert len({CoC(HALT, c1), CoC(HALT, c5)}) == 2
+    bodies = [parse("(lambda (x) x)").body, parse("(lambda (x) 5)").body]
+    c1, c5 = (Closure("x", b, EMPTY_ENV) for b in bodies)
+    assert bodies[0].label == bodies[1].label
+    assert c1 != c5
+    assert len({CoC(HALT, c1), CoC(HALT, c5)}) == 2
 
 
 def test_literal_corridor():
-    ce = compile_expr(parse("5"), P0)
     log = []
-    ctx = ce.run(EMPTY_ENV, log, HALT, ())
+    ctx = corridor(parse("5"), EMPTY_ENV, log, HALT, (), P0)
     assert ctx == CoC(HALT, IntVal(5))
     assert log == []
 
@@ -79,23 +53,21 @@ def test_literal_corridor():
 def test_variable_corridor_emits_delayed_address():
     a = BindAddr("x", ())
     env = EMPTY_ENV.extend("x", a)
-    ce = compile_expr(parse("x"), P0)
     log = []
-    ctx = ce.run(env, log, HALT, ())
+    ctx = corridor(parse("x"), env, log, HALT, (), P0)
     assert ctx == CoC(HALT, DelayedAddr(a))
     assert log == []
 
 
 def test_application_corridor_logs_exactly_the_kont_write():
-    # compile(App(Var f, Var y)) invoked: one log entry, lands in co<ar...>
+    # the corridor of App(Var f, Var y): one log entry, lands in co<ar...>
     e = parse("((lambda (f) (lambda (y) (f y))) 0)")
     app = e.fn.body.body
     af = BindAddr("f", ())
     ay = BindAddr("y", ())
     env = EMPTY_ENV.extend("f", af).extend("y", ay)
-    ce = compile_expr(app, P0)
     log = []
-    ctx = ce.run(env, log, HALT, ())
+    ctx = corridor(app, env, log, HALT, (), P0)
     assert len(log) == 1
     ka, konts = log[0]
     assert ka == KontAddr(app.label, ())
@@ -116,6 +88,42 @@ def test_no_ev_contexts_reachable(corpus):
         run = run_logged(e, step_compiled, P0, inject=inject_compiled)
         assert not any(isinstance(c, EvC) for c in run.contexts), name
         assert run.status == "fixpoint", name
+
+
+def _held_expressions(term):
+    """The expressions a context or a storeable of the compiled machine
+    holds: continuation operands and branches, and closure bodies."""
+    if isinstance(term, CoC):
+        return _held_expressions(term.kont) + _held_expressions(term.val)
+    if isinstance(term, ApC):
+        return _held_expressions(term.fn) + _held_expressions(term.kont)
+    if isinstance(term, ArK):
+        return [term.expr]
+    if isinstance(term, IfK):
+        return [term.then, term.els]
+    if isinstance(term, Closure):
+        return [term.body]
+    return []
+
+
+@pytest.mark.parametrize("stage",
+                         ["compiled", "imperative", "imperative-prealloc"])
+def test_machine_holds_the_parsed_nodes(corpus, stage):
+    # one program tree: every expression in a context or a store value is
+    # the parsed node at its label, not a copy of it
+    held = 0
+    for k in (0, 1):
+        for name, src, e in corpus:
+            table = label_table(e)
+            r = run(Config(stage=stage, k=k), e)
+            terms = list(r.contexts)
+            for _, vs in r.store.items():
+                terms.extend(vs)
+            for t in terms:
+                for x in _held_expressions(t):
+                    assert table[x.label] is x, (name, k, t)
+                    held += 1
+    assert held > 1000
 
 
 def test_oracle_coverage_and_determinism(corpus):
@@ -145,14 +153,12 @@ def test_strictly_fewer_states_on_corridor_heavy_programs(corpus):
 
 
 def test_unwidened_nonev_sets_match_lazy(corpus):
-    # reachable non-ev states of the two machines coincide under the
-    # expression swap, committing nothing (ev states excluded outright)
+    # reachable non-ev states of the two machines coincide, committing
+    # nothing (ev states excluded outright)
     for name, src, e in corpus:
-        table = label_table(compile_expr(e, P0))
         gl = explore_states(e, step_lazy, P0)
         gc = explore_states(e, step_compiled, P0, inject=inject_compiled)
-        lazy_nonev = {refine(st, table) for st in gl.states
-                      if not isinstance(st[0], EvC)}
+        lazy_nonev = {st for st in gl.states if not isinstance(st[0], EvC)}
         assert lazy_nonev == set(gc.states), name
 
 
@@ -181,11 +187,10 @@ def test_identity_application_contracts_with_matching_endpoint():
     rep = stutter_check(e, P0)
     assert rep.ok
     assert rep.compiled_states < rep.lazy_states
-    table = label_table(compile_expr(e, P0))
     gl = explore_states(e, step_lazy, P0)
     gc = explore_states(e, step_compiled, P0, inject=inject_compiled)
     lazy_halts = {
-        refine((c, s), table) for (c, s) in gl.states
+        refine((c, s), P0) for (c, s) in gl.states
         if isinstance(c, CoC) and not isinstance(c.val, DelayedAddr)
         and type(c.kont).__name__ == "Halt"
     }
@@ -210,13 +215,12 @@ def _harvest_ev_states(programs, limit_nodes=25):
 
 
 def test_compile_commit_square(corpus):
-    # invoking the compiled expression on sigma equals stepping the ev state
-    # once and committing the successor, as (context, store) pairs
+    # running the expression's corridor on sigma equals stepping the ev
+    # state once and committing the successor, as (context, store) pairs
     checked = 0
-    for e, c, store in _harvest_ev_states(corpus):
-        table = label_table(compile_expr(e, P0))
+    for _, c, store in _harvest_ev_states(corpus):
         (c2, xi), = step_lazy(c, store, P0, "abstract")
         s2, _ = replay(xi, store)
-        assert refine((c, store), table) == refine((c2, s2), table)
+        assert refine((c, store), P0) == refine((c2, s2), P0)
         checked += 1
     assert checked > 300

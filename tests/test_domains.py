@@ -95,6 +95,7 @@ def test_lit_value():
     assert lit_value(True) is TT
     assert lit_value(False) is FF
     assert lit_value("add1") == PrimVal("add1")
+    assert lit_value("add1") is lit_value("add1")
 
 
 def test_abstract_int_singleton():

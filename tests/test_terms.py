@@ -31,10 +31,8 @@ from flowladder.domains import (
     PrimVal,
     StuckC,
     ValAddr,
-    kcfa_policy,
     skeleton,
 )
-from flowladder.compiled import compile_expr
 from flowladder.syntax import Lit, Term, Var, parse
 
 SRC = Path(flowladder.__file__).resolve().parent
@@ -130,7 +128,7 @@ def _classes_writing(*methods) -> set[str]:
 
 def test_only_the_term_base_and_three_exceptions_write_equality():
     assert _classes_writing("__eq__", "__hash__") == {
-        "Term", "Store", "Lit", "CompiledExpr"}
+        "Term", "Store", "Lit"}
 
 
 # the compound terms and addresses, which print as their label skeleton
@@ -147,24 +145,10 @@ def test_compound_terms_and_addresses_print_as_their_skeleton():
     assert shown == _PRINTED_BY_SKELETON
 
 
-def test_compiled_and_plain_terms_print_alike():
-    e = parse("((lambda (x) x) 5)")
-    lam, arg = e.fn, e.arg
-    c_lam, c_arg = (compile_expr(n, kcfa_policy(0)) for n in (lam, arg))
-    env = Env({"x": BindAddr("x", ())})
-    kaddr = KontAddr(e.label, ())
-    for plain, compiled in (
-            (ArK(arg, env, kaddr, e.label, ()),
-             ArK(c_arg, env, kaddr, e.label, ())),
-            (CoC(HALT, Closure("x", lam.body, env)),
-             CoC(HALT, Closure("x", c_lam.body, env)))):
-        assert repr(plain) == repr(compiled) == skeleton(compiled)
-
-
 def test_only_leaves_and_records_write_their_printed_form():
     leaves = {"IntVal", "BoolVal", "PrimVal", "AbstractInt", "Halt",
               "StuckC", "ConcreteAddr"}
-    syntax = {"Var", "Lit", "Lam", "App", "If", "CompiledExpr"}
+    syntax = {"Var", "Lit", "Lam", "App", "If"}
     records = {"Closure", "Store", "KCfaPolicy", "ConcretePolicy",
                "ConcreteOutcome"}
     assert _classes_writing("__repr__") == leaves | syntax | records
