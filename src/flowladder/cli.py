@@ -1,10 +1,8 @@
 """Command-line front end: analyze one program, time the ladder, check a corpus.
 
-Exit codes: 0 success, 1 program does not parse (free variables included)
-or is nested too deeply for ``free_vars`` and ``node_count``, which recurse
-on its syntax tree (the parser itself takes any depth), 2 a cap was
-exceeded, 3 bad flags or an output path that cannot be written, 4 a
-cross-stage check failed.
+Exit codes: 0 success, 1 program does not parse (free variables included),
+2 a cap was exceeded, 3 bad flags or an output path that cannot be
+written, 4 a cross-stage check failed.
 """
 
 from __future__ import annotations
@@ -120,15 +118,6 @@ def _load_program(path: str):
         print(f"parse error: {path}: free variable: {names}", file=sys.stderr)
         return EXIT_PARSE, None
     return EXIT_OK, e
-
-
-def _too_deep(path) -> int:
-    """The parser builds a tree of any depth with an explicit stack, but
-    ``free_vars`` and ``node_count`` recurse on it, so a program nested
-    deeply enough exhausts the interpreter's stack there, at ``free_vars``
-    first."""
-    print(f"error: {path}: program nested too deeply", file=sys.stderr)
-    return EXIT_PARSE
 
 
 def _write(path, text) -> bool:
@@ -255,15 +244,11 @@ def cmd_check(args) -> int:
 
     failures = []
     for path in paths:
-        try:
-            code, e = _load_program(str(path))
-            if code:
-                return code
-            cmp = compare_stages(e, list(LADDER_STAGES), k=args.k,
-                                 time_cap=args.time_cap,
-                                 space_cap=args.mem_cap)
-        except RecursionError:
-            return _too_deep(path)
+        code, e = _load_program(str(path))
+        if code:
+            return code
+        cmp = compare_stages(e, list(LADDER_STAGES), k=args.k,
+                             time_cap=args.time_cap, space_cap=args.mem_cap)
         capped = [m["stage"] for m in cmp.rows if _capped(m["status"])]
         if capped:
             print(f"cap exceeded on {path.name} at: {', '.join(capped)}",
@@ -292,10 +277,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     handler = {"analyze": cmd_analyze, "ladder": cmd_ladder,
                "check": cmd_check}[args.command]
-    try:
-        return handler(args)
-    except RecursionError:  # check names the program itself
-        return _too_deep(args.program)
+    return handler(args)
 
 
 if __name__ == "__main__":

@@ -166,7 +166,6 @@ def run_logged(
     mode: str = "abstract",
     inject=inject_plain,
     cap_check=None,
-    order_key=None,
     trace=None,
 ) -> AnalysisResult:
     """Frontier iteration where transitions emit logs and the store advances
@@ -191,4 +190,4 @@ def run_logged(
 
     return run_driven(e, first,
                       replaying_sweep(stepper, policy, mode, view, apply),
-                      lambda: store, cap_check, order_key, trace)
+                      lambda: store, cap_check, trace)

@@ -46,7 +46,7 @@ from .syntax import Expr
 from .widening import inject_context, sweep_contexts
 
 
-def drive(first, sweep, cap_check=None, order_key=None, trace=None):
+def drive(first, sweep, cap_check=None, trace=None):
     """Iterate generations from the contexts ``first`` to an empty frontier.
 
     Each context gets a dense int id when it is first interned, and the
@@ -67,10 +67,8 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
     seen at the advanced clock.
 
     ``cap_check(n_contexts, generation)`` may return a status to stop
-    before a generation; ``order_key`` reorders each frontier by context
-    (results must not depend on it); ``trace(frontier, t)``, if given, is
-    called after every generation with the contexts of the next frontier
-    and the clock.
+    before a generation; after each, ``trace(frontier, t)``, if given, gets
+    the contexts of the next frontier and the clock.
 
     Returns (ctxs, edges, generations, status, t): edges maps each (src
     id, dst id) to the generation that first produced it.
@@ -97,11 +95,9 @@ def drive(first, sweep, cap_check=None, order_key=None, trace=None):
             if stop is not None:
                 status = stop
                 break
-        order = frontier if order_key is None else sorted(
-            frontier, key=lambda i: order_key(ctxs[i]))
         todo = []
         replayed = []
-        for i in order:
+        for i in frontier:
             succs = memo[i]
             if succs is None:
                 todo.append(i)
@@ -146,8 +142,8 @@ def package(ctxs, edges):
     return frozenset(dict.fromkeys(ctxs)), edges
 
 
-def run_driven(e, first, sweep, newest, cap_check=None, order_key=None,
-               trace=None, decode=None) -> AnalysisResult:
+def run_driven(e, first, sweep, newest, cap_check=None, trace=None,
+               decode=None) -> AnalysisResult:
     """Drive ``sweep`` from ``first`` and package the run.
 
     ``newest()`` returns the store the sweeps have left so far, and
@@ -177,7 +173,7 @@ def run_driven(e, first, sweep, newest, cap_check=None, order_key=None,
             trace.append((hist, frontier, chain, t))
 
     ctxs, edges, generations, status, _ = drive(
-        first, sweep, cap_check, order_key, snap)
+        first, sweep, cap_check, snap)
     del sweep  # and its read index, before the final snapshot and decode
     store = newest()
     if decode is not None:
@@ -194,7 +190,6 @@ def run_frontier(
     policy,
     mode: str = "abstract",
     cap_check=None,
-    order_key=None,
     trace=None,
 ) -> AnalysisResult:
     """Frontier iteration where each generation joins the stores its
@@ -212,7 +207,7 @@ def run_frontier(
         return stepped, grew
 
     return run_driven(e, [inject_context(e)], sweep, lambda: store,
-                      cap_check, order_key, trace)
+                      cap_check, trace)
 
 
 # ------------------------------------------------------------- step replay

@@ -259,5 +259,5 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
         e, first,
         replaying_sweep(step_compiled, pol, mode, SnapshotView(vstore.cells),
                         join),
-        lambda: snapshot(vstore, dec_a, dec), cap_check, None, trace, dec)
+        lambda: snapshot(vstore, dec_a, dec), cap_check, trace, dec)
     return result, vstore, layout

@@ -21,7 +21,7 @@ from .domains import (
     PrimVal,
 )
 from .engine import STAGES, Config, run
-from .syntax import Expr, Lam, children, free_vars
+from .syntax import Expr, Lam, free_vars, subterms
 
 # stages whose result carries one widened store; the unwidened explorer
 # has a store per state and no single fixpoint store to probe
@@ -30,16 +30,7 @@ STORE_STAGES = STAGES[1:]
 
 def binders(e: Expr) -> tuple:
     """Every lambda's (variable, label), in program order."""
-    out = []
-
-    def walk(n):
-        if isinstance(n, Lam):
-            out.append((n.var, n.label))
-        for c in children(n):
-            walk(c)
-
-    walk(e)
-    return tuple(out)
+    return tuple((n.var, n.label) for n in subterms(e) if isinstance(n, Lam))
 
 
 def is_inlinable(v) -> bool:

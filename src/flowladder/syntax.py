@@ -280,21 +280,31 @@ def parse(src: str) -> Expr:
 
 
 def unparse(e: Expr) -> str:
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Lit):
-        if e.value is True:
-            return "#t"
-        if e.value is False:
-            return "#f"
-        return str(e.value)
-    if isinstance(e, Lam):
-        return f"(lambda ({e.var}) {unparse(e.body)})"
-    if isinstance(e, App):
-        return f"({unparse(e.fn)} {unparse(e.arg)})"
-    if isinstance(e, If):
-        return f"(if {unparse(e.guard)} {unparse(e.then)} {unparse(e.els)})"
-    raise TypeError(f"not an expression: {e!r}")
+    """The text of ``e``, which ``parse`` reads back to ``e``.  The stack
+    holds the nodes still to write and the text between them."""
+    out = []
+    work: list = [e]
+    while work:
+        n = work.pop()
+        if type(n) is str:
+            out.append(n)
+        elif isinstance(n, Var):
+            out.append(n.name)
+        elif isinstance(n, Lit):
+            v = n.value
+            out.append("#t" if v is True else "#f" if v is False else str(v))
+        elif isinstance(n, Lam):
+            out.append(f"(lambda ({n.var}) ")
+            work += (")", n.body)
+        elif isinstance(n, App):
+            out.append("(")
+            work += (")", n.arg, " ", n.fn)
+        elif isinstance(n, If):
+            out.append("(if ")
+            work += (")", n.els, " ", n.then, " ", n.guard)
+        else:
+            raise TypeError(f"not an expression: {n!r}")
+    return "".join(out)
 
 
 def children(e: Expr) -> tuple[Expr, ...]:
@@ -307,19 +317,42 @@ def children(e: Expr) -> tuple[Expr, ...]:
     return ()
 
 
+def subterms(e: Expr):
+    """Every node under ``e``, ``e`` first, in preorder: label order for a
+    parsed tree."""
+    work = [e]
+    while work:
+        n = work.pop()
+        yield n
+        work += reversed(children(n))
+
+
 def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Lit):
-        return frozenset()
-    if isinstance(e, Lam):
-        return free_vars(e.body) - {e.var}
-    acc: set[str] = set()
-    for c in children(e):
-        acc |= free_vars(c)
-    return frozenset(acc)
+    """The names ``e`` reads outside every lambda binding them.  ``bound``
+    counts the enclosing lambdas that bind each name; a lambda leaves its
+    name on the stack under its body, and popping it leaves the scope."""
+    bound: dict[str, int] = {}
+    free = set()
+    work: list = [e]
+    while work:
+        n = work.pop()
+        if type(n) is str:
+            bound[n] -= 1
+        elif isinstance(n, Var):
+            if not bound.get(n.name):
+                free.add(n.name)
+        elif isinstance(n, Lam):
+            bound[n.var] = bound.get(n.var, 0) + 1
+            work += (n.var, n.body)
+        else:
+            work += children(n)
+    return frozenset(free)
 
 
 def node_count(e: Expr) -> int:
-    return 1 + sum(node_count(c) for c in children(e))
-
+    count = 0
+    work = [e]
+    while work:
+        work += children(work.pop())
+        count += 1
+    return count

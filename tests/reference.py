@@ -18,21 +18,15 @@ from flowladder.deltas import inject_plain, replay
 from flowladder.domains import EMPTY_STORE, DelayedAddr, EvC, Store
 from flowladder.frontier import drive
 from flowladder.lazy import step_lazy
-from flowladder.syntax import Expr, children
+from flowladder.syntax import Expr, Lam, Lit, Var, children, subterms
 from flowladder.widening import inject_context, sweep_contexts
 
 
-# ------------------------------------------------------------ label tables
+# ------------------------------------------------------------ syntax walks
 
 def label_table(e: Expr) -> dict:
     """Label -> node for every node under ``e``."""
-    table = {}
-    work = [e]
-    while work:
-        n = work.pop()
-        table[n.label] = n
-        work.extend(children(n))
-    return table
+    return {n.label: n for n in subterms(e)}
 
 
 def descendant_labels(e: Expr) -> dict[int, frozenset[int]]:
@@ -48,6 +42,21 @@ def descendant_labels(e: Expr) -> dict[int, frozenset[int]]:
 
     walk(e)
     return out
+
+
+def recursive_free_vars(e: Expr) -> frozenset[str]:
+    """``syntax.free_vars`` as the structural recursion that defines it;
+    it recurses once per level of nesting, so only shallow terms."""
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Lit):
+        return frozenset()
+    if isinstance(e, Lam):
+        return recursive_free_vars(e.body) - {e.var}
+    acc: set[str] = set()
+    for c in children(e):
+        acc |= recursive_free_vars(c)
+    return frozenset(acc)
 
 
 # ------------------------------------------------- untimestamped reference

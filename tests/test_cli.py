@@ -180,21 +180,22 @@ def test_check_propagates_parse_errors(tmp_path):
     assert main(["check", str(tmp_path)]) == 1
 
 
-def test_deep_program_exits_1_without_a_traceback(tmp_path, capsys):
-    # a valid program nested 3,000 deep exhausts the interpreter's stack
+def test_deep_program_ends_in_a_result_or_a_cap(tmp_path, capsys):
+    # nested 3,000 deep: the default stage reaches its fixpoint, and the
+    # ladder's quadratic widened rung stops at the time cap
     p = tmp_path / "deep.scm"
     p.write_text("((lambda (x) " + "(add1 " * 3000 + "x" + ")" * 3000
                  + ") 5)\n")
-    for argv in (["analyze", str(p)], ["ladder", str(p)],
-                 ["check", str(tmp_path)]):
-        assert main(argv) == 1, argv
-        err = capsys.readouterr().err
-        assert err == f"error: {p}: program nested too deeply\n", argv
+    assert main(["analyze", str(p)]) == 0
+    assert "status=fixpoint" in capsys.readouterr().out
+    for argv in (["ladder", str(p)], ["check", str(tmp_path)]):
+        assert main(argv + ["--time-cap", "0.3"]) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 @pytest.mark.parametrize("stage", ["imperative-prealloc", "compiled"])
 def test_deep_program_reaches_its_fixpoint(tmp_path, capsys, stage):
-    # nested 900 deep; of what analyze runs, only free_vars recurses on it
+    # nested 900 deep; no pass over the program recurses on its tree
     p = tmp_path / "deep.scm"
     p.write_text("((lambda (x) " + "(add1 " * 900 + "x" + ")" * 900
                  + ") 5)\n")

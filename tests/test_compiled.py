@@ -1,7 +1,5 @@
 """Abstract compilation."""
 
-import random
-
 import pytest
 
 from flowladder.domains import (
@@ -28,7 +26,7 @@ from flowladder.deltas import replay, run_logged
 from flowladder.lazy import step_lazy
 
 from tests.reference import explore_states, label_table, refine, stutter_check
-from tests.support import abstract_covers, load_corpus, oracle_eval, random_program
+from tests.support import abstract_covers, load_corpus, oracle_eval
 
 
 P0 = kcfa_policy(0)

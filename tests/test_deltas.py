@@ -8,7 +8,6 @@ from flowladder.domains import (
     BoolVal,
     EMPTY_STORE,
     IntVal,
-    Store,
     ValAddr,
     kcfa_policy,
 )

@@ -10,7 +10,8 @@ reachable.  Its roots are the names ``flowladder/__init__.py`` imports,
 each reached definition it follows the names and attributes it reads.  A
 class reaches its dunder methods, which Python calls for it; any other
 method is reached only where its name is read.  An import, outside
-``__init__.py``, must be read somewhere in its module.
+``__init__.py``, must be read somewhere in its module, and so must every
+import of a test module.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "flowladder"
 BENCH = ROOT / "perfbench"
+TESTS = ROOT / "tests"
 
 
 def _names_read(node) -> set[str]:
@@ -47,6 +49,24 @@ def _reads(node) -> set[str]:
     return set().union(*map(_names_read, parts))
 
 
+def _imported(stmt) -> list[str]:
+    """The names an import statement binds; none for ``__future__``."""
+    if isinstance(stmt, ast.ImportFrom):
+        if stmt.module == "__future__":
+            return []
+        return [a.asname or a.name for a in stmt.names]
+    return [a.asname or a.name.partition(".")[0] for a in stmt.names]
+
+
+def _unread_imports(path, tree) -> list[str]:
+    imported = [name for stmt in tree.body
+                if isinstance(stmt, (ast.Import, ast.ImportFrom))
+                for name in _imported(stmt)]
+    read = _names_read(tree)
+    return [f"{path.stem}.{name} (import)" for name in imported
+            if name not in read]
+
+
 def unreached() -> list[str]:
     defs = {}   # name -> [(dotted name, def node)]
     roots = {"main"}
@@ -54,7 +74,6 @@ def unreached() -> list[str]:
     for path in sorted(PACKAGE.glob("*.py")):
         mod = path.stem
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        imported = []
         for stmt in tree.body:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 defs.setdefault(stmt.name, []).append((f"{mod}.{stmt.name}", stmt))
@@ -62,19 +81,13 @@ def unreached() -> list[str]:
                     for m in filter(_is_method, stmt.body):
                         defs.setdefault(m.name, []).append(
                             (f"{mod}.{stmt.name}.{m.name}", m))
-            elif isinstance(stmt, ast.ImportFrom):
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 if path.name == "__init__.py":
-                    roots.update(a.asname or a.name for a in stmt.names)
-                elif stmt.module != "__future__":
-                    imported += [a.asname or a.name for a in stmt.names]
-            elif isinstance(stmt, ast.Import):
-                imported += [a.asname or a.name.partition(".")[0]
-                             for a in stmt.names]
+                    roots.update(_imported(stmt))
             else:
                 roots |= _names_read(stmt)
-        read = _names_read(tree)
-        unread += [f"{mod}.{name} (import)" for name in imported
-                   if name not in read]
+        if path.name != "__init__.py":
+            unread += _unread_imports(path, tree)
     for path in sorted(BENCH.glob("*.py")):
         for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(n, ast.Attribute):
@@ -98,3 +111,11 @@ def unreached() -> list[str]:
 def test_every_package_definition_is_reachable_from_a_run():
     missing = unreached()
     assert not missing, "no run reaches " + ", ".join(missing)
+
+
+def test_every_test_import_is_read():
+    unread = []
+    for path in sorted(TESTS.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        unread += _unread_imports(path, tree)
+    assert not unread, "never read: " + ", ".join(unread)

@@ -19,16 +19,12 @@ from flowladder.syntax import (
     free_vars,
     node_count,
     parse,
+    subterms,
     unparse,
 )
-from tests.reference import descendant_labels, label_table
-from tests.support import random_source
-
-
-def preorder(e):
-    yield e
-    for c in children(e):
-        yield from preorder(c)
+from flowladder.precision import binders
+from tests.reference import descendant_labels, label_table, recursive_free_vars
+from tests.support import random_program, random_source
 
 
 def test_labels_identity_application():
@@ -52,7 +48,7 @@ def test_labels_if_with_primitive_guard():
 
 def test_labels_are_preorder_everywhere(corpus):
     for _, _, e in corpus:
-        labels = [n.label for n in preorder(e)]
+        labels = [n.label for n in subterms(e)]
         assert labels == list(range(node_count(e)))
 
 
@@ -195,6 +191,30 @@ def test_deep_program_parses_without_recursion():
     assert e.arg.value == 5 and e.arg.label == 3 + 2 * depth
 
 
+def test_every_walk_takes_any_depth():
+    # a chain 10,000 deep and 3,000 nested lambdas; trees this deep are
+    # compared as text, since Term.__eq__ and __repr__ still recurse
+    depth = 10_000
+    chain = ("((lambda (x) " + "(add1 " * depth + "x" + ")" * depth
+             + ") 5)")
+    e = parse(chain)
+    assert node_count(e) == 2 * depth + 4
+    assert free_vars(e) == frozenset()
+    assert free_vars(e.fn.body) == frozenset({"x"})
+    assert binders(e) == (("x", 1),)
+    assert unparse(e) == chain
+
+    depth = 3000
+    nest = ("".join(f"(lambda (x{i % 7}) " for i in range(depth))
+            + "(x0 y)" + ")" * depth)
+    e = parse(nest)
+    assert node_count(e) == depth + 3
+    assert free_vars(e) == frozenset({"y"})
+    assert binders(e) == tuple((f"x{i % 7}", i) for i in range(depth))
+    assert [n.label for n in subterms(e)] == list(range(depth + 3))
+    assert unparse(e) == nest
+
+
 def test_free_vars():
     assert free_vars(parse("(lambda (x) (x y))")) == frozenset({"y"})
     assert free_vars(parse("(lambda (x) (lambda (y) (x y)))")) == frozenset()
@@ -212,6 +232,24 @@ def test_corpus_is_closed_and_small(corpus):
 def test_shadowing_free_vars():
     e = parse("((lambda (x) ((lambda (x) x) 1)) 2)")
     assert free_vars(e) == frozenset()
+    # a use beside a lambda binding its name is free, on either side of
+    # it; inside an outer lambda binding the name too, it stays bound
+    for src in ("((lambda (x) x) x)", "(x (lambda (x) x))",
+                "(if x (lambda (x) (lambda (x) x)) 1)"):
+        assert free_vars(parse(src)) == frozenset({"x"}), src
+    for src in ("(lambda (x) ((lambda (x) x) x))",
+                "(lambda (x) (x (lambda (x) x)))"):
+        assert free_vars(parse(src)) == frozenset(), src
+
+
+def test_free_vars_matches_the_recursive_definition(corpus):
+    # every subterm, so open terms and shadowed names are checked too
+    rng = random.Random(5)
+    programs = [e for _, _, e in corpus]
+    programs += [random_program(rng, rng.randrange(2, 40)) for _ in range(300)]
+    for e in programs:
+        for n in subterms(e):
+            assert free_vars(n) == recursive_free_vars(n), unparse(n)
 
 
 ONE_ARG = "application takes exactly one argument, got {}"

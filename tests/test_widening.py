@@ -1,7 +1,5 @@
 """Global-store widening baseline."""
 
-import pytest
-
 from flowladder.domains import (
     ARG_SLOT,
     FN_SLOT,
@@ -20,7 +18,7 @@ from flowladder.domains import (
     ValAddr,
     kcfa_policy,
 )
-from flowladder.syntax import App, node_count, parse
+from flowladder.syntax import node_count, parse
 from flowladder.naive import explore
 from flowladder.widening import analyze_baseline, inject_context, step_context
 
