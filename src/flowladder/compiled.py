@@ -75,7 +75,7 @@ def inject_compiled(e, policy):
     return [c0], log
 
 
-def step_compiled(c, store, policy, mode: str = "abstract"):
+def step_compiled(c, store, policy):
     """Transfer function of the compiled machine.  A co context whose
     continuation resumes evaluation (an operand, an operator's body, an if
     branch) runs that expression's corridor here, so each successor is the
@@ -126,7 +126,7 @@ def step_compiled(c, store, policy, mode: str = "abstract"):
             return out
         if isinstance(f, PrimVal):
             for v in store.deref(av):
-                res = delta(f.name, v, mode)
+                res = delta(f.name, v)
                 if res is None:
                     out.append((StuckC(STUCK_PRIM, lbl), []))
                 else:

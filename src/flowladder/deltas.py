@@ -43,6 +43,7 @@ from .domains import (
     FF,
     delta,
     lit_value,
+    require_abstract,
 )
 from .syntax import App, If, Lam, Lit, Var
 from .frontier import SnapshotView, replaying_sweep, run_driven
@@ -75,7 +76,7 @@ def replay(log, store: Store):
     return Store(m), True
 
 
-def step_with_deltas(c, store: Store, policy, mode: str):
+def step_with_deltas(c, store: Store, policy):
     """The widened relation with writes logged instead of performed.
 
     Returns a list of (successor context, change log).  Deliberately a fresh
@@ -139,7 +140,7 @@ def step_with_deltas(c, store: Store, policy, mode: str):
         if isinstance(f, PrimVal):
             out = []
             for v in store.deref(av):
-                res = delta(f.name, v, mode)
+                res = delta(f.name, v)
                 if res is None:
                     out.append((StuckC(STUCK_PRIM, lbl), []))
                 else:
@@ -173,6 +174,7 @@ def run_logged(
     ``SnapshotView`` and is replayed from the driver's memo until a cell it
     read grows (``frontier.replaying_sweep``).  ``trace`` is
     run_driven's."""
+    require_abstract(mode, policy)
     first, log0 = inject(e, policy)
     store, _ = replay(log0, EMPTY_STORE)
     view = SnapshotView(store._m)
@@ -189,5 +191,5 @@ def run_logged(
         return [a for a, _ in writes if now[a] is not was.get(a)]
 
     return run_driven(e, first,
-                      replaying_sweep(stepper, policy, mode, view, apply),
+                      replaying_sweep(stepper, policy, view, apply),
                       lambda: store, cap_check, trace)

@@ -406,7 +406,8 @@ class KCfaPolicy:
     Binding addresses pair the variable with the truncated extension of the
     current time by the call site; continuation addresses keep the site label
     with the untruncated current time (already at most k long); value cells
-    keep the application label, time, and operator/operand slot.
+    keep the application label, time, and operator/operand slot.  It is
+    finite, so a run under it is abstract: ``delta`` is not exact.
     """
 
     finite = True
@@ -441,6 +442,8 @@ class ConcretePolicy:
     The counter belongs to one engine run; freshness (returned address not in
     the current store) holds because addresses enter stores only through this
     policy.  Time is irrelevant to fresh allocation, so tick is identity.
+    It is the only policy that is not finite; only ``naive`` runs under it,
+    with ``delta`` exact.
     """
 
     finite = False
@@ -480,15 +483,34 @@ def concrete_policy() -> ConcretePolicy:
     return ConcretePolicy()
 
 
+class UnsupportedPolicyError(ValueError):
+    """Raised when a rung past ``naive``, or preallocation, is asked for
+    an unbounded address space."""
+
+
+def require_abstract(mode, policy) -> None:
+    """Reject a concrete run of a rung past ``naive`` before it steps.
+    Those rungs widen their store, so they are abstract only: the policy
+    must be finite.  Their runners keep a ``mode`` slot after the policy
+    only because the benchmark's direct runs pass "abstract" there
+    positionally."""
+    if mode != "abstract" or not policy.finite:
+        raise UnsupportedPolicyError(
+            f"mode {mode!r} under {policy!r}: the rungs past naive are "
+            "abstract only; a concrete run is "
+            'Config(stage="naive", mode="concrete") or evaluate_concrete')
+
+
 # ------------------------------------------------------------- primitive ops
 
-def delta(op: str, v, mode: str):
+def delta(op: str, v, exact: bool = False):
     """Value sets produced by a primitive on one argument value.
 
     Returns a frozenset of result values, or None to signal a type error
-    (the caller records a stuck node).  Abstract arithmetic collapses every
-    integer to the abstract integer; zero? stays exact on concrete integers
-    and splits on the abstract one.
+    (the caller records a stuck node).  Arithmetic collapses every integer
+    to the abstract integer unless ``exact`` is set, as it is only for a
+    concrete run of the naive machine; zero? stays exact on concrete
+    integers and splits on the abstract one.
     """
     if op == "zero?":
         if type(v) is IntVal:
@@ -498,13 +520,13 @@ def delta(op: str, v, mode: str):
         return None
     if op == "add1":
         if type(v) is IntVal:
-            return _SET_Z if mode == "abstract" else frozenset((IntVal(v.z + 1),))
+            return frozenset((IntVal(v.z + 1),)) if exact else _SET_Z
         if type(v) is AbstractInt:
             return _SET_Z
         return None
     if op == "sub1":
         if type(v) is IntVal:
-            return _SET_Z if mode == "abstract" else frozenset((IntVal(v.z - 1),))
+            return frozenset((IntVal(v.z - 1),)) if exact else _SET_Z
         if type(v) is AbstractInt:
             return _SET_Z
         return None

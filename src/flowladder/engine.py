@@ -68,7 +68,9 @@ class ConfigError(ValueError):
 
 
 class Config:
-    """What to run and under which budgets."""
+    """What to run and under which budgets.  ``mode`` only picks the
+    allocation policy (``policy``), which alone makes a run concrete:
+    "concrete" is the concrete policy, which only ``naive`` runs."""
 
     __slots__ = ("stage", "k", "mode", "time_cap", "space_cap")
 
@@ -82,7 +84,7 @@ class Config:
         if mode == "concrete" and stage != "naive":
             raise ConfigError("concrete mode is only meaningful for the "
                               "naive stage; every other stage widens")
-        if not isinstance(k, int) or k < 0:
+        if type(k) is bool or not isinstance(k, int) or k < 0:
             raise ConfigError(f"k must be a natural number, got {k!r}")
         if not (time_cap > 0 and space_cap > 0):  # NaN too
             raise ConfigError("caps must be positive")
@@ -149,18 +151,18 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
     cap = _cap_check(t0, cfg.time_cap, cfg.space_cap, peak_box)
     stage = cfg.stage
     if stage == "naive":
-        r = explore(e, policy, cfg.mode, cap_check=cap)
+        r = explore(e, policy, cap_check=cap)
     elif stage == "widened":
-        r = analyze_baseline(e, policy, cfg.mode, cap_check=cap)
+        r = analyze_baseline(e, policy, cap_check=cap)
     elif stage == "frontier":
-        r = run_frontier(e, policy, cfg.mode, cap_check=cap)
+        r = run_frontier(e, policy, cap_check=cap)
     elif stage in ("deltas", "lazy", "compiled"):
         stepper = {"deltas": step_with_deltas, "lazy": step_lazy,
                    "compiled": step_compiled}[stage]
         kw = {"inject": inject_compiled} if stage == "compiled" else {}
-        r = run_logged(e, stepper, policy, cfg.mode, cap_check=cap, **kw)
+        r = run_logged(e, stepper, policy, cap_check=cap, **kw)
     else:
-        r = run_imperative(e, policy, cfg.mode, cap_check=cap,
+        r = run_imperative(e, policy, cap_check=cap,
                            prealloc=(stage == "imperative-prealloc"))
     r.wall_time_s = time.perf_counter() - t0
     r.peak_mem_bytes = max(peak_box[0], rss_bytes())

@@ -41,6 +41,7 @@ from .domains import (
     AnalysisBugError,
     AnalysisResult,
     halt_values,
+    require_abstract,
 )
 from .syntax import Expr
 from .widening import inject_context, sweep_contexts
@@ -196,12 +197,13 @@ def run_frontier(
     contexts produce; ``Store.join`` returns its receiver unless the store
     grows, so a new store object is growth.  Its sweep steps the whole
     frontier and leaves the memo empty.  ``trace`` is run_driven's."""
+    require_abstract(mode, policy)
     store = EMPTY_STORE
 
     def sweep(order, ctxs, memo):
         nonlocal store
         stepped, store2 = sweep_contexts(map(ctxs.__getitem__, order), store,
-                                         policy, mode)
+                                         policy)
         grew = store2 is not store
         store = store2
         return stepped, grew
@@ -243,11 +245,11 @@ class SnapshotView:
         return default if vs is None else vs
 
 
-def replaying_sweep(stepper, policy, mode, view, apply):
+def replaying_sweep(stepper, policy, view, apply):
     """A ``drive`` sweep that leaves each step's successors in the memo
     until a cell the step read grows.
 
-    ``stepper(c, view, policy, mode)`` returns a context's (successor,
+    ``stepper(c, view, policy)`` returns a context's (successor,
     change log) pairs and reads the store only through ``view``, a
     ``SnapshotView`` over the store's cells.  No cell changes during the
     sweep.  Its writes are kept in one list, and ``apply(writes)`` joins
@@ -269,7 +271,7 @@ def replaying_sweep(stepper, policy, mode, view, apply):
             view.reads = reads = []
             succs = []
             last = None
-            for c2, log in stepper(ctxs[i], view, policy, mode):
+            for c2, log in stepper(ctxs[i], view, policy):
                 succs.append(c2)
                 # the successors a function continuation builds share one
                 # log, and joining it once is enough

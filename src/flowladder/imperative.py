@@ -10,21 +10,21 @@ timestamped rung is, the trace from snapshots of the cells.
 
 A step is a function of its context and the cells it read: it sees the
 store only through ``SnapshotView.deref`` and ``get``.  An allocation is
-handed no store, only a label, a time and, for a binding, the variable,
-and the uniform k-CFA policies build the address from those alone (the
-concrete policy counts its calls instead; the engine runs every rung but
-``naive`` abstract only).  No cell changes during a sweep.  So while no
-cell a step read has grown, stepping its context again would yield the
-same successors and the same writes, which are already in the store.  The
-sweep leaves each step's successors in the driver's memo, where the driver
-replays them, and files the step under every address it read in a reverse
-read index.  When a cell grows after a sweep, the steps filed under it
-lose their memos, and those contexts step again the next time they come
-round.  This is the dependency tracking of chaotic iteration, per cell,
-and leaves the timestamped fixpoint exactly as it was.  The replay is
-shared: the sweep is ``frontier.replaying_sweep``, which the logged rungs
-(``deltas``, ``lazy``, ``compiled``) run over their persistent store as
-well; here it joins a generation's writes into the value cells in place.
+handed no store, only a label, a time and, for a binding, the variable, and
+the uniform k-CFA policies build the address from those alone (the machine,
+like every rung past ``naive``, is abstract and runs only under them).  No
+cell changes during a sweep.  So while no cell a step read has grown,
+stepping its context again would yield the same successors and the same
+writes, which are already in the store.  The sweep leaves each step's
+successors in the driver's memo, where the driver replays them, and files
+the step under every address it read in a reverse read index.  When a cell
+grows after a sweep, the steps filed under it lose their memos, and those
+contexts step again the next time they come round.  This is the dependency
+tracking of chaotic iteration, per cell, and leaves the timestamped
+fixpoint exactly as it was.  The replay is shared: the sweep is
+``frontier.replaying_sweep``, which the logged rungs (``deltas``, ``lazy``,
+``compiled``) run over their persistent store as well; here it joins a
+generation's writes into the value cells in place.
 
 Preallocation puts the machine on dense integer addresses: for a uniform
 k-CFA policy an address table gives each address the next free ordinal the
@@ -51,14 +51,12 @@ from .domains import (
     FnK,
     IfK,
     Store,
+    UnsupportedPolicyError,
+    require_abstract,
 )
 from .syntax import Expr
 from .compiled import inject_compiled, step_compiled
 from .frontier import SnapshotView, replaying_sweep, run_driven
-
-
-class UnsupportedPolicyError(ValueError):
-    """Raised when preallocation is asked for an unbounded address space."""
 
 
 # ------------------------------------------------------------ value cells
@@ -225,11 +223,12 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
                    prealloc: bool = False, trace=None) -> AnalysisResult:
     """Iterate the transfer function to an empty frontier.  ``trace`` is
     ``frontier.run_driven``'s, decoded under preallocation."""
-    return run_machine(e, policy, mode, cap_check, prealloc, trace)[0]
+    require_abstract(mode, policy)
+    return run_machine(e, policy, cap_check, prealloc, trace)[0]
 
 
-def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
-                prealloc: bool = False, trace=None):
+def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
+                trace=None):
     """run_imperative's result next to the machine it leaves: (result,
     vstore, layout).  vstore holds the raw value cells; layout is the
     address table, None for the hash store."""
@@ -257,7 +256,6 @@ def run_machine(e: Expr, policy, mode: str = "abstract", cap_check=None,
 
     result = run_driven(
         e, first,
-        replaying_sweep(step_compiled, pol, mode, SnapshotView(vstore.cells),
-                        join),
+        replaying_sweep(step_compiled, pol, SnapshotView(vstore.cells), join),
         lambda: snapshot(vstore, dec_a, dec), cap_check, trace, dec)
     return result, vstore, layout

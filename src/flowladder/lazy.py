@@ -52,7 +52,7 @@ def force(store: Store, v) -> frozenset:
     return frozenset((v,))
 
 
-def step_lazy(c, store: Store, policy, mode: str):
+def step_lazy(c, store: Store, policy):
     """The logged relation with lazy variable lookup.
 
     Same shape as the delta stepper except: ev of a variable yields exactly
@@ -124,7 +124,7 @@ def step_lazy(c, store: Store, policy, mode: str):
         if isinstance(f, PrimVal):
             out = []
             for v in store.deref(av):
-                res = delta(f.name, v, mode)
+                res = delta(f.name, v)
                 if res is None:
                     out.append((StuckC(STUCK_PRIM, lbl), []))
                 else:

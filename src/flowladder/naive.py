@@ -1,14 +1,17 @@
 """The unwidened machine: per-state stores, frames carry values.
 
 This is the reference transition relation every later engine is measured
-against.  A state is a (context, store) pair; stepping a state yields the
-complete set of successor states.  Under the concrete policy the machine is
-deterministic (at most one successor) and doubles as a definitional
-interpreter; under a k-CFA policy the reachable state graph is finite but
-states multiply fast because every store mutation forks a whole store.
-``explore`` closes the step relation under the driver every later rung
-runs (``frontier.drive``): its sweep never reports store growth, so the
-clock stays at 0 and each state is stepped once, breadth first.
+against, and the only rung that runs concretely.  A state is a (context,
+store) pair; stepping a state yields the complete set of successor states.
+The policy alone decides how concrete a run is.  The concrete policy is the
+only one that is not ``finite``: under it arithmetic is exact, and the
+machine is deterministic (at most one successor) and doubles as a
+definitional interpreter.  Under a k-CFA policy arithmetic is abstract and
+the reachable state graph is finite, but states multiply fast because every
+store mutation forks a whole store.  ``explore`` closes the step relation
+under the driver every later rung runs (``frontier.drive``): its sweep never
+reports store growth, so the clock stays at 0 and each state is stepped
+once, breadth first.
 
 Later engines change two things at once: values move into the store (frames
 hold addresses), and the store is widened globally.  Neither change happens
@@ -56,7 +59,7 @@ def inject(e: Expr) -> State:
     return (EvC(e, EMPTY_ENV, HALT, ()), EMPTY_STORE)
 
 
-def step_state(state: State, policy, mode: str) -> list[State]:
+def step_state(state: State, policy) -> list[State]:
     """All successors of one state.  Terminal states (halt returns, stuck
     markers) have none."""
     c, store = state
@@ -119,7 +122,7 @@ def step_state(state: State, policy, mode: str) -> list[State]:
             store2 = store.join(a, (v,))
             return [(EvC(f.body, f.env.extend(f.var, a), kont, t2), store2)]
         if isinstance(f, PrimVal):
-            res = delta(f.name, v, mode)
+            res = delta(f.name, v, not policy.finite)
             if res is None:
                 return [(StuckC(STUCK_PRIM, lbl), store)]
             for u in res:
@@ -163,7 +166,7 @@ def evaluate_concrete(e: Expr, budget: int = CONCRETE_STEP_BUDGET) -> ConcreteOu
     state = (c0, MutStore())  # single path, single store: update in place
     steps = 0
     while steps < budget:
-        succs = step_state(state, policy, "concrete")
+        succs = step_state(state, policy)
         if not succs:
             c = state[0]
             if isinstance(c, CoC) and isinstance(c.kont, Halt):
@@ -178,7 +181,7 @@ def evaluate_concrete(e: Expr, budget: int = CONCRETE_STEP_BUDGET) -> ConcreteOu
     return ConcreteOutcome("nontermination", steps=steps)
 
 
-def explore(e: Expr, policy, mode: str, cap_check=None) -> AnalysisResult:
+def explore(e: Expr, policy, cap_check=None) -> AnalysisResult:
     """Breadth-first closure of the step relation from the injected state;
     the result's contexts are the reachable (context, store) states.
 
@@ -188,7 +191,7 @@ def explore(e: Expr, policy, mode: str, cap_check=None) -> AnalysisResult:
     initial = inject(e)
 
     def sweep(order, states, memo):
-        return [step_state(states[i], policy, mode) for i in order], False
+        return [step_state(states[i], policy) for i in order], False
 
     states, edges, generations, status, _ = drive([initial], sweep, cap_check)
     contexts, edges = package(states, edges)

@@ -39,6 +39,7 @@ from .domains import (
     delta,
     halt_values,
     lit_value,
+    require_abstract,
 )
 from .syntax import App, Expr, If, Lam, Lit, Var
 
@@ -49,7 +50,7 @@ def inject_context(e: Expr):
     return EvC(e, EMPTY_ENV, HALT, ())
 
 
-def step_context(c, store: Store, policy, mode: str = "abstract"):
+def step_context(c, store: Store, policy):
     """Successors of one context against a shared store.
 
     Returns (contexts, store'); the store only grows.  All dereferences hit
@@ -115,7 +116,7 @@ def step_context(c, store: Store, policy, mode: str = "abstract"):
         if isinstance(f, PrimVal):
             out = []
             for v in store.deref(av):
-                res = delta(f.name, v, mode)
+                res = delta(f.name, v)
                 if res is None:
                     out.append(StuckC(STUCK_PRIM, lbl))
                 else:
@@ -128,13 +129,13 @@ def step_context(c, store: Store, policy, mode: str = "abstract"):
     raise TypeError(f"not a context: {c!r}")
 
 
-def sweep_contexts(order, store, policy, mode):
+def sweep_contexts(order, store, policy):
     """Step every context in order against the store.  Returns the
     successor list of each, in order, and the joined store."""
     stepped = []
     acc = store
     for c in order:
-        succs, s2 = step_context(c, store, policy, mode)
+        succs, s2 = step_context(c, store, policy)
         if s2 is not store:
             acc = acc.join_store(s2)
         stepped.append(succs)
@@ -151,6 +152,7 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
     ``cap_check(n_contexts, generation)`` may return a status string to stop
     early.
     """
+    require_abstract(mode, policy)
     c0 = inject_context(e)
     contexts = {c0}
     order = [c0]  # insertion order: deterministic iteration
@@ -164,7 +166,7 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
             if stop is not None:
                 status = stop
                 break
-        stepped, store2 = sweep_contexts(order, store, policy, mode)
+        stepped, store2 = sweep_contexts(order, store, policy)
         grew = False
         # order grows in this loop; zip stops at the contexts swept
         for src, succs in zip(order, stepped):

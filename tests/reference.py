@@ -86,10 +86,10 @@ def inject_reference(e: Expr) -> RefSystem:
     return RefSystem(seen={c0: (EMPTY_STORE,)}, frontier=[c0], chain=[EMPTY_STORE])
 
 
-def reference_step(sys: RefSystem, policy, mode: str = "abstract") -> RefSystem:
+def reference_step(sys: RefSystem, policy) -> RefSystem:
     if not sys.frontier:
         return sys
-    stepped, store2 = sweep_contexts(sys.frontier, sys.store, policy, mode)
+    stepped, store2 = sweep_contexts(sys.frontier, sys.store, policy)
     changed = store2 is not sys.store and store2 != sys.store
     chain2 = [store2] + sys.chain if changed else sys.chain
     head = chain2[0]
@@ -109,13 +109,13 @@ def reference_step(sys: RefSystem, policy, mode: str = "abstract") -> RefSystem:
     return RefSystem(seen2, frontier2, chain2)
 
 
-def run_reference(e: Expr, policy, mode: str = "abstract", trace=None, max_generations=None):
+def run_reference(e: Expr, policy, trace=None, max_generations=None):
     sys = inject_reference(e)
     generation = 0
     while sys.frontier:
         if max_generations is not None and generation >= max_generations:
             break
-        sys = reference_step(sys, policy, mode)
+        sys = reference_step(sys, policy)
         generation += 1
         if trace is not None:
             trace.append((dict(sys.seen), tuple(sys.frontier), tuple(sys.chain)))
@@ -153,7 +153,7 @@ class StateGraph:
         self.status = status
 
 
-def explore_states(e, stepper, policy, mode: str = "abstract", inject=inject_plain,
+def explore_states(e, stepper, policy, inject=inject_plain,
                    max_states: int = 200_000) -> StateGraph:
     """Breadth-first closure of a logged stepper WITHOUT store widening:
     every state carries its own store, and each transition's log is replayed
@@ -168,7 +168,7 @@ def explore_states(e, stepper, policy, mode: str = "abstract", inject=inject_pla
         for i in order:
             c, store = states[i]
             stepped.append([(c2, replay(log, store)[0])
-                            for c2, log in stepper(c, store, policy, mode)])
+                            for c2, log in stepper(c, store, policy)])
         return stepped, False
 
     def cap_check(n_states, generation):
@@ -228,8 +228,7 @@ def _fail(reason, witness, gl, gc):
     return StutterReport(False, reason, witness, len(gl.states), len(gc.states))
 
 
-def stutter_check(e, policy, mode: str = "abstract",
-                  max_states: int = 200_000) -> StutterReport:
+def stutter_check(e, policy, max_states: int = 200_000) -> StutterReport:
     """Check that the compiled machine bisimulates the lazy machine up to
     stuttering, with the compiled side never the one stuttering.
 
@@ -244,8 +243,8 @@ def stutter_check(e, policy, mode: str = "abstract",
          in the same corridor, so lazy stutter phases are finite.
     """
     desc = descendant_labels(e)
-    gl = explore_states(e, step_lazy, policy, mode, max_states=max_states)
-    gc = explore_states(e, step_compiled, policy, mode,
+    gl = explore_states(e, step_lazy, policy, max_states=max_states)
+    gc = explore_states(e, step_compiled, policy,
                         inject=inject_compiled, max_states=max_states)
     if gl.status != "fixpoint" or gc.status != "fixpoint":
         return _fail("state budget exceeded", None, gl, gc)

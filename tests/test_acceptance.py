@@ -150,7 +150,7 @@ def _battery_step_vs_logged(corpus, n):
                     cases.append((c, chain[0], P0))
     for c, store, pol in cases:
         plain_succs, joined = step_context(c, store, pol)
-        logged = step_with_deltas(c, store, pol, "abstract")
+        logged = step_with_deltas(c, store, pol)
         assert sorted(map(repr, (s for s, _ in logged))) == \
             sorted(map(repr, plain_succs)), c
         merged, changed = replay([w for _, log in logged for w in log], store)
@@ -172,7 +172,7 @@ def _battery_compile_commit(corpus, n):
         g = explore_states(e, step_lazy, P0)
         cases.extend((e, c, s) for (c, s) in g.states if isinstance(c, EvC))
     for _, c, store in cases:
-        (c2, xi), = step_lazy(c, store, P0, "abstract")
+        (c2, xi), = step_lazy(c, store, P0)
         s2, _ = replay(xi, store)
         assert refine((c, store), P0) == refine((c2, s2), P0), (c, c2)
     return len(cases)

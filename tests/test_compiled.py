@@ -217,7 +217,7 @@ def test_compile_commit_square(corpus):
     # state once and committing the successor, as (context, store) pairs
     checked = 0
     for _, c, store in _harvest_ev_states(corpus):
-        (c2, xi), = step_lazy(c, store, P0, "abstract")
+        (c2, xi), = step_lazy(c, store, P0)
         s2, _ = replay(xi, store)
         assert refine((c, store), P0) == refine((c2, s2), P0)
         checked += 1

@@ -89,7 +89,7 @@ def test_log_value_sets_are_nonempty(corpus):
         run_frontier(e, P0, trace=trace)
         for seen, frontier, chain, t in trace:
             for c in frontier:
-                for _, log in step_with_deltas(c, chain[0], P0, "abstract"):
+                for _, log in step_with_deltas(c, chain[0], P0):
                     for _, vs in log:
                         assert vs, name
 
@@ -106,7 +106,7 @@ def test_agrees_with_unlogged_step_on_corpus_configs(corpus):
                 configs.add((c, chain[0]))
         for c, store in configs:
             plain_succs, store2 = step_context(c, store, P0)
-            logged = step_with_deltas(c, store, P0, "abstract")
+            logged = step_with_deltas(c, store, P0)
             assert sorted(map(repr, (s for s, _ in logged))) == \
                 sorted(map(repr, plain_succs)), (name, c)
             merged, changed = replay([w for _, log in logged for w in log], store)
@@ -130,5 +130,5 @@ def test_fixpoint_equals_frontier_exactly(corpus):
 
 
 def test_literal_rule_logs_nothing():
-    (succ, log), = step_with_deltas(inject_context(parse("5")), EMPTY_STORE, P0, "abstract")
+    (succ, log), = step_with_deltas(inject_context(parse("5")), EMPTY_STORE, P0)
     assert log == []

@@ -257,33 +257,35 @@ def test_concrete_policy_fresh():
 # ------------------------------------------------------------------ delta
 
 def test_delta_concrete():
-    assert delta("add1", IntVal(4), "concrete") == frozenset({IntVal(5)})
-    assert delta("sub1", IntVal(4), "concrete") == frozenset({IntVal(3)})
-    assert delta("sub1", IntVal(0), "concrete") == frozenset({IntVal(-1)})
-    assert delta("zero?", IntVal(0), "concrete") == frozenset({TT})
-    assert delta("zero?", IntVal(4), "concrete") == frozenset({FF})
+    assert delta("add1", IntVal(4), exact=True) == frozenset({IntVal(5)})
+    assert delta("sub1", IntVal(4), exact=True) == frozenset({IntVal(3)})
+    assert delta("sub1", IntVal(0), exact=True) == frozenset({IntVal(-1)})
+    assert delta("zero?", IntVal(0), exact=True) == frozenset({TT})
+    assert delta("zero?", IntVal(4), exact=True) == frozenset({FF})
 
 
 def test_delta_abstract():
-    assert delta("add1", IntVal(4), "abstract") == frozenset({ZINT})
-    assert delta("sub1", IntVal(0), "abstract") == frozenset({ZINT})
-    assert delta("add1", ZINT, "abstract") == frozenset({ZINT})
-    assert delta("zero?", IntVal(0), "abstract") == frozenset({TT})
-    assert delta("zero?", IntVal(2), "abstract") == frozenset({FF})
-    assert delta("zero?", ZINT, "abstract") == frozenset({TT, FF})
+    assert delta("add1", IntVal(4)) == frozenset({ZINT})
+    assert delta("sub1", IntVal(0), exact=False) == frozenset({ZINT})
+    assert delta("add1", ZINT) == frozenset({ZINT})
+    assert delta("zero?", IntVal(0)) == frozenset({TT})
+    assert delta("zero?", IntVal(2)) == frozenset({FF})
+    assert delta("zero?", ZINT) == frozenset({TT, FF})
+    # exactness only changes arithmetic on known integers
+    assert delta("add1", ZINT, exact=True) == frozenset({ZINT})
 
 
 @pytest.mark.parametrize("op", ["add1", "sub1", "zero?"])
-@pytest.mark.parametrize("mode", ["concrete", "abstract"])
-def test_delta_type_errors(op, mode):
+@pytest.mark.parametrize("exact", [True, False], ids=["concrete", "abstract"])
+def test_delta_type_errors(op, exact):
     e = parse("(lambda (x) x)")
     for bad in (TT, FF, PrimVal("add1"), Closure("x", e.body, EMPTY_ENV)):
-        assert delta(op, bad, mode) is None
+        assert delta(op, bad, exact=exact) is None
 
 
 def test_delta_unknown_op():
     with pytest.raises(ValueError):
-        delta("mul", IntVal(1), "concrete")
+        delta("mul", IntVal(1), exact=True)
 
 
 # --------------------------------------------------------------- skeleton

@@ -12,7 +12,11 @@ from pathlib import Path
 import pytest
 
 from flowladder.cli import LADDER_STAGES, _verdict_violations
-from flowladder.domains import IntVal, Store
+from flowladder.deltas import run_logged, step_with_deltas
+from flowladder.domains import IntVal, Store, concrete_policy, kcfa_policy
+from flowladder.frontier import run_frontier
+from flowladder.imperative import run_imperative
+from flowladder.widening import analyze_baseline
 from flowladder.syntax import parse, unparse
 from flowladder.engine import (
     DEFAULT_SPACE_CAP,
@@ -50,6 +54,8 @@ def test_config_rejects_invalid_combinations():
         Config(k=-1)
     with pytest.raises(ConfigError):
         Config(k="one")
+    with pytest.raises(ConfigError):  # a bool is an int, but not a k
+        Config(k=True)
     with pytest.raises(ConfigError):
         Config(time_cap=0)
     with pytest.raises(ConfigError):
@@ -66,6 +72,32 @@ def test_concrete_naive_runs_the_program():
     finals = [c for c, s in r.contexts
               if type(c).__name__ == "CoC" and type(c.kont).__name__ == "Halt"]
     assert len(finals) == 1
+
+
+# counts up forever: concretely it never halts
+COUNTING_LOOP = ("(((lambda (u) (lambda (n) ((u u) (add1 n))))"
+                 " (lambda (u) (lambda (n) ((u u) (add1 n))))) 0)")
+
+RUNNERS_PAST_NAIVE = {
+    "analyze_baseline": analyze_baseline,
+    "run_frontier": run_frontier,
+    "run_logged": lambda e, pol, mode, **kw: run_logged(
+        e, step_with_deltas, pol, mode, **kw),
+    "run_imperative": run_imperative,
+}
+
+
+@pytest.mark.parametrize("name", sorted(RUNNERS_PAST_NAIVE))
+@pytest.mark.parametrize("policy, mode", [
+    (kcfa_policy(0), "concrete"), (concrete_policy(), "abstract")])
+def test_runners_past_naive_refuse_a_concrete_run(name, policy, mode):
+    def never(n_states, generation):
+        raise AssertionError(f"{name} stepped before refusing the run")
+
+    runner = RUNNERS_PAST_NAIVE[name]
+    with pytest.raises(ValueError, match=re.escape(
+            'Config(stage="naive", mode="concrete")')):
+        runner(parse(COUNTING_LOOP), policy, mode, cap_check=never)
 
 
 def test_every_stage_reaches_fixpoint_and_covers_oracle():

@@ -130,9 +130,9 @@ def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
     # the sweep joins its writes only after its last step
     tr, seen = [], []
 
-    def spy(c, view, pol, mode):
+    def spy(c, view, pol):
         seen.append((len(tr), dict(view._fetch.__self__)))
-        return step_compiled(c, view, pol, mode)
+        return step_compiled(c, view, pol)
 
     monkeypatch.setattr(imperative, "step_compiled", spy)
     for name, src, e in load_corpus():
@@ -420,9 +420,9 @@ def _count_steps(monkeypatch):
     # step_compiled calls per context, through the name the sweep calls
     steps = Counter()
 
-    def counted(c, view, pol, mode):
+    def counted(c, view, pol):
         steps[c] += 1
-        return step_compiled(c, view, pol, mode)
+        return step_compiled(c, view, pol)
 
     monkeypatch.setattr(imperative, "step_compiled", counted)
     return steps
@@ -531,8 +531,8 @@ def test_no_restep_is_needless(monkeypatch):
     tr, steps = [], []
 
     def spying(stepper):
-        def spy(c, view, pol, mode):
-            out = stepper(c, view, pol, mode)
+        def spy(c, view, pol):
+            out = stepper(c, view, pol)
             reads = view.reads
             if isinstance(pol, imperative.AddressTable):
                 reads = map(pol.addr_of, reads)
@@ -568,7 +568,7 @@ def test_no_restep_is_needless(monkeypatch):
     assert set(restepped) == set(runs), restepped
 
 
-def _shrinking_reads_step(c, view, pol, mode):
+def _shrinking_reads_step(c, view, pol):
     # X reads b only until a has a value, and loops to itself; Y0 -> Y1 ->
     # Y2 writes b two generations after X's reads shrank, and leads back
     # to X
@@ -589,9 +589,9 @@ def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
     # sweep and on the logged one
     steps = Counter()
 
-    def step(c, view, pol, mode):
+    def step(c, view, pol):
         steps[c] += 1
-        return _shrinking_reads_step(c, view, pol, mode)
+        return _shrinking_reads_step(c, view, pol)
 
     def inject(e, pol):
         return ["X", "Y0"], []

@@ -58,7 +58,7 @@ def test_variable_reference_yields_one_successor():
     store = EMPTY_STORE.join(a, (IntVal(1), IntVal(2), IntVal(3)))
     env = EMPTY_ENV.extend("x", a)
     c = EvC(parse("x"), env, HALT, ())
-    succs = step_lazy(c, store, P0, "abstract")
+    succs = step_lazy(c, store, P0)
     assert succs == [(CoC(HALT, DelayedAddr(a)), [])]
 
 
@@ -68,7 +68,7 @@ def test_if_forces_and_branches_on_present_booleans():
     ka = KontAddr(0, ())
     store = EMPTY_STORE.join(A, (BoolVal(True), BoolVal(False))).join(ka, (HALT,))
     c = CoC(IfK(guard_if.then, guard_if.els, EMPTY_ENV, ka, ()), DelayedAddr(A))
-    succs = step_lazy(c, store, P0, "abstract")
+    succs = step_lazy(c, store, P0)
     exprs = sorted(s.expr.label for s, _ in succs)
     assert exprs == sorted((guard_if.then.label, guard_if.els.label))
 
@@ -78,7 +78,7 @@ def test_if_mixed_guard_branches_without_stuck():
     ka = KontAddr(0, ())
     store = EMPTY_STORE.join(A, (BoolVal(True), IntVal(7))).join(ka, (HALT,))
     c = CoC(IfK(prog.then, prog.els, EMPTY_ENV, ka, ()), DelayedAddr(A))
-    succs = step_lazy(c, store, P0, "abstract")
+    succs = step_lazy(c, store, P0)
     assert [s.expr.label for s, _ in succs] == [prog.then.label]
     assert not any(isinstance(s, StuckC) for s, _ in succs)
 
@@ -88,7 +88,7 @@ def test_if_bool_free_guard_is_stuck():
     ka = KontAddr(0, ())
     store = EMPTY_STORE.join(A, (IntVal(7),)).join(ka, (HALT,))
     c = CoC(IfK(prog.then, prog.els, EMPTY_ENV, ka, ()), DelayedAddr(A))
-    succs = step_lazy(c, store, P0, "abstract")
+    succs = step_lazy(c, store, P0)
     assert succs == [(StuckC(STUCK_IF, prog.then.label), [])]
 
 
@@ -127,15 +127,15 @@ def test_simulates_every_naive_step(corpus):
     for name, src, e in corpus:
         if node_count(e) > 25:
             continue
-        naive = explore(e, P0, "abstract")
+        naive = explore(e, P0)
         lz = run_logged(e, step_lazy, P0)
         final = lz.store
-        lazy_succs = {c: step_lazy(c, final, P0, "abstract") for c in lz.contexts}
+        lazy_succs = {c: step_lazy(c, final, P0) for c in lz.contexts}
         for (c, store) in naive.contexts:
             if not store_leq(store, final):
                 continue
             hosts = [ch for ch in lz.contexts if ctx_leq(c, ch, final)]
-            for (c2, store2) in step_state((c, store), P0, "abstract"):
+            for (c2, store2) in step_state((c, store), P0):
                 if not store_leq(store2, final):
                     continue
                 for ch in hosts:

@@ -20,6 +20,7 @@ from flowladder.domains import (
     STUCK_IF,
     STUCK_PRIM,
     STUCK_UNBOUND,
+    ZINT,
     concrete_policy,
     kcfa_policy,
 )
@@ -42,7 +43,7 @@ def test_machine_trace_identity_application():
     state = inject(e)
     trace = [state]
     while True:
-        succs = step_state(state, policy, "concrete")
+        succs = step_state(state, policy)
         if not succs:
             break
         assert len(succs) == 1
@@ -77,7 +78,7 @@ def test_application_pushes_continuation_into_store():
     e = parse("(add1 1)")
     policy = concrete_policy()
     c0, s0 = inject(e)
-    (c1, s1), = step_state((c0, s0), policy, "concrete")
+    (c1, s1), = step_state((c0, s0), policy)
     assert isinstance(c1, EvC) and isinstance(c1.kont, ArK)
     ka = c1.kont.kaddr
     assert s1.deref(ka) == frozenset({c0.kont})
@@ -148,7 +149,7 @@ def test_omega_exhausts_budget():
 def test_abstract_exploration_of_omega_is_finite():
     omega = parse("((lambda (x) (x x)) (lambda (x) (x x)))")
     for k in (0, 1):
-        run = explore(omega, kcfa_policy(k), "abstract")
+        run = explore(omega, kcfa_policy(k))
         assert run.status == "fixpoint"
         assert run.values == frozenset()
         assert len(run.contexts) > 3
@@ -159,7 +160,7 @@ def test_abstract_exploration_covers_concrete(small_corpus):
     # per-state stores
     for name, _, e in small_corpus:
         ov = oracle_eval(e)
-        run = explore(e, kcfa_policy(0), "abstract")
+        run = explore(e, kcfa_policy(0))
         assert run.status == "fixpoint", name
         assert abstract_covers(ov, run.values), name
 
@@ -168,7 +169,7 @@ def test_monovariant_merge_pollutes_results():
     # both calls of id share one binding address at k=0, so the first
     # argument leaks into the second call's result
     e = parse("((lambda (id) ((lambda (u) (id 2)) (id 1))) (lambda (x) x))")
-    run = explore(e, kcfa_policy(0), "abstract")
+    run = explore(e, kcfa_policy(0))
     assert run.values == frozenset({IntVal(1), IntVal(2)})
     out = evaluate_concrete(e)
     assert out.value == IntVal(2)
@@ -176,7 +177,7 @@ def test_monovariant_merge_pollutes_results():
 
 def test_monovariant_binding_set_in_some_store():
     e = parse("((lambda (id) ((lambda (u) (id 2)) (id 1))) (lambda (x) x))")
-    run = explore(e, kcfa_policy(0), "abstract")
+    run = explore(e, kcfa_policy(0))
     both = frozenset({IntVal(1), IntVal(2)})
     xaddr = BindAddr("x", ())
     assert any(s.get(xaddr) == both for _, s in run.contexts)
@@ -185,18 +186,24 @@ def test_monovariant_binding_set_in_some_store():
 def test_polyvariance_separates_the_calls():
     # at k=1 the two call sites get distinct binding contexts
     e = parse("((lambda (id) ((lambda (u) (id 2)) (id 1))) (lambda (x) x))")
-    run = explore(e, kcfa_policy(1), "abstract")
+    run = explore(e, kcfa_policy(1))
     assert run.values == frozenset({IntVal(2)})
 
 
 def test_explore_shape_on_linear_program():
     e = parse("((lambda (x) x) 5)")
-    run = explore(e, concrete_policy(), "concrete")
+    run = explore(e, concrete_policy())
     assert run.status == "fixpoint"
     assert len(run.contexts) == 8
     assert len(run.edges) == 7
     gens = sorted(g for _, _, g in run.edges)
     assert gens == list(range(7))
+
+
+def test_explore_reads_exactness_from_the_policy():
+    e = parse("(add1 5)")
+    assert explore(e, concrete_policy()).values == frozenset({IntVal(6)})
+    assert explore(e, kcfa_policy(0)).values == frozenset({ZINT})
 
 
 def test_explore_cap_check_stops_early():
@@ -205,14 +212,14 @@ def test_explore_cap_check_stops_early():
     def cap(n_states, generation):
         return "budget-exceeded" if generation >= 3 else None
 
-    run = explore(omega, kcfa_policy(1), "abstract", cap_check=cap)
+    run = explore(omega, kcfa_policy(1), cap_check=cap)
     assert run.status == "budget-exceeded"
     assert run.generations == 3
 
 
 def test_stuck_states_are_terminal_in_graph():
     e = parse("(add1 #t)")
-    run = explore(e, concrete_policy(), "concrete")
+    run = explore(e, concrete_policy())
     stucks = [c for c, _ in run.contexts if isinstance(c, StuckC)]
     assert len(stucks) == 1
     assert stucks[0].reason == STUCK_PRIM and stucks[0].label == 0

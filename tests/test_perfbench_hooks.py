@@ -1,26 +1,33 @@
-"""The benchmark's layer wrappers still find, and put back, the callables
-they wrap.  ``perfbench/layers.py`` replaces flowladder attributes by name,
-so renaming one of them must fail here rather than in a benchmark run."""
+"""The benchmark's hooks into flowladder still hold.  ``perfbench/layers.py``
+replaces flowladder attributes by name, and ``perfbench/workloads.py`` calls
+the rungs' runners directly, positionally; renaming one of those callables
+or dropping one of their positional slots must fail here rather than in a
+benchmark run."""
 
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import flowladder
 from flowladder.engine import Config, run
 from flowladder.syntax import parse
+from tests.support import load_corpus
 
-LAYERS_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "layers.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def load_layers():
-    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS_PATH)
+def load_perfbench(name):
+    """Load ``perfbench/<name>.py`` by path, leaving sys.modules alone."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_layer_trace_installs_and_restores_every_wrapper():
-    trace = load_layers().LayerTrace(flowladder)
+    trace = load_perfbench("layers").LayerTrace(flowladder)
     trace.install()
     try:
         wrapped = list(trace._undo)
@@ -49,3 +56,15 @@ def test_layer_trace_installs_and_restores_every_wrapper():
         trace.restore()
     for owner, name, old in wrapped:
         assert owner.__dict__[name] is old, name
+
+
+@pytest.mark.parametrize("k", [0, 1])
+def test_direct_runs_match_the_engine_on_every_rung(k):
+    # workloads.import_flowladder would drop the flowladder modules this
+    # test compares against, so the direct runs go through this import
+    workloads = load_perfbench("workloads")
+    e = [p for name, _, p in load_corpus() if name == "24_u_countdown"][0]
+    for stage in workloads.LADDER:
+        direct = workloads.direct_run(flowladder, stage, e, k)
+        assert direct.contexts == run(Config(stage=stage, k=k), e).contexts, \
+            stage

@@ -111,7 +111,7 @@ def test_sound_for_naive_small_programs(corpus):
     for name, src, e in corpus:
         if node_count(e) > 25:
             continue
-        naive = explore(e, P0, "abstract")
+        naive = explore(e, P0)
         wide = analyze_baseline(e, P0)
         assert wide.status == "fixpoint"
         for (c, store) in naive.contexts:
