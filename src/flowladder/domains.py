@@ -17,9 +17,10 @@ addresses (deterministic machine), the k-CFA policy truncates call strings
 to length k.  Times are tuples of application labels, newest first.
 
 Every term here derives from ``syntax.Term``, which writes its constructor,
-cached hash and structural equality from its ``__slots__``; terms are
-immutable by convention (no mutators).  The store is not a term: it hashes
-on first use, and ``MutStore`` updates it in place.
+cached hash and structural equality from its ``__slots__``, and prints as
+its ``skeleton``; terms are immutable by convention (no mutators).  The
+store is not a term: it hashes on first use, and ``MutStore`` updates it
+in place.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class ValAddr(Term):
 class ConcreteAddr(Term):
     __slots__ = ("n",)
 
-    def __repr__(self):
-        return f"@{self.n}"
-
 
 def fmt_time(t: Time) -> str:
     if not t:
@@ -74,31 +72,19 @@ def fmt_time(t: Time) -> str:
 class IntVal(Term):
     __slots__ = ("z",)
 
-    def __repr__(self):
-        return str(self.z)
-
 
 class BoolVal(Term):
     __slots__ = ("b",)
 
-    def __repr__(self):
-        return "#t" if self.b else "#f"
-
 
 class PrimVal(Term):
     __slots__ = ("name",)
-
-    def __repr__(self):
-        return self.name
 
 
 class AbstractInt(Term):
     """The single abstract integer; every arithmetic result collapses to it."""
 
     __slots__ = ()
-
-    def __repr__(self):
-        return "Z"
 
 
 TT = BoolVal(True)
@@ -110,9 +96,6 @@ class Closure(Term):
     """Function value: binder, body expression, captured environment."""
 
     __slots__ = ("var", "body", "env")
-
-    def __repr__(self):
-        return f"clos({self.var},{body_label_of(self.body)},{self.env!r})"
 
 
 class DelayedAddr(Term):
@@ -272,9 +255,6 @@ class MutStore(Store):
 class Halt(Term):
     __slots__ = ()
 
-    def __repr__(self):
-        return "halt"
-
 
 HALT = Halt()
 
@@ -324,9 +304,6 @@ class StuckC(Term):
     for the same fault."""
 
     __slots__ = ("reason", "label")
-
-    def __repr__(self):
-        return f"stuck({self.reason},l{self.label})"
 
 
 Context = EvC | CoC | ApC | StuckC
@@ -551,13 +528,13 @@ def skeleton(obj, memo=None) -> str:
     a closure) are rendered once, whether or not they are one object.  Keep
     one memo for one export or one comparison.
 
-    A term renders by the entry for its type in ``_RENDER``, and a type
-    without one by its ``repr``."""
+    A term renders by the entry for its type in ``_RENDER``, and every
+    term prints as its skeleton."""
     if memo is not None:
         hit = memo.get(obj)
         if hit is not None:
             return hit
-    s = _RENDER.get(type(obj), _render_repr)(obj, memo)
+    s = _RENDER[type(obj)](obj, memo)
     if memo is not None:
         memo[obj] = s
     return s
@@ -567,10 +544,6 @@ def skeleton(obj, memo=None) -> str:
 
 def _render_expr(e, memo):
     return f"e{e.label}"
-
-
-def _render_repr(obj, memo):
-    return repr(obj)
 
 
 def _render_ev(c, memo):
@@ -603,7 +576,7 @@ def _render_if(k, memo):
 
 
 def _render_closure(v, memo):
-    return f"clos({v.var},e{v.body.label},{skeleton(v.env, memo)})"
+    return f"clos({v.var},e{body_label_of(v.body)},{skeleton(v.env, memo)})"
 
 
 def _render_delayed(v, memo):
@@ -615,7 +588,7 @@ def _render_env(env, memo):
                            for x, a in sorted(env.items())]) + "}"
 
 
-# Addresses.  A concrete address, like every leaf, renders by its own repr.
+# Addresses.  A concrete address, like every leaf, renders in the table.
 
 def _render_bind_addr(a, memo):
     return f"{a.var}@{fmt_time(a.ctx)}"
@@ -630,21 +603,21 @@ def _render_val_addr(a, memo):
 
 
 _RENDER = {
-    EvC: _render_ev, CoC: _render_co, ApC: _render_ap, StuckC: _render_repr,
-    ArK: _render_ar, FnK: _render_fn, IfK: _render_if, Halt: _render_repr,
+    EvC: _render_ev, CoC: _render_co, ApC: _render_ap,
+    StuckC: lambda c, memo: f"stuck({c.reason},l{c.label})",
+    ArK: _render_ar, FnK: _render_fn, IfK: _render_if,
+    Halt: lambda k, memo: "halt",
     Closure: _render_closure, DelayedAddr: _render_delayed, Env: _render_env,
-    IntVal: _render_repr, BoolVal: _render_repr, PrimVal: _render_repr,
-    AbstractInt: _render_repr,
+    IntVal: lambda v, memo: str(v.z),
+    BoolVal: lambda v, memo: "#t" if v.b else "#f",
+    PrimVal: lambda v, memo: v.name,
+    AbstractInt: lambda v, memo: "Z",
     BindAddr: _render_bind_addr, KontAddr: _render_kont_addr,
-    ValAddr: _render_val_addr, ConcreteAddr: _render_repr,
+    ValAddr: _render_val_addr, ConcreteAddr: lambda a, memo: f"@{a.n}",
     Var: _render_expr, Lit: _render_expr, Lam: _render_expr,
     App: _render_expr, If: _render_expr,
 }
 
-# A compound term or an address prints as its skeleton, so its text is
-# written once, in the table above.  The loop variable is deleted so that
-# no module-level name is left aliasing a term class.
-for _cls in (BindAddr, KontAddr, ValAddr, DelayedAddr, Env,
-             ArK, FnK, IfK, EvC, CoC, ApC):
-    _cls.__repr__ = skeleton
-del _cls
+# Every term prints as its skeleton, so its text is written once, in the
+# table above.
+Term.__repr__ = skeleton

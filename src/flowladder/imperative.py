@@ -181,38 +181,63 @@ def decoder(layout):
     are equal, such as the two ends of an edge and the seen context they
     name, or contexts that share an environment, decode to one shared
     object.  Whatever holds no address (halt, stuck contexts, base values)
-    passes through unchanged."""
+    passes through unchanged.  No helper calls itself, so none reaches
+    itself through its closure, and the memo goes with the decoder."""
     addr = layout.addr_of
     memo = {}
 
-    def decode(obj):
-        out = memo.get(obj)
-        if out is not None:
-            return out
-        cls = type(obj)
-        if cls is Env:
-            out = Env({x: addr(a) for x, a in obj.items()})
-        elif cls is CoC:
-            out = CoC(decode(obj.kont), decode(obj.val))
-        elif cls is ApC:
-            out = ApC(decode(obj.fn), addr(obj.arg), decode(obj.kont),
-                      obj.label, obj.time)
-        elif cls is Closure:
-            out = Closure(obj.var, obj.body, decode(obj.env))
-        elif cls is ArK:
-            out = ArK(obj.expr, decode(obj.env), addr(obj.kaddr), obj.label,
-                      obj.time)
-        elif cls is FnK:
-            out = FnK(addr(obj.fv), addr(obj.kaddr), obj.label, obj.time)
-        elif cls is IfK:
-            out = IfK(obj.then, obj.els, decode(obj.env), addr(obj.kaddr),
-                      obj.time)
-        elif cls is DelayedAddr:
-            out = DelayedAddr(addr(obj.addr))
-        else:
-            out = obj
-        memo[obj] = out
+    def env_of(raw):
+        out = memo.get(raw)
+        if out is None:
+            out = memo[raw] = Env({x: addr(a) for x, a in raw.items()})
         return out
+
+    def kont_of(raw):
+        out = memo.get(raw)
+        if out is None:
+            cls = type(raw)
+            if cls is ArK:
+                out = ArK(raw.expr, env_of(raw.env), addr(raw.kaddr),
+                          raw.label, raw.time)
+            elif cls is FnK:
+                out = FnK(addr(raw.fv), addr(raw.kaddr), raw.label, raw.time)
+            elif cls is IfK:
+                out = IfK(raw.then, raw.els, env_of(raw.env), addr(raw.kaddr),
+                          raw.time)
+            else:
+                out = raw
+            memo[raw] = out
+        return out
+
+    def value_of(raw):
+        out = memo.get(raw)
+        if out is None:
+            cls = type(raw)
+            if cls is Closure:
+                out = Closure(raw.var, raw.body, env_of(raw.env))
+            elif cls is DelayedAddr:
+                out = DelayedAddr(addr(raw.addr))
+            else:
+                out = raw
+            memo[raw] = out
+        return out
+
+    def context_of(raw):
+        out = memo.get(raw)
+        if out is None:
+            if type(raw) is CoC:
+                out = CoC(kont_of(raw.kont), value_of(raw.val))
+            else:
+                out = ApC(value_of(raw.fn), addr(raw.arg), kont_of(raw.kont),
+                          raw.label, raw.time)
+            memo[raw] = out
+        return out
+
+    kind = {CoC: context_of, ApC: context_of, ArK: kont_of, FnK: kont_of,
+            IfK: kont_of, Env: env_of}
+
+    def decode(raw):
+        return kind.get(type(raw), value_of)(raw)
 
     return decode
 

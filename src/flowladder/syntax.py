@@ -17,6 +17,8 @@ The nodes derive from ``Term``, the base of every immutable term in the
 analyzers (addresses, values, environments, continuations and contexts in
 ``domains`` too): a subclass lists its fields in ``__slots__`` and gets a
 constructor, a cached hash and structural equality written from them.
+``domains`` makes every term print as its label skeleton, so an
+expression prints as ``e<label>``; ``unparse`` gives the program text.
 """
 
 from __future__ import annotations
@@ -45,7 +47,9 @@ class Term:
 
     A subclass names its fields in ``__slots__``, and ``__init_subclass__``
     writes its ``__init__``, ``__eq__`` and ``__hash__`` from them, as
-    ``dataclasses`` does, unless the class body writes its own.
+    ``dataclasses`` does, unless the class body writes its own.  A class
+    that writes ``__eq__`` alone has its ``__hash__`` set to None by
+    Python, and gets the written one all the same.
     ``__init__`` takes the fields in slot order, assigns them and caches
     ``hash((<class name>, *fields))``: the name rather than the class
     object, because a class hashes by its id, and hashes must repeat from
@@ -76,21 +80,13 @@ class Term:
         ns = {"cls": cls}
         exec(compile(src, f"<{cls.__qualname__} fields>", "exec"), ns)
         for name in ("__init__", "__eq__", "__hash__"):
-            if name not in cls.__dict__:
+            if cls.__dict__.get(name) is None:
                 ns[name].__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, ns[name])
-
-    def __hash__(self):
-        # for a class that writes its own __eq__, which drops the hash
-        # it would inherit
-        return self._hash
 
 
 class Var(Term):
     __slots__ = ("name", "label")
-
-    def __repr__(self):
-        return f"Var({self.name!r}, {self.label})"
 
 
 class Lit(Term):
@@ -107,31 +103,17 @@ class Lit(Term):
             and self.value == other.value
         )
 
-    __hash__ = Term.__hash__
-
-    def __repr__(self):
-        return f"Lit({self.value!r}, {self.label})"
-
 
 class Lam(Term):
     __slots__ = ("var", "body", "label")
-
-    def __repr__(self):
-        return f"Lam({self.var!r}, {self.body!r}, {self.label})"
 
 
 class App(Term):
     __slots__ = ("fn", "arg", "label")
 
-    def __repr__(self):
-        return f"App({self.fn!r}, {self.arg!r}, {self.label})"
-
 
 class If(Term):
     __slots__ = ("guard", "then", "els", "label")
-
-    def __repr__(self):
-        return f"If({self.guard!r}, {self.then!r}, {self.els!r}, {self.label})"
 
 
 Expr = Var | Lit | Lam | App | If

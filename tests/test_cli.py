@@ -47,6 +47,16 @@ def test_analyze_concrete_prints_final_value(id5, capsys):
     assert "value: 5" in capsys.readouterr().out
 
 
+def test_analyze_concrete_prints_a_closure_as_exports_label_it(capsys):
+    # a closure value prints as its skeleton: binder, body label, environment
+    from tests.support import CORPUS_DIR
+    for name, line in (("04_identity_closure", "value: clos(y,e4,{})"),
+                       ("30_closure_result", "value: clos(a,e6,{pick:@1})")):
+        path = str(CORPUS_DIR / f"{name}.scm")
+        assert main(["analyze", path, "--stage", "naive", "--concrete"]) == 0
+        assert line in capsys.readouterr().out.splitlines(), name
+
+
 def test_free_variable_is_a_parse_error(tmp_path, capsys):
     p = tmp_path / "open.scm"
     p.write_text("(lambda (x) (x y))\n")

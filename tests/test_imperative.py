@@ -1,5 +1,6 @@
 """Value cells, transfer-function fixpoint, preallocation."""
 
+import gc
 import json
 import os
 import random
@@ -26,6 +27,7 @@ from flowladder.domains import (
     kcfa_policy,
     Store,
 )
+from flowladder.engine import Config, run
 from flowladder.syntax import Lam, App, If, parse
 from flowladder.deltas import inject_plain, run_logged, step_with_deltas
 from flowladder.frontier import SnapshotView
@@ -396,6 +398,22 @@ def test_prealloc_decodes_each_context_once():
             for c in r.contexts:
                 for env in _envs_of(c):
                     assert shared.setdefault(env, env) is env, (name, pol)
+
+
+def test_no_driven_rung_leaves_cyclic_garbage():
+    # a run is freed by reference counting alone: with the collector
+    # paused, it leaves nothing for the collector to find, the decoder's
+    # memo under preallocation included
+    bench = load_bench("church_dist.scm")
+    for stage in ("compiled", "imperative", "imperative-prealloc"):
+        gc.collect()
+        gc.disable()
+        try:
+            r = run(Config(stage=stage), bench)
+            del r
+            assert gc.collect() == 0, stage
+        finally:
+            gc.enable()
 
 
 def test_preallocate_rejects_unbounded_policies():

@@ -25,7 +25,7 @@ from flowladder.domains import (
     kcfa_policy,
 )
 from flowladder.naive import evaluate_concrete, explore, inject, step_state
-from flowladder.syntax import parse
+from flowladder.syntax import parse, unparse
 from tests.support import (
     OracleFuelOut,
     OracleStuck,
@@ -103,11 +103,11 @@ def test_concrete_matches_oracle_on_random_programs():
         if out.kind == "value":
             # the machine finished, so the oracle must too
             ov = oracle_eval(e, fuel=2_000_000)
-            assert oracle_matches_machine(ov, out.value), e
+            assert oracle_matches_machine(ov, out.value), unparse(e)
         elif out.kind == "stuck":
             with pytest.raises(OracleStuck) as ei:
                 oracle_eval(e, fuel=2_000_000)
-            assert ei.value.reason == out.reason, e
+            assert ei.value.reason == out.reason, unparse(e)
         else:
             # >400k machine steps means well over 50k evaluation events
             with pytest.raises(OracleFuelOut):

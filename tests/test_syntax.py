@@ -193,7 +193,7 @@ def test_deep_program_parses_without_recursion():
 
 def test_every_walk_takes_any_depth():
     # a chain 10,000 deep and 3,000 nested lambdas; trees this deep are
-    # compared as text, since Term.__eq__ and __repr__ still recurse
+    # compared as text, since Term.__eq__ still recurses
     depth = 10_000
     chain = ("((lambda (x) " + "(add1 " * depth + "x" + ")" * depth
              + ") 5)")
@@ -203,6 +203,7 @@ def test_every_walk_takes_any_depth():
     assert free_vars(e.fn.body) == frozenset({"x"})
     assert binders(e) == (("x", 1),)
     assert unparse(e) == chain
+    assert repr(e) == "e0"
 
     depth = 3000
     nest = ("".join(f"(lambda (x{i % 7}) " for i in range(depth))
