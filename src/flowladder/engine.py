@@ -31,6 +31,7 @@ from .domains import (
     DelayedAddr,
     EvC,
     StuckC,
+    _RENDER,
     concrete_policy,
     kcfa_policy,
     skeleton,
@@ -176,15 +177,19 @@ def _graph_rows(result):
     """Nodes ordered by (skeleton, repr), their contexts, their skeleton
     labels, and index-resolved edges.  A naive node is a (context, store)
     pair; every other node is its context.  Each skeleton is rendered
-    once, for both the order and the label, through one memo, so a
-    sub-term that many nodes share is rendered once too.  The nodes are
-    sorted once, by label; repr is only taken to order a run of
-    neighbours whose labels tie, which only naive runs have, and both
-    sorts are stable, so ties beyond that keep set order."""
+    once, for both the order and the label, and its sub-terms through one
+    memo, so a sub-term that many nodes share is rendered once too.  Only
+    a naive run's contexts repeat, from store to store, so only they go
+    through the memo themselves.  The nodes are sorted once, by label;
+    repr is only taken to order a run of neighbours whose labels tie,
+    which only naive runs have, and both sorts are stable, so ties beyond
+    that keep set order."""
     naive = result.stage == "naive"
     memo = {}
-    keyed = [(skeleton(n[0] if naive else n, memo), n)
-             for n in result.contexts]
+    if naive:
+        keyed = [(skeleton(n[0], memo), n) for n in result.contexts]
+    else:
+        keyed = [(_RENDER[type(c)](c, memo), c) for c in result.contexts]
     del memo
     keyed.sort(key=itemgetter(0))
     labels = [label for label, _ in keyed]

@@ -14,8 +14,8 @@ generation's sweep steps the frontier and grows the store.  ``drive`` owns
 the discipline (cap checks, iteration order, seen stamps, successor
 interning, edge labels, step replay, the frontier rebuild) and takes the
 sweep as a function.  It puts contexts on dense int ids as it interns
-them, as preallocation puts addresses on ordinals: the frontier, the seen
-stamps, the edges and a per-context step memo are ids and id-indexed
+them, as preallocation puts addresses on cell indices: the frontier, the
+seen stamps, the edges and a per-context step memo are ids and id-indexed
 lists, and the contexts are looked up only when a sweep steps them or the
 run is packaged.  A context whose memo holds its last successors is
 replayed from it instead of going to the sweep.  ``run_driven`` packages
@@ -143,21 +143,18 @@ def package(ctxs, edges):
     return frozenset(dict.fromkeys(ctxs)), edges
 
 
-def run_driven(e, first, sweep, newest, cap_check=None, trace=None,
-               decode=None) -> AnalysisResult:
+def run_driven(e, first, sweep, newest, cap_check=None,
+               trace=None) -> AnalysisResult:
     """Drive ``sweep`` from ``first`` and package the run.
 
-    ``newest()`` returns the store the sweeps have left so far, and
-    ``decode``, if given, maps each raw context to the one the result
-    holds (``newest()`` decodes its store itself).  ``trace``, if a list,
-    receives (seen, frontier, chain, t) after every generation, decoded:
+    ``newest()`` returns the store the sweeps have left so far.  ``trace``,
+    if a list, receives (seen, frontier, chain, t) after every generation:
     seen maps each context to its stamps, newest first, and chain holds
     every store so far, newest first.  A traced run raises
     ``AnalysisBugError`` if the store changed while the clock stood still."""
     snap = None
     if trace is not None:
-        dec = (lambda c: c) if decode is None else decode
-        hist = {dec(c): (0,) for c in first}
+        hist = {c: (0,) for c in first}
         chain = (newest(),)
 
         def snap(frontier, t):
@@ -167,7 +164,7 @@ def run_driven(e, first, sweep, newest, cap_check=None, trace=None,
                 chain = (store,) + chain
             elif store != chain[0]:
                 raise AnalysisBugError(f"the store changed at clock {t}")
-            frontier = tuple(map(dec, frontier))
+            frontier = tuple(frontier)
             hist = dict(hist)
             for c in frontier:
                 hist[c] = (t,) + hist.get(c, ())
@@ -175,10 +172,8 @@ def run_driven(e, first, sweep, newest, cap_check=None, trace=None,
 
     ctxs, edges, generations, status, _ = drive(
         first, sweep, cap_check, snap)
-    del sweep  # and its read index, before the final snapshot and decode
+    del sweep  # and its read index, before the final snapshot
     store = newest()
-    if decode is not None:
-        ctxs = list(map(decode, ctxs))
     contexts, edges = package(ctxs, edges)
     return AnalysisResult(
         program=e, contexts=contexts, edges=edges, store=store,
@@ -222,15 +217,18 @@ class SnapshotView:
 
     __slots__ = ("_fetch", "reads")
 
-    def __init__(self, cells):
+    def __init__(self, cells, index=None):
         self.reads = []
-        self.over(cells)
+        self.over(cells, index)
 
-    def over(self, cells):
+    def over(self, cells, index=None):
         """Read ``cells`` from now on: an address -> value set dict, or a
-        list indexed by ordinal whose None placeholders match dict.get's
-        absent-is-None contract."""
-        self._fetch = cells.__getitem__ if isinstance(cells, list) else cells.get
+        list of value sets that ``index`` maps each address into, whose
+        None placeholders match dict.get's absent-is-None contract."""
+        if index is None:
+            self._fetch = cells.get
+        else:
+            self._fetch = lambda a: cells[index[a]]
 
     def deref(self, a):
         self.reads.append(a)

@@ -26,30 +26,22 @@ fixpoint exactly as it was.  The replay is shared: the sweep is
 ``compiled``) run over their persistent store as well; here it joins a
 generation's writes into the value cells in place.
 
-Preallocation puts the machine on dense integer addresses: for a uniform
-k-CFA policy an address table gives each address the next free ordinal the
-first time the policy allocates it, the store becomes a flat list indexed
-by ordinal that grows one cell per new ordinal, and the machine runs on
-plain ints instead of structured address objects.  Only addresses the run
-reaches get an ordinal, so the table grows with the analysis, under the
-same per-generation caps, whatever k is.  Results are decoded back to
-structured addresses when the run is packaged or traced, by one decoder
-per run that decodes each raw object once, so decoded contexts, edges and
-the final store share their environments and continuations.
+Preallocation interns the machine's addresses: for a uniform k-CFA
+policy an address table keeps each structured address the first time the
+policy allocates it and gives it the next cell index, and every later
+equal allocation returns the kept object.  The store becomes a flat list
+of cells, found through the table's index, that grows one cell per new
+address.  Only addresses the run reaches get a cell, so the table grows
+with the analysis, under the same per-generation caps, whatever k is.  The
+contexts, environments, continuations and closures the steps build hold
+the table's own addresses, so the fixpoint is packaged and traced as it
+stands, with no pass to translate it back.
 """
 
 from __future__ import annotations
 
 from .domains import (
     AnalysisResult,
-    ApC,
-    ArK,
-    Closure,
-    CoC,
-    DelayedAddr,
-    Env,
-    FnK,
-    IfK,
     Store,
     UnsupportedPolicyError,
     require_abstract,
@@ -85,82 +77,81 @@ class HashValueStore:
 
 
 class DenseValueStore:
-    """Ordinal -> value set as a flat list, one cell per minted ordinal."""
+    """Addr -> value set as a flat list of cells, one per address its
+    address table interned; ``index`` maps each of them to its cell."""
 
-    __slots__ = ("cells",)
+    __slots__ = ("cells", "index")
 
     def __init__(self):
         self.cells = []
+        self.index = {}
 
     def join_at(self, a, vs):
-        """Join vs into cell a; returns whether the cell grew."""
-        cur = self.cells[a]
+        """Join vs into a's cell; returns whether the cell grew."""
+        i = self.index[a]
+        cur = self.cells[i]
         if cur is None:
-            self.cells[a] = frozenset(vs)
+            self.cells[i] = frozenset(vs)
             return True
         if vs <= cur:
             return False
-        self.cells[a] = cur | vs
+        self.cells[i] = cur | vs
         return True
 
     def items(self):
-        return ((i, c) for i, c in enumerate(self.cells) if c is not None)
+        cells = self.cells
+        return ((a, cells[i]) for a, i in self.index.items()
+                if cells[i] is not None)
 
 
-def snapshot(vstore, decode_addr=None, decode_value=None):
+def snapshot(vstore):
     """The plain store the value cells hold."""
-    m = {}
-    for a, vs in vstore.items():
-        if decode_value is not None:
-            vs = frozenset(decode_value(v) for v in vs)
-        m[a if decode_addr is None else decode_addr(a)] = vs
-    return Store(m)
+    return Store(dict(vstore.items()))
 
 
 # ----------------------------------------------------------- preallocation
 
 class AddressTable:
-    """Dense ordinals for the addresses a uniform k-CFA policy mints, handed
-    out in order of first allocation, and the allocation policy that mints
-    them: each allocation asks the wrapped policy for the structured
-    address and returns its ordinal, a new one the first time the address
-    is seen.  Every new ordinal adds one empty cell to ``store``."""
+    """The addresses a uniform k-CFA policy mints, interned in order of
+    first allocation, and the allocation policy that mints them: each
+    allocation asks the wrapped policy for the structured address and
+    returns the table's own object for it, kept the first time the address
+    is seen, when it gets the next cell index and one empty cell in
+    ``store``."""
 
-    __slots__ = ("policy", "tick_ap", "store", "_addr", "_ordinal")
+    __slots__ = ("policy", "tick_ap", "store", "_addr")
 
     def __init__(self, policy):
         self.policy = policy
         self.tick_ap = policy.tick_ap
         self.store = DenseValueStore()
         self._addr = []
-        self._ordinal = {}
 
     @property
     def size(self) -> int:
         return len(self._addr)
 
-    def _mint(self, addr) -> int:
-        i = self._ordinal.get(addr)
+    def _intern(self, addr):
+        index = self.store.index
+        i = index.get(addr)
         if i is None:
-            i = self._ordinal[addr] = len(self._addr)
+            index[addr] = len(self._addr)
             self._addr.append(addr)
             self.store.cells.append(None)
-        return i
-
-    def addr_of(self, ordinal: int):
-        return self._addr[ordinal]
+            return addr
+        return self._addr[i]
 
     def bind_addr(self, var, label, time):
-        return self._mint(self.policy.bind_addr(var, label, time))
+        return self._intern(self.policy.bind_addr(var, label, time))
 
     def fnval_addr(self, label, time):
-        return self._mint(self.policy.fnval_addr(label, time))
+        return self._intern(self.policy.fnval_addr(label, time))
 
     def argval_addr(self, label, time):
-        return self._mint(self.policy.argval_addr(label, time))
+        return self._intern(self.policy.argval_addr(label, time))
 
     def kont_addr(self, label, time):
-        return self._mint(self.policy.kont_addr(label, time))
+        return self._intern(self.policy.kont_addr(label, time))
 
 
 def preallocate(policy) -> AddressTable:
@@ -172,82 +163,12 @@ def preallocate(policy) -> AddressTable:
     return AddressTable(policy)
 
 
-# ------------------------------------------------------- ordinal decoding
-
-def decoder(layout):
-    """One run's decoder from ordinals back to structured addresses.  It
-    memoizes by raw object, so each raw context, environment, closure,
-    delayed address and continuation is decoded once, and raw objects that
-    are equal, such as the two ends of an edge and the seen context they
-    name, or contexts that share an environment, decode to one shared
-    object.  Whatever holds no address (halt, stuck contexts, base values)
-    passes through unchanged.  No helper calls itself, so none reaches
-    itself through its closure, and the memo goes with the decoder."""
-    addr = layout.addr_of
-    memo = {}
-
-    def env_of(raw):
-        out = memo.get(raw)
-        if out is None:
-            out = memo[raw] = Env({x: addr(a) for x, a in raw.items()})
-        return out
-
-    def kont_of(raw):
-        out = memo.get(raw)
-        if out is None:
-            cls = type(raw)
-            if cls is ArK:
-                out = ArK(raw.expr, env_of(raw.env), addr(raw.kaddr),
-                          raw.label, raw.time)
-            elif cls is FnK:
-                out = FnK(addr(raw.fv), addr(raw.kaddr), raw.label, raw.time)
-            elif cls is IfK:
-                out = IfK(raw.then, raw.els, env_of(raw.env), addr(raw.kaddr),
-                          raw.time)
-            else:
-                out = raw
-            memo[raw] = out
-        return out
-
-    def value_of(raw):
-        out = memo.get(raw)
-        if out is None:
-            cls = type(raw)
-            if cls is Closure:
-                out = Closure(raw.var, raw.body, env_of(raw.env))
-            elif cls is DelayedAddr:
-                out = DelayedAddr(addr(raw.addr))
-            else:
-                out = raw
-            memo[raw] = out
-        return out
-
-    def context_of(raw):
-        out = memo.get(raw)
-        if out is None:
-            if type(raw) is CoC:
-                out = CoC(kont_of(raw.kont), value_of(raw.val))
-            else:
-                out = ApC(value_of(raw.fn), addr(raw.arg), kont_of(raw.kont),
-                          raw.label, raw.time)
-            memo[raw] = out
-        return out
-
-    kind = {CoC: context_of, ApC: context_of, ArK: kont_of, FnK: kont_of,
-            IfK: kont_of, Env: env_of}
-
-    def decode(raw):
-        return kind.get(type(raw), value_of)(raw)
-
-    return decode
-
-
 # ------------------------------------------------------------ the machine
 
 def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
                    prealloc: bool = False, trace=None) -> AnalysisResult:
     """Iterate the transfer function to an empty frontier.  ``trace`` is
-    ``frontier.run_driven``'s, decoded under preallocation."""
+    ``frontier.run_driven``'s."""
     require_abstract(mode, policy)
     return run_machine(e, policy, cap_check, prealloc, trace)[0]
 
@@ -255,16 +176,17 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
 def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
                 trace=None):
     """run_imperative's result next to the machine it leaves: (result,
-    vstore, layout).  vstore holds the raw value cells; layout is the
-    address table, None for the hash store."""
-    layout = dec_a = dec = None
+    vstore, layout).  vstore holds the value cells; layout is the address
+    table, None for the hash store."""
+    layout = None
     pol = policy
     if prealloc:
         layout = pol = preallocate(policy)
         vstore = layout.store
-        dec_a, dec = layout.addr_of, decoder(layout)
+        view = SnapshotView(vstore.cells, vstore.index)
     else:
         vstore = HashValueStore()
+        view = SnapshotView(vstore.cells)
 
     first, log0 = inject_compiled(e, pol)
     for a, vs in log0:
@@ -279,8 +201,7 @@ def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
                 grown.append(a)
         return grown
 
-    result = run_driven(
-        e, first,
-        replaying_sweep(step_compiled, pol, SnapshotView(vstore.cells), join),
-        lambda: snapshot(vstore, dec_a, dec), cap_check, trace, dec)
+    result = run_driven(e, first,
+                        replaying_sweep(step_compiled, pol, view, join),
+                        lambda: snapshot(vstore), cap_check, trace)
     return result, vstore, layout

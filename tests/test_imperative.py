@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import flowladder
 from flowladder import imperative
 from flowladder.domains import (
     AnalysisBugError,
@@ -19,10 +20,14 @@ from flowladder.domains import (
     BindAddr,
     Closure,
     CoC,
+    DelayedAddr,
+    Env,
     FN_SLOT,
+    FnK,
     IfK,
     IntVal,
     KontAddr,
+    ValAddr,
     concrete_policy,
     kcfa_policy,
     Store,
@@ -36,7 +41,6 @@ from flowladder.lazy import step_lazy
 from flowladder.imperative import (
     HashValueStore,
     UnsupportedPolicyError,
-    decoder,
     preallocate,
     run_imperative,
     run_machine,
@@ -49,6 +53,7 @@ from tests.support import (
     oracle_eval,
     OracleStuck,
 )
+from tests.test_perfbench_hooks import load_perfbench
 
 P0 = kcfa_policy(0)
 P1 = kcfa_policy(1)
@@ -115,16 +120,18 @@ def test_join_at_no_growth_is_no_change():
 
 def test_join_at_repeat_changes_nothing():
     # on both stores: a repeated write reports no growth and leaves the
-    # cell as the first write left it
+    # cell as the first write left it; the dense store's address is the
+    # one its table interned
     layout = preallocate(P0)
-    layout.store.cells.append(None)
-    for store, a in ((HashValueStore(), A), (layout.store, 0)):
+    interned = layout.bind_addr("a", 0, ())
+    assert interned == A
+    for store, a in ((HashValueStore(), A), (layout.store, interned)):
         assert store.join_at(a, U)
         assert store.join_at(a, W)
-        cell = store.cells[a]
+        cell = dict(store.items())[a]
         assert cell == U | W
         assert not store.join_at(a, W)
-        assert store.cells[a] is cell
+        assert dict(store.items())[a] is cell
 
 
 def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
@@ -312,6 +319,12 @@ def _address_bound_k0(e):
     return len(variables) + apps + ifs + 2 * apps
 
 
+def _interned(layout):
+    """The table's interned addresses in cell order: its index's keys, each
+    the object kept at the address's first allocation."""
+    return list(layout.store.index)
+
+
 def test_preallocate_reports_exact_layout():
     # the table starts empty and, after a run, reports exactly the addresses
     # the run allocated: the hash store's cells, within the k=0 bound
@@ -320,7 +333,7 @@ def test_preallocate_reports_exact_layout():
         for pol in (P0, P1):
             hstore = run_machine(e, pol)[1]
             layout = run_machine(e, pol, prealloc=True)[2]
-            minted = [layout.addr_of(i) for i in range(layout.size)]
+            minted = _interned(layout)
             assert len(set(minted)) == layout.size, (name, pol)
             assert set(minted) == {a for a, _ in hstore.items()}, (name, pol)
             if pol is P0:
@@ -328,9 +341,9 @@ def test_preallocate_reports_exact_layout():
 
 
 def _allocate_again(layout, a):
-    """The ordinal the table's allocation hands out for the address ``a``
-    that it minted before: a binding's context is its call site prepended
-    to the time, truncated to k."""
+    """What the table's allocation hands out for the address ``a`` that it
+    minted before: a binding's context is its call site prepended to the
+    time, truncated to k."""
     if isinstance(a, BindAddr):
         return layout.bind_addr(a.var, a.ctx[0] if a.ctx else 0, a.ctx[1:])
     if isinstance(a, KontAddr):
@@ -340,13 +353,18 @@ def _allocate_again(layout, a):
 
 
 def test_preallocate_is_a_bijection():
+    # cell index i names one interned address, whose index is i, and
+    # allocating that address again returns the same object and mints no
+    # new cell
     for name, src, e in load_corpus():
         for pol in (P0, P1):
             layout = run_machine(e, pol, prealloc=True)[2]
             size = layout.size
-            for i in range(size):
-                assert _allocate_again(layout, layout.addr_of(i)) == i, (name, pol)
-            assert layout.size == size, (name, pol)
+            index = layout.store.index
+            for i, a in enumerate(_interned(layout)):
+                assert index[a] == i, (name, pol)
+                assert _allocate_again(layout, a) is a, (name, pol)
+            assert layout.size == len(layout.store.cells) == size, (name, pol)
 
 
 def test_hash_run_addresses_all_within_layout():
@@ -354,38 +372,53 @@ def test_hash_run_addresses_all_within_layout():
         for pol in (P0, P1):
             layout = run_machine(e, pol, prealloc=True)[2]
             vstore = run_machine(e, pol)[1]
-            minted = {layout.addr_of(i) for i in range(layout.size)}
+            minted = set(_interned(layout))
             for a, _ in vstore.items():
                 assert a in minted, (name, pol, a)
 
 
 def test_dense_and_hash_stores_agree_cell_by_cell():
+    # the dense store's cells, read through its index, are the hash
+    # store's, with no cell left empty
     for name, src, e in load_corpus()[:8]:
         hstore = run_machine(e, P0)[1]
-        _, pstore, lay = run_machine(e, P0, prealloc=True)
-        decode = decoder(lay)
-        decoded = {}
-        for i, vs in pstore.items():
-            decoded[lay.addr_of(i)] = frozenset(map(decode, vs))
-        assert decoded == hstore.cells, name
+        pstore = run_machine(e, P0, prealloc=True)[1]
+        assert None not in pstore.cells, name
+        assert dict(pstore.items()) == hstore.cells, name
 
 
-def _envs_of(obj):
-    # every environment a decoded context holds, through its continuation
-    # and its closure values
-    if isinstance(obj, CoC):
-        return _envs_of(obj.kont) + _envs_of(obj.val)
-    if isinstance(obj, ApC):
-        return _envs_of(obj.fn) + _envs_of(obj.kont)
-    if isinstance(obj, (Closure, ArK, IfK)):
-        return [obj.env]
-    return []
+def _addresses_in(obj):
+    """Every address a context, continuation, value or environment holds,
+    directly or through the terms it holds."""
+    out, work = [], [obj]
+    while work:
+        x = work.pop()
+        cls = type(x)
+        if cls in (BindAddr, KontAddr, ValAddr):
+            out.append(x)
+        elif cls is Env:
+            work.extend(a for _, a in x.items())
+        elif cls is CoC:
+            work += (x.kont, x.val)
+        elif cls is ApC:
+            work += (x.fn, x.arg, x.kont)
+        elif cls in (ArK, IfK):
+            work += (x.env, x.kaddr)
+        elif cls is FnK:
+            work += (x.fv, x.kaddr)
+        elif cls is Closure:
+            work.append(x.env)
+        elif cls is DelayedAddr:
+            work.append(x.addr)
+    return out
 
 
-def test_prealloc_decodes_each_context_once():
-    # edge endpoints are the seen contexts themselves, not equal copies, and
-    # each environment the contexts hold is the one Env for its value, so
-    # contexts built from one raw env share its decoded Env
+def test_prealloc_shares_its_contexts_and_addresses():
+    # edge endpoints are the seen contexts themselves, not equal copies,
+    # and every address the contexts hold, in their environments,
+    # continuations and values, is the one object for its value, the
+    # table's, so equal environments built in different steps share
+    # every address they hold
     for name, src, e in load_corpus():
         for pol in (P0, P1):
             r = run_machine(e, pol, prealloc=True)[0]
@@ -396,14 +429,58 @@ def test_prealloc_decodes_each_context_once():
             assert canon[r.initial] is r.initial, (name, pol)
             shared = {}
             for c in r.contexts:
-                for env in _envs_of(c):
-                    assert shared.setdefault(env, env) is env, (name, pol)
+                for a in _addresses_in(c):
+                    assert shared.setdefault(a, a) is a, (name, pol)
+
+
+def _bench_draws(n):
+    """n seeded one-row draws of the bench, built as the benchmark's draw
+    workloads build them: (name, program) pairs."""
+    workloads = load_perfbench("workloads")
+    defs, rows = workloads.bench_bindings(
+        flowladder, workloads.BENCH_PATH.read_text())
+    draws = [workloads.draw_program(defs, rows, (i,))
+             for i in random.Random(2101).sample(range(len(rows)), n)]
+    return [(d.key, parse(d.src)) for d in draws]
+
+
+def test_prealloc_runs_on_interned_addresses():
+    # the result is made of the machine's own objects: it equals the hash
+    # store's run, every address its contexts and store hold is the
+    # table's object for its cell index, and allocating one again mints
+    # nothing
+    cases = [(name, e, pol) for pol in (P0, P1)
+             for name, _, e in load_corpus()]
+    cases += [(name, e, P1) for name, e in _bench_draws(6)]
+    checked = 0
+    for name, e, pol in cases:
+        want = run_imperative(e, pol)
+        r, _, layout = run_machine(e, pol, prealloc=True)
+        assert r.contexts == want.contexts, name
+        assert r.edges == want.edges, name
+        assert r.store == want.store, name
+        assert r.generations == want.generations, name
+        assert r.status == want.status == "fixpoint", name
+        index, interned = layout.store.index, _interned(layout)
+        held = [a for c in r.contexts for a in _addresses_in(c)]
+        for a, vs in r.store.items():
+            held.append(a)
+            for v in vs:
+                held += _addresses_in(v)
+        checked += len(held)
+        for a in held:
+            assert interned[index[a]] is a, (name, a)
+        size = layout.size
+        for a in held:
+            assert _allocate_again(layout, a) is a, (name, a)
+        assert layout.size == size, name
+    assert checked
 
 
 def test_no_driven_rung_leaves_cyclic_garbage():
     # a run is freed by reference counting alone: with the collector
-    # paused, it leaves nothing for the collector to find, the decoder's
-    # memo under preallocation included
+    # paused, it leaves nothing for the collector to find, the address
+    # table under preallocation included
     bench = load_bench("church_dist.scm")
     for stage in ("compiled", "imperative", "imperative-prealloc"):
         gc.collect()
@@ -551,10 +628,9 @@ def test_no_restep_is_needless(monkeypatch):
     def spying(stepper):
         def spy(c, view, pol):
             out = stepper(c, view, pol)
-            reads = view.reads
-            if isinstance(pol, imperative.AddressTable):
-                reads = map(pol.addr_of, reads)
-            steps.append((c, len(tr), frozenset(reads)))
+            # every rung reads structured addresses, preallocation its
+            # table's interned ones
+            steps.append((c, len(tr), frozenset(view.reads)))
             return out
         return spy
 
