@@ -229,10 +229,10 @@ def _verdict_violations(cmp) -> list:
 
 def cmd_check(args) -> int:
     root = Path(args.corpus)
-    paths = sorted(root.glob("*.scm")) if root.is_dir() else []
     if not root.is_dir():
         print(f"error: {args.corpus} is not a directory", file=sys.stderr)
         return EXIT_FLAGS
+    paths = sorted(root.glob("*.scm"))
     if not paths:
         print(f"warning: no .scm programs in {args.corpus}", file=sys.stderr)
         return EXIT_OK

@@ -14,12 +14,12 @@ generation's sweep steps the frontier and grows the store.  ``drive`` owns
 the discipline (cap checks, iteration order, seen stamps, successor
 interning, edge labels, step replay, the frontier rebuild) and takes the
 sweep as a function.  It puts contexts on dense int ids as it interns
-them, as preallocation puts addresses on cell indices: the frontier, the
-seen stamps, the edges and a per-context step memo are ids and id-indexed
-lists, and the contexts are looked up only when a sweep steps them or the
-run is packaged.  A context whose memo holds its last successors is
-replayed from it instead of going to the sweep.  ``run_driven`` packages
-every timestamped run and gives all six rungs one trace.
+them: the frontier, the seen stamps, the edges and a per-context step memo
+are ids and id-indexed lists, and the contexts are looked up only when a
+sweep steps them or the run is packaged.  A context whose memo holds its
+last successors is replayed from it instead of going to the sweep.
+``run_driven`` packages every timestamped run and gives all six rungs one
+trace.
 ``run_frontier``'s sweep joins into one persistent store, steps the whole
 frontier and never fills the memo, so this stays the literal timestamp
 rung.  ``replaying_sweep`` is the sweep of every later rung: its steps
@@ -217,18 +217,14 @@ class SnapshotView:
 
     __slots__ = ("_fetch", "reads")
 
-    def __init__(self, cells, index=None):
+    def __init__(self, cells):
         self.reads = []
-        self.over(cells, index)
+        self.over(cells)
 
-    def over(self, cells, index=None):
-        """Read ``cells`` from now on: an address -> value set dict, or a
-        list of value sets that ``index`` maps each address into, whose
-        None placeholders match dict.get's absent-is-None contract."""
-        if index is None:
-            self._fetch = cells.get
-        else:
-            self._fetch = lambda a: cells[index[a]]
+    def over(self, cells):
+        """Read ``cells``, an address -> value set dict, from now on; a cell
+        that holds None reads as absent."""
+        self._fetch = cells.get
 
     def deref(self, a):
         self.reads.append(a)

@@ -26,16 +26,16 @@ fixpoint exactly as it was.  The replay is shared: the sweep is
 ``compiled``) run over their persistent store as well; here it joins a
 generation's writes into the value cells in place.
 
-Preallocation interns the machine's addresses: for a uniform k-CFA
-policy an address table keeps each structured address the first time the
-policy allocates it and gives it the next cell index, and every later
-equal allocation returns the kept object.  The store becomes a flat list
-of cells, found through the table's index, that grows one cell per new
-address.  Only addresses the run reaches get a cell, so the table grows
-with the analysis, under the same per-generation caps, whatever k is.  The
-contexts, environments, continuations and closures the steps build hold
-the table's own addresses, so the fixpoint is packaged and traced as it
-stands, with no pass to translate it back.
+Preallocation interns the machine's addresses: the preallocated store is
+also the allocation policy, and for a uniform k-CFA policy it keeps each
+structured address the first time the policy allocates it, gives it an
+empty cell in a dict keyed by the kept object, and returns that object for
+every later equal allocation.  So a cell is found by identity, and the
+store grows one cell per new address.  Only addresses the run reaches get a
+cell, so the store grows with the analysis, under the same per-generation
+caps, whatever k is.  The contexts, environments, continuations and
+closures the steps build hold the store's own addresses, so the fixpoint is
+packaged and traced as it stands, with no pass to translate it back.
 """
 
 from __future__ import annotations
@@ -76,34 +76,6 @@ class HashValueStore:
         return self.cells.items()
 
 
-class DenseValueStore:
-    """Addr -> value set as a flat list of cells, one per address its
-    address table interned; ``index`` maps each of them to its cell."""
-
-    __slots__ = ("cells", "index")
-
-    def __init__(self):
-        self.cells = []
-        self.index = {}
-
-    def join_at(self, a, vs):
-        """Join vs into a's cell; returns whether the cell grew."""
-        i = self.index[a]
-        cur = self.cells[i]
-        if cur is None:
-            self.cells[i] = frozenset(vs)
-            return True
-        if vs <= cur:
-            return False
-        self.cells[i] = cur | vs
-        return True
-
-    def items(self):
-        cells = self.cells
-        return ((a, cells[i]) for a, i in self.index.items()
-                if cells[i] is not None)
-
-
 def snapshot(vstore):
     """The plain store the value cells hold."""
     return Store(dict(vstore.items()))
@@ -111,35 +83,45 @@ def snapshot(vstore):
 
 # ----------------------------------------------------------- preallocation
 
-class AddressTable:
-    """The addresses a uniform k-CFA policy mints, interned in order of
-    first allocation, and the allocation policy that mints them: each
-    allocation asks the wrapped policy for the structured address and
-    returns the table's own object for it, kept the first time the address
-    is seen, when it gets the next cell index and one empty cell in
-    ``store``."""
+class DenseValueStore:
+    """The preallocated store, which is also the allocation policy: each
+    allocation asks the wrapped uniform k-CFA policy for the structured
+    address and returns the store's own object for it, kept the first time
+    the address is seen, when it gets an empty cell (None).  Every later
+    equal allocation returns the kept object, so ``cells`` finds each cell
+    by identity."""
 
-    __slots__ = ("policy", "tick_ap", "store", "_addr")
+    __slots__ = ("policy", "tick_ap", "cells", "_kept")
 
     def __init__(self, policy):
         self.policy = policy
         self.tick_ap = policy.tick_ap
-        self.store = DenseValueStore()
-        self._addr = []
+        self.cells = {}
+        self._kept = {}
 
     @property
     def size(self) -> int:
-        return len(self._addr)
+        return len(self.cells)
+
+    def join_at(self, a, vs):
+        """Join vs into a's cell; returns whether the cell grew."""
+        cur = self.cells[a]
+        if cur is None:
+            self.cells[a] = frozenset(vs)
+            return True
+        if vs <= cur:
+            return False
+        self.cells[a] = cur | vs
+        return True
+
+    def items(self):
+        return ((a, vs) for a, vs in self.cells.items() if vs is not None)
 
     def _intern(self, addr):
-        index = self.store.index
-        i = index.get(addr)
-        if i is None:
-            index[addr] = len(self._addr)
-            self._addr.append(addr)
-            self.store.cells.append(None)
-            return addr
-        return self._addr[i]
+        kept = self._kept.setdefault(addr, addr)
+        if kept is addr:
+            self.cells[addr] = None
+        return kept
 
     def bind_addr(self, var, label, time):
         return self._intern(self.policy.bind_addr(var, label, time))
@@ -154,13 +136,13 @@ class AddressTable:
         return self._intern(self.policy.kont_addr(label, time))
 
 
-def preallocate(policy) -> AddressTable:
-    """An empty address table for the policy.  Only finite uniform policies
-    qualify; the concrete freshness policy has no bound."""
+def preallocate(policy) -> DenseValueStore:
+    """An empty preallocated store for the policy.  Only finite uniform
+    policies qualify; the concrete freshness policy has no bound."""
     if not getattr(policy, "finite", False):
         raise UnsupportedPolicyError(
             f"cannot preallocate for {policy!r}: unbounded address space")
-    return AddressTable(policy)
+    return DenseValueStore(policy)
 
 
 # ------------------------------------------------------------ the machine
@@ -174,23 +156,14 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
 
 
 def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
-                trace=None):
-    """run_imperative's result next to the machine it leaves: (result,
-    vstore, layout).  vstore holds the value cells; layout is the address
-    table, None for the hash store."""
-    layout = None
-    pol = policy
+               trace=None):
+    """run_imperative's result next to the value store it leaves: (result,
+    vstore).  Under preallocation vstore is also the allocation policy."""
     if prealloc:
-        layout = pol = preallocate(policy)
-        vstore = layout.store
-        view = SnapshotView(vstore.cells, vstore.index)
+        vstore = pol = preallocate(policy)
     else:
-        vstore = HashValueStore()
-        view = SnapshotView(vstore.cells)
-
-    first, log0 = inject_compiled(e, pol)
-    for a, vs in log0:
-        vstore.join_at(a, vs)
+        vstore, pol = HashValueStore(), policy
+    view = SnapshotView(vstore.cells)
 
     def join(writes):
         # in place, so the view already reads the cells the writes leave
@@ -201,7 +174,9 @@ def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
                 grown.append(a)
         return grown
 
+    first, log0 = inject_compiled(e, pol)
+    join(log0)
     result = run_driven(e, first,
                         replaying_sweep(step_compiled, pol, view, join),
                         lambda: snapshot(vstore), cap_check, trace)
-    return result, vstore, layout
+    return result, vstore

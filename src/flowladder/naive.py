@@ -21,13 +21,11 @@ here, which is what makes this module the oracle.
 from __future__ import annotations
 
 from .domains import (
-    HALT,
     AnalysisResult,
     ApC,
     ArK,
     Closure,
     CoC,
-    EMPTY_ENV,
     EMPTY_STORE,
     EvC,
     FnK,
@@ -49,6 +47,7 @@ from .domains import (
 )
 from .syntax import App, Expr, If, Lam, Lit, Var
 from .frontier import drive, package
+from .widening import inject_context
 
 State = tuple  # (Context, Store)
 
@@ -56,7 +55,7 @@ CONCRETE_STEP_BUDGET = 10**6
 
 
 def inject(e: Expr) -> State:
-    return (EvC(e, EMPTY_ENV, HALT, ()), EMPTY_STORE)
+    return (inject_context(e), EMPTY_STORE)
 
 
 def step_state(state: State, policy) -> list[State]:

@@ -25,6 +25,7 @@ from .domains import (
     EMPTY_STORE,
     EvC,
     FnK,
+    HALT,
     Halt,
     IfK,
     PrimVal,
@@ -45,8 +46,6 @@ from .syntax import App, Expr, If, Lam, Lit, Var
 
 
 def inject_context(e: Expr):
-    from .domains import HALT
-
     return EvC(e, EMPTY_ENV, HALT, ())
 
 

@@ -121,17 +121,35 @@ def test_join_at_no_growth_is_no_change():
 def test_join_at_repeat_changes_nothing():
     # on both stores: a repeated write reports no growth and leaves the
     # cell as the first write left it; the dense store's address is the
-    # one its table interned
+    # one it interned
     layout = preallocate(P0)
     interned = layout.bind_addr("a", 0, ())
     assert interned == A
-    for store, a in ((HashValueStore(), A), (layout.store, interned)):
+    for store, a in ((HashValueStore(), A), (layout, interned)):
         assert store.join_at(a, U)
         assert store.join_at(a, W)
         cell = dict(store.items())[a]
         assert cell == U | W
         assert not store.join_at(a, W)
         assert dict(store.items())[a] is cell
+
+
+def test_prealloc_cell_made_at_mint_time():
+    # minting an address makes its cell, empty, which neither items() nor
+    # the snapshot shows until a join fills it; the step that mints an
+    # address writes it, so a finished run leaves no cell empty
+    layout = preallocate(P0)
+    a = layout.bind_addr("a", 0, ())
+    assert layout.cells == {a: None} and layout.size == 1
+    assert list(layout.items()) == []
+    assert snapshot(layout) == Store({})
+    assert layout.join_at(a, U)
+    assert list(layout.items()) == [(a, U)]
+    assert snapshot(layout) == Store({A: U})
+    for name, src, e in load_corpus():
+        for pol in (P0, P1):
+            layout = run_machine(e, pol, prealloc=True)[1]
+            assert None not in layout.cells.values(), (name, pol)
 
 
 def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
@@ -320,19 +338,19 @@ def _address_bound_k0(e):
 
 
 def _interned(layout):
-    """The table's interned addresses in cell order: its index's keys, each
-    the object kept at the address's first allocation."""
-    return list(layout.store.index)
+    """The store's interned addresses in order of first allocation: its
+    cells' keys, each the object kept at the address's first allocation."""
+    return list(layout.cells)
 
 
 def test_preallocate_reports_exact_layout():
-    # the table starts empty and, after a run, reports exactly the addresses
+    # the store starts empty and, after a run, reports exactly the addresses
     # the run allocated: the hash store's cells, within the k=0 bound
     for name, src, e in load_corpus():
         assert preallocate(P0).size == 0
         for pol in (P0, P1):
             hstore = run_machine(e, pol)[1]
-            layout = run_machine(e, pol, prealloc=True)[2]
+            layout = run_machine(e, pol, prealloc=True)[1]
             minted = _interned(layout)
             assert len(set(minted)) == layout.size, (name, pol)
             assert set(minted) == {a for a, _ in hstore.items()}, (name, pol)
@@ -341,7 +359,7 @@ def test_preallocate_reports_exact_layout():
 
 
 def _allocate_again(layout, a):
-    """What the table's allocation hands out for the address ``a`` that it
+    """What the store's allocation hands out for the address ``a`` that it
     minted before: a binding's context is its call site prepended to the
     time, truncated to k."""
     if isinstance(a, BindAddr):
@@ -353,24 +371,21 @@ def _allocate_again(layout, a):
 
 
 def test_preallocate_is_a_bijection():
-    # cell index i names one interned address, whose index is i, and
-    # allocating that address again returns the same object and mints no
-    # new cell
+    # each cell names one interned address, and allocating that address
+    # again returns the same object and mints no new cell
     for name, src, e in load_corpus():
         for pol in (P0, P1):
-            layout = run_machine(e, pol, prealloc=True)[2]
+            layout = run_machine(e, pol, prealloc=True)[1]
             size = layout.size
-            index = layout.store.index
-            for i, a in enumerate(_interned(layout)):
-                assert index[a] == i, (name, pol)
+            for a in _interned(layout):
                 assert _allocate_again(layout, a) is a, (name, pol)
-            assert layout.size == len(layout.store.cells) == size, (name, pol)
+            assert layout.size == len(layout.cells) == size, (name, pol)
 
 
 def test_hash_run_addresses_all_within_layout():
     for name, src, e in load_corpus():
         for pol in (P0, P1):
-            layout = run_machine(e, pol, prealloc=True)[2]
+            layout = run_machine(e, pol, prealloc=True)[1]
             vstore = run_machine(e, pol)[1]
             minted = set(_interned(layout))
             for a, _ in vstore.items():
@@ -378,12 +393,12 @@ def test_hash_run_addresses_all_within_layout():
 
 
 def test_dense_and_hash_stores_agree_cell_by_cell():
-    # the dense store's cells, read through its index, are the hash
-    # store's, with no cell left empty
+    # the dense store's cells are the hash store's, with no cell left
+    # empty
     for name, src, e in load_corpus()[:8]:
         hstore = run_machine(e, P0)[1]
         pstore = run_machine(e, P0, prealloc=True)[1]
-        assert None not in pstore.cells, name
+        assert None not in pstore.cells.values(), name
         assert dict(pstore.items()) == hstore.cells, name
 
 
@@ -417,7 +432,7 @@ def test_prealloc_shares_its_contexts_and_addresses():
     # edge endpoints are the seen contexts themselves, not equal copies,
     # and every address the contexts hold, in their environments,
     # continuations and values, is the one object for its value, the
-    # table's, so equal environments built in different steps share
+    # store's, so equal environments built in different steps share
     # every address they hold
     for name, src, e in load_corpus():
         for pol in (P0, P1):
@@ -447,29 +462,25 @@ def _bench_draws(n):
 def test_prealloc_runs_on_interned_addresses():
     # the result is made of the machine's own objects: it equals the hash
     # store's run, every address its contexts and store hold is the
-    # table's object for its cell index, and allocating one again mints
-    # nothing
+    # store's object for its cell, and allocating one again mints nothing
     cases = [(name, e, pol) for pol in (P0, P1)
              for name, _, e in load_corpus()]
     cases += [(name, e, P1) for name, e in _bench_draws(6)]
     checked = 0
     for name, e, pol in cases:
         want = run_imperative(e, pol)
-        r, _, layout = run_machine(e, pol, prealloc=True)
+        r, layout = run_machine(e, pol, prealloc=True)
         assert r.contexts == want.contexts, name
         assert r.edges == want.edges, name
         assert r.store == want.store, name
         assert r.generations == want.generations, name
         assert r.status == want.status == "fixpoint", name
-        index, interned = layout.store.index, _interned(layout)
         held = [a for c in r.contexts for a in _addresses_in(c)]
         for a, vs in r.store.items():
             held.append(a)
             for v in vs:
                 held += _addresses_in(v)
         checked += len(held)
-        for a in held:
-            assert interned[index[a]] is a, (name, a)
         size = layout.size
         for a in held:
             assert _allocate_again(layout, a) is a, (name, a)
@@ -479,8 +490,8 @@ def test_prealloc_runs_on_interned_addresses():
 
 def test_no_driven_rung_leaves_cyclic_garbage():
     # a run is freed by reference counting alone: with the collector
-    # paused, it leaves nothing for the collector to find, the address
-    # table under preallocation included
+    # paused, it leaves nothing for the collector to find, the
+    # preallocated store and its interned addresses included
     bench = load_bench("church_dist.scm")
     for stage in ("compiled", "imperative", "imperative-prealloc"):
         gc.collect()
@@ -629,7 +640,7 @@ def test_no_restep_is_needless(monkeypatch):
         def spy(c, view, pol):
             out = stepper(c, view, pol)
             # every rung reads structured addresses, preallocation its
-            # table's interned ones
+            # store's interned ones
             steps.append((c, len(tr), frozenset(view.reads)))
             return out
         return spy
@@ -693,7 +704,7 @@ def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
     monkeypatch.setattr(imperative, "step_compiled", step)
     monkeypatch.setattr(imperative, "inject_compiled", inject)
     tr = []
-    r, vstore, _ = run_machine(parse("7"), P0, trace=tr)
+    r, vstore = run_machine(parse("7"), P0, trace=tr)
     assert r.status == "fixpoint"
     assert dict(vstore.items()) == {"a": U, "b": U}
     assert (r.generations, tr[-1][3]) == (4, 2)
