@@ -21,7 +21,7 @@ from .engine import (
     Config,
     ConfigError,
     compare_stages,
-    export_graph,
+    dot_chunks,
     run,
 )
 from .syntax import ParseError, free_vars, node_count, parse
@@ -120,10 +120,12 @@ def _load_program(path: str):
     return EXIT_OK, e
 
 
-def _write(path, text) -> bool:
-    """Write an output file, or say why it cannot be written and fail."""
+def _write(path, chunks) -> bool:
+    """Write an output file from an iterable of text chunks, as they come,
+    or say why it cannot be written and fail."""
     try:
-        Path(path).write_text(text)
+        with open(path, "w") as f:
+            f.writelines(chunks)
     except OSError as ex:
         print(f"error: {path}: {ex.strerror or ex}", file=sys.stderr)
         return False
@@ -150,10 +152,10 @@ def cmd_analyze(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FLAGS
     r = run(cfg, e)
-    if args.dot and not _write(args.dot, export_graph(r, "dot")):
+    if args.dot and not _write(args.dot, dot_chunks(r)):
         return EXIT_FLAGS
-    if args.json and not _write(args.json, json.dumps(
-            r.metrics(), sort_keys=True, indent=1) + "\n"):
+    if args.json and not _write(args.json, (json.dumps(
+            r.metrics(), sort_keys=True, indent=1), "\n")):
         return EXIT_FLAGS
     print(f"stage={r.stage} states={len(r.contexts)} "
           f"time={r.wall_time_s:.3f}s status={r.status}")
@@ -211,7 +213,7 @@ def cmd_ladder(args) -> int:
     text = _csv_text(rows)
     if not args.csv:
         print(text, end="")
-    elif not _write(args.csv, text):
+    elif not _write(args.csv, (text,)):
         return EXIT_FLAGS
     return EXIT_CAP if any(_capped(m["status"]) for m in rows) else EXIT_OK
 

@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import eq, itemgetter
 
 from .domains import (
@@ -174,16 +174,22 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
 # ------------------------------------------------------------ graph export
 
 def _graph_rows(result):
-    """Nodes ordered by (skeleton, repr), their contexts, their skeleton
-    labels, and index-resolved edges.  A naive node is a (context, store)
-    pair; every other node is its context.  Each skeleton is rendered
-    once, for both the order and the label, and its sub-terms through one
-    memo, so a sub-term that many nodes share is rendered once too.  Only
-    a naive run's contexts repeat, from store to store, so only they go
-    through the memo themselves.  The nodes are sorted once, by label;
-    repr is only taken to order a run of neighbours whose labels tie,
-    which only naive runs have, and both sorts are stable, so ties beyond
-    that keep set order."""
+    """Nodes ordered by (skeleton, repr): their contexts, their skeleton
+    labels, an iterator over the (src, dst, generation) edges in order, and
+    the initial node's position (None for a run capped before its first
+    state).  A naive node is a (context, store) pair; every other node is
+    its context.  Each skeleton is rendered once, for both the order and
+    the label, and its sub-terms through one memo, so a sub-term that many
+    nodes share is rendered once too.  Only a naive run's contexts repeat,
+    from store to store, so only they go through the memo themselves.  The
+    nodes are sorted once, by label; repr is only taken to order a run of
+    neighbours whose labels tie, which only naive runs have, and both sorts
+    are stable, so ties beyond that keep set order.
+
+    The context-to-position index dies with this call.  Each edge is held
+    as one int, ``(src << b | dst) << g_bits | generation``, so the edges
+    sort as triples without a tuple each, and the iterator frees them when
+    it is exhausted."""
     naive = result.stage == "naive"
     memo = {}
     if naive:
@@ -202,10 +208,22 @@ def _graph_rows(result):
             if end - start > 1:
                 nodes[start:end] = sorted(nodes[start:end], key=repr)
             start = end
-    contexts = [n[0] for n in nodes] if naive else nodes
     index = {n: i for i, n in enumerate(nodes)}
-    edges = sorted((index[s], index[d], g) for s, d, g in result.edges)
-    return contexts, labels, index, edges
+    contexts = [n[0] for n in nodes] if naive else nodes
+    del nodes
+    b = len(contexts).bit_length()
+    # a run labels each edge with a generation it completed
+    g_bits = result.generations.bit_length()
+    packed = sorted((index[s] << b | index[d]) << g_bits | g
+                    for s, d, g in result.edges)
+    return (contexts, labels, _unpack_edges(packed, b, g_bits),
+            index.get(result.initial))
+
+
+def _unpack_edges(packed, b, g_bits):
+    d_mask, g_mask = (1 << b) - 1, (1 << g_bits) - 1
+    for e in packed:
+        yield e >> (b + g_bits), e >> g_bits & d_mask, e & g_mask
 
 
 def _node_color(c) -> str:
@@ -226,31 +244,59 @@ def _node_shape(c) -> str:
     return "ap"
 
 
+def _dot_lines(result):
+    contexts, labels, edges, _ = _graph_rows(result)
+    yield "digraph analysis {\n"
+    yield "  rankdir=LR;\n"
+    yield "  node [style=filled, fontname=\"monospace\"];\n"
+    # pop each node as its line is written, so that the labels and the
+    # lines are never all alive at once
+    contexts.reverse()
+    labels.reverse()
+    for i in range(len(labels)):
+        label = labels.pop()
+        if "\\" in label or '"' in label:
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
+        color = _node_color(contexts.pop())
+        font = "white" if color == "black" else "black"
+        yield (f'  n{i} [label="{label}", fillcolor={color}, '
+               f'fontcolor={font}];\n')
+    for s, d, g in edges:
+        yield f'  n{s} -> n{d} [label="{g}"];\n'
+    yield "}\n"
+
+
+# lines per chunk of ``dot_chunks``: enough that joining and writing
+# cost little per line, few enough that one chunk's lines stay small
+_CHUNK_LINES = 1024
+
+
+def dot_chunks(result: AnalysisResult):
+    """The DOT export of ``result`` as a stream of text chunks, each a run
+    of whole lines: ``export_graph`` joins them and ``flowladder analyze
+    --dot`` writes them to its file as they come.  Alive at once are the
+    nodes and edges still to be written, one chunk's lines, and whatever
+    the consumer keeps of the chunks before it."""
+    lines = _dot_lines(result)
+    while chunk := "".join(islice(lines, _CHUNK_LINES)):
+        yield chunk
+
+
+_JSON = json.JSONEncoder(sort_keys=True, indent=1)
+
+
 def export_graph(result: AnalysisResult, fmt: str = "dot") -> str:
     """Render the reachable-state graph.  Nodes carry the label skeleton;
     states that follow a variable reference are gray, ev states black,
-    everything else white."""
+    everything else white.  The text is joined once from its pieces, so at
+    its peak a DOT export holds the text and its chunks, about twice the
+    text; a JSON export holds its payload's dicts and the encoder's
+    pieces next to the text."""
     if fmt not in ("dot", "json"):
         raise ValueError(f"unknown graph format {fmt!r}")
-    contexts, labels, index, edges = _graph_rows(result)
     if fmt == "dot":
-        out = ["digraph analysis {", "  rankdir=LR;",
-           "  node [style=filled, fontname=\"monospace\"];"]
-        # pop each label as its line is written, so that the labels and
-        # the lines are never all alive at once
-        labels.reverse()
-        for i, c in enumerate(contexts):
-            label = labels.pop()
-            if "\\" in label or '"' in label:
-                label = label.replace("\\", "\\\\").replace('"', '\\"')
-            color = _node_color(c)
-            font = "white" if color == "black" else "black"
-            out.append(f'  n{i} [label="{label}", fillcolor={color}, '
-                       f'fontcolor={font}];')
-        for s, d, g in edges:
-            out.append(f'  n{s} -> n{d} [label="{g}"];')
-        out.append("}")
-        return "\n".join(out) + "\n"
+        return "".join(dot_chunks(result))
+    contexts, labels, edges, initial = _graph_rows(result)
     payload = {
         "nodes": [
             {"id": i, "label": label, "shape": _node_shape(c),
@@ -259,10 +305,10 @@ def export_graph(result: AnalysisResult, fmt: str = "dot") -> str:
         ],
         "edges": [{"src": s, "dst": d, "generation": g}
                   for s, d, g in edges],
-        # a run capped before its first state has no initial node
-        "initial": index.get(result.initial),
+        "initial": initial,
     }
-    return json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    del contexts, labels, edges
+    return "".join(chain(_JSON.iterencode(payload), "\n"))
 
 
 # ------------------------------------------------------- stage comparison

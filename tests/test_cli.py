@@ -2,12 +2,15 @@
 
 import csv
 import json
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from flowladder import cli
+from flowladder import cli, engine
 from flowladder.cli import CSV_COLUMNS, _factor, main
+from flowladder.engine import Config, export_graph, run
+from flowladder.syntax import parse
 
 
 @pytest.fixture
@@ -40,6 +43,22 @@ def test_analyze_writes_dot(id5, tmp_path):
     out = tmp_path / "g.dot"
     assert main(["analyze", id5, "--dot", str(out)]) == 0
     assert out.read_text().startswith("digraph")
+
+
+def test_analyze_dot_writes_the_export_as_it_is_produced(tmp_path, capsys):
+    # the bench's graph runs to more than one chunk of lines
+    from tests.support import BENCH_DIR
+    prog = str(BENCH_DIR / "church_dist.scm")
+    out = tmp_path / "g.dot"
+    assert main(["analyze", prog, "--dot", str(out)]) == 0
+    want = export_graph(run(Config(), parse(Path(prog).read_text())), "dot")
+    assert want.count("\n") > 2 * engine._CHUNK_LINES
+    assert out.read_text() == want and want.endswith("}\n")
+    capsys.readouterr()
+    assert main(["analyze", prog, "--dot", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_analyze_concrete_prints_final_value(id5, capsys):
