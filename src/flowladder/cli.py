@@ -157,7 +157,7 @@ def cmd_analyze(args) -> int:
     if args.json and not _write(args.json, (json.dumps(
             r.metrics(), sort_keys=True, indent=1), "\n")):
         return EXIT_FLAGS
-    print(f"stage={r.stage} states={len(r.contexts)} "
+    print(f"stage={r.stage} states={len(r.nodes)} "
           f"time={r.wall_time_s:.3f}s status={r.status}")
     if args.concrete:
         print("value:", " ".join(sorted(map(repr, r.values))))

@@ -61,10 +61,16 @@ class ConcreteAddr(Term):
     __slots__ = ("n",)
 
 
-def fmt_time(t: Time) -> str:
-    if not t:
-        return "."
-    return "-".join(map(str, t))
+def fmt_time(t: Time, memo=None) -> str:
+    """A time as its labels joined by "-", or "." when it is empty.
+    ``memo``, if a dict, keeps each rendering under its time, as
+    ``skeleton``'s memo keeps a term's."""
+    if memo is None:
+        return "-".join(map(str, t)) if t else "."
+    s = memo.get(t)
+    if s is None:
+        s = memo[t] = fmt_time(t)
+    return s
 
 
 # ------------------------------------------------------------------- values
@@ -333,38 +339,64 @@ def halt_values(contexts, store) -> frozenset:
 class AnalysisResult:
     """A stage's fixpoint plus its measurements: what every runner returns.
 
-    ``contexts`` holds plain contexts for the widened stages and
-    (context, store) pairs for the naive one; ``edges`` holds (src, dst,
-    generation first produced); ``store`` is the final store, None for the
-    naive stage.  No stage keeps its store history: a run's trace rebuilds
-    it when asked.  ``engine.run`` fills in the stage, k, wall time and
-    peak memory."""
+    It holds the tables the run built.  ``nodes`` lists the reachable
+    contexts in the order the run first met them, the initial one first:
+    plain contexts for the widened stages, (context, store) pairs for the
+    naive one.  ``edge_table`` maps each (src, dst) pair of positions in
+    ``nodes`` to the generation that first produced the edge.  ``store``
+    is the final store, None for the naive stage.  No stage keeps its
+    store history: a run's trace rebuilds it when asked.  ``engine.run``
+    fills in the stage, k, wall time and peak memory.
 
-    __slots__ = ("stage", "k", "program", "contexts", "edges", "store",
-                 "status", "generations", "initial", "wall_time_s",
-                 "peak_mem_bytes", "values")
+    ``contexts`` and ``edges``, the nodes and the (src, dst, generation)
+    edges as frozensets, are derived from the tables on first read and
+    kept; counting, exporting and the metrics read the tables alone."""
 
-    def __init__(self, *, program, contexts, edges, store, status,
-                 generations, initial, values):
+    __slots__ = ("stage", "k", "program", "nodes", "edge_table", "store",
+                 "status", "generations", "wall_time_s", "peak_mem_bytes",
+                 "values", "_contexts", "_edges")
+
+    def __init__(self, *, program, nodes, edge_table, store, status,
+                 generations, values):
         self.stage = self.k = None
         self.program = program
-        self.contexts = contexts
-        self.edges = edges
+        self.nodes = nodes
+        self.edge_table = edge_table
         self.store = store
         self.status = status
         self.generations = generations
-        self.initial = initial
         self.wall_time_s = 0.0
         self.peak_mem_bytes = 0
         self.values = values
+        self._contexts = self._edges = None
+
+    @property
+    def initial(self):
+        return self.nodes[0]
+
+    @property
+    def contexts(self) -> frozenset:
+        if self._contexts is None:
+            # from a dict, which sizes the set's table once; grown from the
+            # list, the table can end up twice as large
+            self._contexts = frozenset(dict.fromkeys(self.nodes))
+        return self._contexts
+
+    @property
+    def edges(self) -> frozenset:
+        if self._edges is None:
+            nodes = self.nodes
+            self._edges = frozenset((nodes[s], nodes[d], g) for (s, d), g
+                                    in self.edge_table.items())
+        return self._edges
 
     def metrics(self) -> dict:
         wall = self.wall_time_s
-        transitions = len(self.edges)
+        transitions = len(self.edge_table)
         return {
             "stage": self.stage,
             "k": self.k,
-            "states": len(self.contexts),
+            "states": len(self.nodes),
             "transitions": transitions,
             "generations": self.generations,
             "wall_time_s": wall,
@@ -548,7 +580,7 @@ def _render_expr(e, memo):
 
 def _render_ev(c, memo):
     return (f"ev(e{c.expr.label},{skeleton(c.env, memo)},"
-            f"{skeleton(c.kont, memo)},{fmt_time(c.time)})")
+            f"{skeleton(c.kont, memo)},{fmt_time(c.time, memo)})")
 
 
 def _render_co(c, memo):
@@ -557,22 +589,22 @@ def _render_co(c, memo):
 
 def _render_ap(c, memo):
     return (f"ap({skeleton(c.fn, memo)},{skeleton(c.arg, memo)},"
-            f"{skeleton(c.kont, memo)},l{c.label},{fmt_time(c.time)})")
+            f"{skeleton(c.kont, memo)},l{c.label},{fmt_time(c.time, memo)})")
 
 
 def _render_ar(k, memo):
     return (f"ar(e{k.expr.label},{skeleton(k.env, memo)},"
-            f"{skeleton(k.kaddr, memo)},l{k.label},{fmt_time(k.time)})")
+            f"{skeleton(k.kaddr, memo)},l{k.label},{fmt_time(k.time, memo)})")
 
 
 def _render_fn(k, memo):
     return (f"fn({skeleton(k.fv, memo)},{skeleton(k.kaddr, memo)},"
-            f"l{k.label},{fmt_time(k.time)})")
+            f"l{k.label},{fmt_time(k.time, memo)})")
 
 
 def _render_if(k, memo):
     return (f"if(e{k.then.label},e{k.els.label},{skeleton(k.env, memo)},"
-            f"{skeleton(k.kaddr, memo)},{fmt_time(k.time)})")
+            f"{skeleton(k.kaddr, memo)},{fmt_time(k.time, memo)})")
 
 
 def _render_closure(v, memo):
@@ -591,15 +623,16 @@ def _render_env(env, memo):
 # Addresses.  A concrete address, like every leaf, renders in the table.
 
 def _render_bind_addr(a, memo):
-    return f"{a.var}@{fmt_time(a.ctx)}"
+    return f"{a.var}@{fmt_time(a.ctx, memo)}"
 
 
 def _render_kont_addr(a, memo):
-    return f"k{a.label}@{fmt_time(a.time)}"
+    return f"k{a.label}@{fmt_time(a.time, memo)}"
 
 
 def _render_val_addr(a, memo):
-    return f"{'f' if a.slot == FN_SLOT else 'a'}{a.label}@{fmt_time(a.time)}"
+    slot = "f" if a.slot == FN_SLOT else "a"
+    return f"{slot}{a.label}@{fmt_time(a.time, memo)}"
 
 
 _RENDER = {

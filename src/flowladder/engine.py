@@ -3,17 +3,20 @@ comparison.
 
 A stage is selected by name, the ladder order being naive, widened,
 frontier, deltas, lazy, compiled, imperative, imperative-prealloc.  Every
-stage's runner returns an AnalysisResult carrying the reachable contexts,
-the generation-labeled edge set, whatever store artifact the stage
-produces, and its final values; ``run`` adds the stage name, k and the
-measurements.  Runs are untraced: the space cap bounds the
+stage's runner returns an AnalysisResult holding the tables its run built:
+the reachable contexts in the order they were found and the generation of
+each edge, keyed by the positions of its ends, next to whatever store
+artifact the stage produces and its final values; ``run`` adds the stage
+name, k and the measurements.  Runs are untraced: the space cap bounds the
 process's resident set size, sampled before the first generation, then
 before a generation at most once a millisecond, and at the end of the
 run; the peak of those samples is the run's ``peak_mem_bytes``.  The
-time cap is checked before every generation.  Graph exports render
-contexts through their label skeleton so nodes from different stages
-coincide when the theorems say the states do; one export renders each
-shared sub-term (an environment, a continuation, a closure) once.
+time cap is checked before every generation.  The metrics and both graph
+exports read the tables and hash no context; only a verdict between two
+stages builds a result's set of contexts.  Graph exports render contexts
+through their label skeleton so nodes from different stages coincide when
+the theorems say the states do; one export renders each shared sub-term
+(an environment, a continuation, a closure) and each time once.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import json
 import os
 import sys
 import time
-from itertools import chain, groupby, islice
-from operator import eq, itemgetter
+from itertools import groupby, islice
+from operator import eq
 
 from .domains import (
     AnalysisResult,
@@ -174,50 +177,66 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
 # ------------------------------------------------------------ graph export
 
 def _graph_rows(result):
-    """Nodes ordered by (skeleton, repr): their contexts, their skeleton
-    labels, an iterator over the (src, dst, generation) edges in order, and
-    the initial node's position (None for a run capped before its first
-    state).  A naive node is a (context, store) pair; every other node is
-    its context.  Each skeleton is rendered once, for both the order and
-    the label, and its sub-terms through one memo, so a sub-term that many
-    nodes share is rendered once too.  Only a naive run's contexts repeat,
-    from store to store, so only they go through the memo themselves.  The
-    nodes are sorted once, by label; repr is only taken to order a run of
-    neighbours whose labels tie, which only naive runs have, and both sorts
-    are stable, so ties beyond that keep set order.
+    """The graph's nodes, ordered by (skeleton, repr), and its edges, as
+    the exports write them: an iterator over the (context, label) pairs in
+    order, one over the (src, dst, generation) edges in order, and the
+    initial node's position.  A naive node is a (context, store) pair, and
+    its context is the one handed out; every other node is its context.
 
-    The context-to-position index dies with this call.  Each edge is held
-    as one int, ``(src << b | dst) << g_bits | generation``, so the edges
-    sort as triples without a tuple each, and the iterator frees them when
-    it is exhausted."""
+    One label is rendered per node, for both the order and the text, and
+    its sub-terms and times through one memo, so a sub-term or a time that
+    many nodes share is rendered once too.  Only a naive run's contexts
+    repeat, from store to store, so only they go through the memo
+    themselves.  The node ids are sorted once, by label; repr is only
+    taken to order a run of neighbours whose labels tie, which only naive
+    runs have, and both sorts are stable, so ties beyond that keep the
+    order the run found the nodes in.
+
+    Nodes and edges are read from the result's tables: an id's position
+    is read from a list, and no context is hashed.  Each edge is held as
+    one int, ``(src << b | dst) << g_bits | generation``, so the edges sort
+    as triples without a tuple each.  The node iterator drops each label
+    as it hands it out, and the edge iterator its ints once exhausted."""
+    nodes = result.nodes
     naive = result.stage == "naive"
     memo = {}
     if naive:
-        keyed = [(skeleton(n[0], memo), n) for n in result.contexts]
+        labels = [skeleton(n[0], memo) for n in nodes]
     else:
-        keyed = [(_RENDER[type(c)](c, memo), c) for c in result.contexts]
+        labels = [_RENDER[type(c)](c, memo) for c in nodes]
     del memo
-    keyed.sort(key=itemgetter(0))
-    labels = [label for label, _ in keyed]
-    nodes = [n for _, n in keyed]
-    del keyed
-    if any(map(eq, labels, islice(labels, 1, None))):
+    order = sorted(range(len(nodes)), key=labels.__getitem__)
+    sorted_labels = [labels[i] for i in order]
+    if any(map(eq, sorted_labels, islice(sorted_labels, 1, None))):
         start = 0
-        for _, run in groupby(labels):
+        for _, run in groupby(sorted_labels):
             end = start + sum(1 for _ in run)
             if end - start > 1:
-                nodes[start:end] = sorted(nodes[start:end], key=repr)
+                order[start:end] = sorted(
+                    order[start:end], key=lambda i: repr(nodes[i]))
             start = end
-    index = {n: i for i, n in enumerate(nodes)}
-    contexts = [n[0] for n in nodes] if naive else nodes
-    del nodes
-    b = len(contexts).bit_length()
+    del sorted_labels
+    pos = [0] * len(order)
+    for p, i in enumerate(order):
+        pos[i] = p
+    b = len(order).bit_length()
     # a run labels each edge with a generation it completed
     g_bits = result.generations.bit_length()
-    packed = sorted((index[s] << b | index[d]) << g_bits | g
-                    for s, d, g in result.edges)
-    return (contexts, labels, _unpack_edges(packed, b, g_bits),
-            index.get(result.initial))
+    packed = sorted((pos[s] << b | pos[d]) << g_bits | g
+                    for (s, d), g in result.edge_table.items())
+    return (_pop_nodes(nodes, labels, order, naive),
+            _unpack_edges(packed, b, g_bits), pos[0])
+
+
+def _pop_nodes(nodes, labels, order, naive):
+    # pop each node as it is handed out, so that the labels and the
+    # text written from them are never all alive at once
+    order.reverse()
+    while order:
+        i = order.pop()
+        label = labels[i]
+        labels[i] = None
+        yield (nodes[i][0] if naive else nodes[i]), label
 
 
 def _unpack_edges(packed, b, g_bits):
@@ -245,19 +264,14 @@ def _node_shape(c) -> str:
 
 
 def _dot_lines(result):
-    contexts, labels, edges, _ = _graph_rows(result)
+    nodes, edges, _ = _graph_rows(result)
     yield "digraph analysis {\n"
     yield "  rankdir=LR;\n"
     yield "  node [style=filled, fontname=\"monospace\"];\n"
-    # pop each node as its line is written, so that the labels and the
-    # lines are never all alive at once
-    contexts.reverse()
-    labels.reverse()
-    for i in range(len(labels)):
-        label = labels.pop()
+    for i, (c, label) in enumerate(nodes):
         if "\\" in label or '"' in label:
             label = label.replace("\\", "\\\\").replace('"', '\\"')
-        color = _node_color(contexts.pop())
+        color = _node_color(c)
         font = "white" if color == "black" else "black"
         yield (f'  n{i} [label="{label}", fillcolor={color}, '
                f'fontcolor={font}];\n')
@@ -266,9 +280,43 @@ def _dot_lines(result):
     yield "}\n"
 
 
-# lines per chunk of ``dot_chunks``: enough that joining and writing
-# cost little per line, few enough that one chunk's lines stay small
+def _json_list(items):
+    """A list of a JSON object's member at indent 1, after its ``[``, as
+    ``json`` writes it: one item a line, each already indented."""
+    sep = "\n"
+    for item in items:
+        yield sep + item
+        sep = ",\n"
+    yield "]" if sep == "\n" else "\n ]"
+
+
+def _json_lines(result):
+    """The JSON export's text, piece by piece, as
+    ``json.dumps(payload, sort_keys=True, indent=1)`` and a newline would
+    write it, for the payload {"edges": [{"dst", "generation", "src"}, ...],
+    "initial": position, "nodes": [{"color", "id", "label", "shape"},
+    ...]}; ``json.dumps`` writes each label."""
+    nodes, edges, initial = _graph_rows(result)
+    yield '{\n "edges": ['
+    yield from _json_list(f'  {{\n   "dst": {d},\n   "generation": {g},\n'
+                          f'   "src": {s}\n  }}' for s, d, g in edges)
+    yield f',\n "initial": {initial},\n "nodes": ['
+    yield from _json_list(
+        f'  {{\n   "color": "{_node_color(c)}",\n   "id": {i},\n'
+        f'   "label": {json.dumps(label)},\n'
+        f'   "shape": "{_node_shape(c)}"\n  }}'
+        for i, (c, label) in enumerate(nodes))
+    yield "\n}\n"
+
+
+# pieces per chunk of ``_chunks``: enough that joining and writing cost
+# little per piece, few enough that one chunk's pieces stay small
 _CHUNK_LINES = 1024
+
+
+def _chunks(pieces):
+    while chunk := "".join(islice(pieces, _CHUNK_LINES)):
+        yield chunk
 
 
 def dot_chunks(result: AnalysisResult):
@@ -277,38 +325,20 @@ def dot_chunks(result: AnalysisResult):
     --dot`` writes them to its file as they come.  Alive at once are the
     nodes and edges still to be written, one chunk's lines, and whatever
     the consumer keeps of the chunks before it."""
-    lines = _dot_lines(result)
-    while chunk := "".join(islice(lines, _CHUNK_LINES)):
-        yield chunk
-
-
-_JSON = json.JSONEncoder(sort_keys=True, indent=1)
+    return _chunks(_dot_lines(result))
 
 
 def export_graph(result: AnalysisResult, fmt: str = "dot") -> str:
     """Render the reachable-state graph.  Nodes carry the label skeleton;
     states that follow a variable reference are gray, ev states black,
-    everything else white.  The text is joined once from its pieces, so at
-    its peak a DOT export holds the text and its chunks, about twice the
-    text; a JSON export holds its payload's dicts and the encoder's
-    pieces next to the text."""
-    if fmt not in ("dot", "json"):
-        raise ValueError(f"unknown graph format {fmt!r}")
+    everything else white.  Both formats are written piece by piece from
+    the same rows and joined once from chunks of pieces, so at its peak an
+    export holds the text, its chunks and the rows not yet written."""
     if fmt == "dot":
         return "".join(dot_chunks(result))
-    contexts, labels, edges, initial = _graph_rows(result)
-    payload = {
-        "nodes": [
-            {"id": i, "label": label, "shape": _node_shape(c),
-             "color": _node_color(c)}
-            for i, (c, label) in enumerate(zip(contexts, labels))
-        ],
-        "edges": [{"src": s, "dst": d, "generation": g}
-                  for s, d, g in edges],
-        "initial": initial,
-    }
-    del contexts, labels, edges
-    return "".join(chain(_JSON.iterencode(payload), "\n"))
+    if fmt == "json":
+        return "".join(_chunks(_json_lines(result)))
+    raise ValueError(f"unknown graph format {fmt!r}")
 
 
 # ------------------------------------------------------- stage comparison
@@ -341,7 +371,7 @@ def _verdict(ra: AnalysisResult, rb: AnalysisResult) -> str:
             return "subset"
     memo = {}
     if _value_shapes(ra.values, memo) == _value_shapes(rb.values, memo):
-        if len(rb.contexts) <= len(ra.contexts):
+        if len(rb.nodes) <= len(ra.nodes):
             return "sound, <= states"
         return "sound"
     return "diverged"

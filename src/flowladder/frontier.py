@@ -16,10 +16,11 @@ interning, edge labels, step replay, the frontier rebuild) and takes the
 sweep as a function.  It puts contexts on dense int ids as it interns
 them: the frontier, the seen stamps, the edges and a per-context step memo
 are ids and id-indexed lists, and the contexts are looked up only when a
-sweep steps them or the run is packaged.  A context whose memo holds its
-last successors is replayed from it instead of going to the sweep.
-``run_driven`` packages every timestamped run and gives all six rungs one
-trace.
+sweep steps them.  A context whose memo holds its last successors is
+replayed from it instead of going to the sweep.  The run's result is the
+driver's tables as they stand, the contexts in id order and the edges
+keyed by id pairs.  ``run_driven`` runs every timestamped rung and gives
+all six one trace.
 ``run_frontier``'s sweep joins into one persistent store, steps the whole
 frontier and never fills the memo, so this stays the literal timestamp
 rung.  ``replaying_sweep`` is the sweep of every later rung: its steps
@@ -134,18 +135,10 @@ def drive(first, sweep, cap_check=None, trace=None):
     return ctxs, edges, generation, status, t
 
 
-def package(ctxs, edges):
-    """A driver's run as a frozenset of contexts and one of (src, dst,
-    generation) edges.  The contexts' set is built from a dict, which
-    sizes its table once; grown from the list, the table can end up twice
-    as large, and a result is kept while it is exported."""
-    edges = frozenset((ctxs[s], ctxs[d], g) for (s, d), g in edges.items())
-    return frozenset(dict.fromkeys(ctxs)), edges
-
-
 def run_driven(e, first, sweep, newest, cap_check=None,
                trace=None) -> AnalysisResult:
-    """Drive ``sweep`` from ``first`` and package the run.
+    """Drive ``sweep`` from ``first``; the result holds the driver's
+    tables as they stand.
 
     ``newest()`` returns the store the sweeps have left so far.  ``trace``,
     if a list, receives (seen, frontier, chain, t) after every generation:
@@ -174,11 +167,10 @@ def run_driven(e, first, sweep, newest, cap_check=None,
         first, sweep, cap_check, snap)
     del sweep  # and its read index, before the final snapshot
     store = newest()
-    contexts, edges = package(ctxs, edges)
     return AnalysisResult(
-        program=e, contexts=contexts, edges=edges, store=store,
-        status=status, generations=generations, initial=ctxs[0],
-        values=halt_values(contexts, store))
+        program=e, nodes=ctxs, edge_table=edges, store=store,
+        status=status, generations=generations,
+        values=halt_values(ctxs, store))
 
 
 def run_frontier(

@@ -5,7 +5,7 @@ store in place and keeps the writes of every step in one list; once the
 last context has stepped, they are joined into the cells.  So the sweep
 reads the store it started with, as the ``deltas`` replay does, and each
 cell keeps one version.  The machine is this sweep under the frontier
-driver, packaged and traced by ``frontier.run_driven`` as every
+driver, run and traced by ``frontier.run_driven`` as every
 timestamped rung is, the trace from snapshots of the cells.
 
 A step is a function of its context and the cells it read: it sees the
@@ -35,7 +35,7 @@ store grows one cell per new address.  Only addresses the run reaches get a
 cell, so the store grows with the analysis, under the same per-generation
 caps, whatever k is.  The contexts, environments, continuations and
 closures the steps build hold the store's own addresses, so the fixpoint is
-packaged and traced as it stands, with no pass to translate it back.
+kept and traced as it stands, with no pass to translate it back.
 """
 
 from __future__ import annotations
@@ -77,8 +77,14 @@ class HashValueStore:
 
 
 def snapshot(vstore):
-    """The plain store the value cells hold."""
-    return Store(dict(vstore.items()))
+    """The plain store the value cells hold.  The cells' dict is copied,
+    which reuses its stored hashes, and only an empty cell (None), if one
+    is left, is looked up again to be dropped."""
+    cells = vstore.cells.copy()
+    if None in cells.values():
+        for a in [a for a, vs in cells.items() if vs is None]:
+            del cells[a]
+    return Store(cells)
 
 
 # ----------------------------------------------------------- preallocation

@@ -46,7 +46,7 @@ from .domains import (
     lit_value,
 )
 from .syntax import App, Expr, If, Lam, Lit, Var
-from .frontier import drive, package
+from .frontier import drive
 from .widening import inject_context
 
 State = tuple  # (Context, Store)
@@ -193,8 +193,7 @@ def explore(e: Expr, policy, cap_check=None) -> AnalysisResult:
         return [step_state(states[i], policy) for i in order], False
 
     states, edges, generations, status, _ = drive([initial], sweep, cap_check)
-    contexts, edges = package(states, edges)
     return AnalysisResult(
-        program=e, contexts=contexts, edges=edges, store=None, status=status,
-        generations=generations, initial=initial,
+        program=e, nodes=states, edge_table=edges, store=None, status=status,
+        generations=generations,
         values=halt_values((c for c, _ in states), None))

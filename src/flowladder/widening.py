@@ -147,13 +147,14 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
     the current store, adds every successor, and joins every produced
     store.
 
-    Edges are labeled with the iteration at which they were first produced.
-    ``cap_check(n_contexts, generation)`` may return a status string to stop
-    early.
+    The result lists the contexts in the order they were found, and keys
+    each edge by the positions of its ends, labeled with the iteration at
+    which it was first produced.  ``cap_check(n_contexts, generation)``
+    may return a status string to stop early.
     """
     require_abstract(mode, policy)
     c0 = inject_context(e)
-    contexts = {c0}
+    ids = {c0: 0}
     order = [c0]  # insertion order: deterministic iteration
     store = EMPTY_STORE
     edges = {}
@@ -161,28 +162,26 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
     status = "fixpoint"
     while True:
         if cap_check is not None:
-            stop = cap_check(len(contexts), generation)
+            stop = cap_check(len(order), generation)
             if stop is not None:
                 status = stop
                 break
         stepped, store2 = sweep_contexts(order, store, policy)
         grew = False
-        # order grows in this loop; zip stops at the contexts swept
-        for src, succs in zip(order, stepped):
+        # order grows in this loop; stepped holds the contexts swept
+        for src, succs in enumerate(stepped):
             for dst in succs:
-                if (src, dst) not in edges:
-                    edges[(src, dst)] = generation
-                if dst not in contexts:
-                    contexts.add(dst)
+                i = ids.get(dst)
+                if i is None:
+                    i = ids[dst] = len(order)
                     order.append(dst)
                     grew = True
+                edges.setdefault((src, i), generation)
         if not grew and store2 == store:
             break
         store = store2
         generation += 1
-    contexts = frozenset(contexts)
     return AnalysisResult(
-        program=e, contexts=contexts,
-        edges=frozenset((s, d, g) for (s, d), g in edges.items()),
-        store=store, status=status, generations=generation,
-        initial=c0, values=halt_values(contexts, store))
+        program=e, nodes=order, edge_table=edges, store=store,
+        status=status, generations=generation,
+        values=halt_values(order, store))

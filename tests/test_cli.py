@@ -61,6 +61,24 @@ def test_analyze_dot_writes_the_export_as_it_is_produced(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_analyze_dot_leaves_the_result_sets_unbuilt(tmp_path, monkeypatch):
+    # the export and the states line read the result's tables
+    results = []
+
+    def kept_run(cfg, e):
+        results.append(run(cfg, e))
+        return results[-1]
+
+    monkeypatch.setattr(cli, "run", kept_run)
+    from tests.support import BENCH_DIR
+    out = tmp_path / "g.dot"
+    assert main(["analyze", str(BENCH_DIR / "church_dist.scm"),
+                 "--dot", str(out)]) == 0
+    [r] = results
+    assert out.read_text().count(" -> ") == len(r.edge_table) > 0
+    assert r._contexts is None and r._edges is None
+
+
 def test_analyze_concrete_prints_final_value(id5, capsys):
     assert main(["analyze", id5, "--stage", "naive", "--concrete"]) == 0
     assert "value: 5" in capsys.readouterr().out

@@ -13,7 +13,16 @@ import pytest
 
 from flowladder.cli import LADDER_STAGES, _verdict_violations
 from flowladder.deltas import run_logged, step_with_deltas
-from flowladder.domains import IntVal, Store, concrete_policy, kcfa_policy
+from flowladder.domains import (
+    ApC,
+    CoC,
+    EvC,
+    IntVal,
+    Store,
+    StuckC,
+    concrete_policy,
+    kcfa_policy,
+)
 from flowladder.frontier import run_frontier
 from flowladder.imperative import run_imperative
 from flowladder.widening import analyze_baseline
@@ -135,6 +144,45 @@ def test_edge_endpoints_are_reachable_contexts():
             assert 0 <= g <= r.generations, stage
 
 
+@pytest.mark.parametrize("k", [0, 1])
+def test_result_sets_are_derived_from_the_tables(corpus, k):
+    # a result holds the driver's tables; its sets are read from them
+    for stage in STAGES:
+        for name, src, e in corpus:
+            r = run(Config(stage=stage, k=k), e)
+            nodes, where = r.nodes, (stage, name)
+            assert len(set(nodes)) == len(nodes), where
+            assert nodes[0] == r.initial, where
+            assert r.contexts == frozenset(nodes), where
+            assert r.edges == {(nodes[s], nodes[d], g)
+                               for (s, d), g in r.edge_table.items()}, where
+            m = r.metrics()
+            assert m["states"] == len(r.contexts), where
+            assert m["transitions"] == len(r.edges), where
+            assert r.contexts is r.contexts and r.edges is r.edges, where
+
+
+@pytest.mark.parametrize("stage", ["imperative-prealloc", "deltas"])
+def test_export_and_metrics_hash_no_context(stage, monkeypatch):
+    # the exports and the metrics read the result's tables: they hash no
+    # context, and leave its sets unbuilt
+    r = run(Config(stage=stage), load_bench("church_dist.scm"))
+    calls = []
+    for cls in (EvC, CoC, ApC, StuckC):
+        def counted(self, h=cls.__hash__):
+            calls.append(self)
+            return h(self)
+        monkeypatch.setattr(cls, "__hash__", counted)
+    hash(r.initial)
+    assert len(calls) == 1
+    calls.clear()
+    export_graph(r, "dot")
+    export_graph(r, "json")
+    r.metrics()
+    assert not calls
+    assert r._contexts is None and r._edges is None
+
+
 def _stores_reached(root) -> int:
     """How many Store objects root reaches through gc.get_referents, not
     counting what classes, modules and functions reach."""
@@ -217,10 +265,11 @@ def test_run_leaves_tracemalloc_as_it_found_it():
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("stage", ["imperative-prealloc", "deltas"])
-def test_dot_export_holds_its_text_once(stage):
-    # the DOT export once held its lines, their join and the join with its
-    # last newline at once, 4.0-4.3 times the text on these runs
+def _export_peak_over_text(stage, fmt):
+    """The traced peak of one export of the bench at k=0 above its start,
+    over the length of its text.  The export must leave tracemalloc off as
+    it found it and, with the collector paused, nothing for
+    ``gc.collect()``."""
     r = run(Config(stage=stage), load_bench("church_dist.scm"))
     assert not tracemalloc.is_tracing()
     gc.collect()
@@ -229,16 +278,32 @@ def test_dot_export_holds_its_text_once(stage):
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            text = export_graph(r, "dot")
+            text = export_graph(r, fmt)
             peak = tracemalloc.get_traced_memory()[1] - before
         finally:
             tracemalloc.stop()
-        assert peak <= 3 * len(text), peak / len(text)
+        ratio = peak / len(text)
         del text
         assert gc.collect() == 0
     finally:
         gc.enable()
     assert not tracemalloc.is_tracing()
+    return ratio
+
+
+@pytest.mark.parametrize("stage", ["imperative-prealloc", "deltas"])
+def test_dot_export_holds_its_text_once(stage):
+    # the DOT export once held its lines, their join and the join with its
+    # last newline at once, 4.0-4.3 times the text on these runs
+    assert _export_peak_over_text(stage, "dot") <= 3
+
+
+@pytest.mark.parametrize("stage", ["imperative-prealloc", "deltas"])
+def test_json_export_holds_its_text_once(stage):
+    # the JSON export once built a dict per node and per edge and ran
+    # json's pure-Python indenting encoder over them, 7.9-9.1 times the
+    # text on these runs
+    assert _export_peak_over_text(stage, "json") <= 3
 
 
 def test_single_node_graph():

@@ -38,7 +38,7 @@ def test_layer_trace_installs_and_restores_every_wrapper():
         r = run(Config(stage="imperative-prealloc"), e)
         assert trace.n["imperative.layout_calls"] == 1
         assert trace.n["imperative.join_calls"] > 0
-        # an untraced run snapshots its value cells once, to package
+        # an untraced run snapshots its value cells once, for its result
         assert trace.n["imperative.snapshot_calls"] == 1
         assert trace.n["compiled.step_calls"] > 0
         # the benchmark exports through the engine module's attribute
