@@ -29,8 +29,6 @@ from .syntax import PRIM_NAMES, App, If, Lam, Lit, Term, Var
 
 Time = tuple  # tuple of application labels, newest first
 
-EPOCH: Time = ()
-
 
 class AnalysisBugError(RuntimeError):
     """An internal invariant broke (absent address, dangling delayed value)."""
@@ -125,11 +123,6 @@ def lit_value(v):
     if isinstance(v, int):
         return IntVal(v)
     return _PRIMS[v]
-
-
-def body_label_of(body) -> int:
-    """Label of a closure body."""
-    return body.label
 
 
 # -------------------------------------------------------------- environment
@@ -608,7 +601,7 @@ def _render_if(k, memo):
 
 
 def _render_closure(v, memo):
-    return f"clos({v.var},e{body_label_of(v.body)},{skeleton(v.env, memo)})"
+    return f"clos({v.var},e{v.body.label},{skeleton(v.env, memo)})"
 
 
 def _render_delayed(v, memo):

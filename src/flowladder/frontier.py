@@ -72,8 +72,8 @@ def drive(first, sweep, cap_check=None, trace=None):
     before a generation; after each, ``trace(frontier, t)``, if given, gets
     the contexts of the next frontier and the clock.
 
-    Returns (ctxs, edges, generations, status, t): edges maps each (src
-    id, dst id) to the generation that first produced it.
+    Returns (ctxs, edges, generations, status): edges maps each (src id,
+    dst id) to the generation that first produced it.
     """
     ids = {}
     ctxs = []
@@ -132,7 +132,7 @@ def drive(first, sweep, cap_check=None, trace=None):
         generation += 1
         if trace is not None:
             trace([ctxs[i] for i in frontier], t)
-    return ctxs, edges, generation, status, t
+    return ctxs, edges, generation, status
 
 
 def run_driven(e, first, sweep, newest, cap_check=None,
@@ -163,8 +163,7 @@ def run_driven(e, first, sweep, newest, cap_check=None,
                 hist[c] = (t,) + hist.get(c, ())
             trace.append((hist, frontier, chain, t))
 
-    ctxs, edges, generations, status, _ = drive(
-        first, sweep, cap_check, snap)
+    ctxs, edges, generations, status = drive(first, sweep, cap_check, snap)
     del sweep  # and its read index, before the final snapshot
     store = newest()
     return AnalysisResult(
@@ -214,8 +213,8 @@ class SnapshotView:
         self.over(cells)
 
     def over(self, cells):
-        """Read ``cells``, an address -> value set dict, from now on; a cell
-        that holds None reads as absent."""
+        """Read ``cells``, an address -> value set dict, from now on; an
+        address with no cell reads as absent."""
         self._fetch = cells.get
 
     def deref(self, a):

@@ -27,15 +27,16 @@ fixpoint exactly as it was.  The replay is shared: the sweep is
 generation's writes into the value cells in place.
 
 Preallocation interns the machine's addresses: the preallocated store is
-also the allocation policy, and for a uniform k-CFA policy it keeps each
-structured address the first time the policy allocates it, gives it an
-empty cell in a dict keyed by the kept object, and returns that object for
-every later equal allocation.  So a cell is found by identity, and the
-store grows one cell per new address.  Only addresses the run reaches get a
-cell, so the store grows with the analysis, under the same per-generation
-caps, whatever k is.  The contexts, environments, continuations and
-closures the steps build hold the store's own addresses, so the fixpoint is
-kept and traced as it stands, with no pass to translate it back.
+the hash store that is also the allocation policy, and for a uniform k-CFA
+policy it keeps each structured address the first time the policy
+allocates it and returns that object for every later equal allocation.
+The address gets its cell at its first join, as in the hash store, keyed
+by the kept object, so a cell is found by identity.  Only addresses the
+run joins into get a cell, so the store grows with the analysis, under
+the same per-generation caps, whatever k is.  The contexts, environments,
+continuations and closures the steps build hold the store's own
+addresses, so the fixpoint is kept and traced as it stands, with no pass
+to translate it back.
 """
 
 from __future__ import annotations
@@ -61,6 +62,10 @@ class HashValueStore:
     def __init__(self):
         self.cells = {}
 
+    @property
+    def size(self) -> int:
+        return len(self.cells)
+
     def join_at(self, a, vs):
         """Join vs into a's cell; returns whether the cell grew."""
         cur = self.cells.get(a)
@@ -72,62 +77,38 @@ class HashValueStore:
         self.cells[a] = cur | vs
         return True
 
-    def items(self):
-        return self.cells.items()
-
 
 def snapshot(vstore):
-    """The plain store the value cells hold.  The cells' dict is copied,
-    which reuses its stored hashes, and only an empty cell (None), if one
-    is left, is looked up again to be dropped."""
-    cells = vstore.cells.copy()
-    if None in cells.values():
-        for a in [a for a, vs in cells.items() if vs is None]:
-            del cells[a]
-    return Store(cells)
+    """The plain store the value cells hold: a copy of the cells' dict,
+    which reuses its stored hashes."""
+    return Store(vstore.cells.copy())
 
 
 # ----------------------------------------------------------- preallocation
 
-class DenseValueStore:
+class DenseValueStore(HashValueStore):
     """The preallocated store, which is also the allocation policy: each
     allocation asks the wrapped uniform k-CFA policy for the structured
     address and returns the store's own object for it, kept the first time
-    the address is seen, when it gets an empty cell (None).  Every later
-    equal allocation returns the kept object, so ``cells`` finds each cell
-    by identity."""
+    the address is seen.  Every later equal allocation returns the kept
+    object, so ``cells`` finds each cell, made at the address's first
+    join, by identity."""
 
-    __slots__ = ("policy", "tick_ap", "cells", "_kept")
+    __slots__ = ("policy", "tick_ap", "_kept")
 
     def __init__(self, policy):
+        super().__init__()
         self.policy = policy
         self.tick_ap = policy.tick_ap
-        self.cells = {}
         self._kept = {}
 
-    @property
-    def size(self) -> int:
-        return len(self.cells)
-
-    def join_at(self, a, vs):
-        """Join vs into a's cell; returns whether the cell grew."""
-        cur = self.cells[a]
-        if cur is None:
-            self.cells[a] = frozenset(vs)
-            return True
-        if vs <= cur:
-            return False
-        self.cells[a] = cur | vs
-        return True
-
-    def items(self):
-        return ((a, vs) for a, vs in self.cells.items() if vs is not None)
+    # perfbench/layers.py wraps join_at in each class's own __dict__, so
+    # each write is counted once under the class that made it; the
+    # inherited method is named here for that
+    join_at = HashValueStore.join_at
 
     def _intern(self, addr):
-        kept = self._kept.setdefault(addr, addr)
-        if kept is addr:
-            self.cells[addr] = None
-        return kept
+        return self._kept.setdefault(addr, addr)
 
     def bind_addr(self, var, label, time):
         return self._intern(self.policy.bind_addr(var, label, time))
@@ -164,7 +145,8 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
 def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
                trace=None):
     """run_imperative's result next to the value store it leaves: (result,
-    vstore).  Under preallocation vstore is also the allocation policy."""
+    vstore).  Under preallocation vstore is also the allocation policy, and
+    it holds a cell for each address a write reached."""
     if prealloc:
         vstore = pol = preallocate(policy)
     else:

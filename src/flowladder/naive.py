@@ -192,7 +192,7 @@ def explore(e: Expr, policy, cap_check=None) -> AnalysisResult:
     def sweep(order, states, memo):
         return [step_state(states[i], policy) for i in order], False
 
-    states, edges, generations, status, _ = drive([initial], sweep, cap_check)
+    states, edges, generations, status = drive([initial], sweep, cap_check)
     return AnalysisResult(
         program=e, nodes=states, edge_table=edges, store=None, status=status,
         generations=generations,

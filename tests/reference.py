@@ -174,8 +174,8 @@ def explore_states(e, stepper, policy, inject=inject_plain,
     def cap_check(n_states, generation):
         return "state-budget-exceeded" if n_states > max_states else None
 
-    states, edges, _, status, _ = drive([(c, s0) for c in first], sweep,
-                                        cap_check)
+    states, edges, _, status = drive([(c, s0) for c in first], sweep,
+                                     cap_check)
     edges = frozenset((states[s], states[d]) for s, d in edges)
     return StateGraph(frozenset(states), edges, status)
 

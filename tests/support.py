@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-from flowladder.domains import AbstractInt, BoolVal, Closure, IntVal, PrimVal, body_label_of
+from flowladder.domains import AbstractInt, BoolVal, Closure, IntVal, PrimVal
 from flowladder.syntax import App, Expr, If, Lam, Lit, Var, parse
 
 CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
@@ -110,7 +110,7 @@ def oracle_matches_machine(ov, mv) -> bool:
         return (
             type(mv) is Closure
             and mv.var == ov.var
-            and body_label_of(mv.body) == ov.body.label
+            and mv.body.label == ov.body.label
         )
     return False
 

@@ -14,7 +14,6 @@ from flowladder.domains import (
     DelayedAddr,
     EMPTY_ENV,
     EMPTY_STORE,
-    EPOCH,
     Env,
     FF,
     FN_SLOT,
@@ -45,7 +44,7 @@ def test_truncate_examples():
     assert kcfa_policy(1).tick_ap(1, (2, 3)) == (1,)
     assert kcfa_policy(3).tick_ap(1, (2, 3)) == (1, 2, 3)
     assert kcfa_policy(9).tick_ap(1, (2, 3)) == (1, 2, 3)
-    assert kcfa_policy(0).tick_ap(1, EPOCH) == ()
+    assert kcfa_policy(0).tick_ap(1, ()) == ()
 
 
 @given(st.integers(0, 50), st.lists(st.integers(0, 50), max_size=8),

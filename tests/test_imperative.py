@@ -128,24 +128,24 @@ def test_join_at_repeat_changes_nothing():
     for store, a in ((HashValueStore(), A), (layout, interned)):
         assert store.join_at(a, U)
         assert store.join_at(a, W)
-        cell = dict(store.items())[a]
+        cell = store.cells[a]
         assert cell == U | W
         assert not store.join_at(a, W)
-        assert dict(store.items())[a] is cell
+        assert store.cells[a] is cell
 
 
-def test_prealloc_cell_made_at_mint_time():
-    # minting an address makes its cell, empty, which neither items() nor
-    # the snapshot shows until a join fills it; the step that mints an
-    # address writes it, so a finished run leaves no cell empty
+def test_prealloc_cell_made_at_first_join():
+    # minting an address only interns it: its cell, and the snapshot's
+    # entry, appear at the first join, and minting it again returns the
+    # kept object; a finished run leaves no cell empty
     layout = preallocate(P0)
     a = layout.bind_addr("a", 0, ())
-    assert layout.cells == {a: None} and layout.size == 1
-    assert list(layout.items()) == []
+    assert layout.cells == {} and layout.size == 0
     assert snapshot(layout) == Store({})
     assert layout.join_at(a, U)
-    assert list(layout.items()) == [(a, U)]
+    assert layout.cells == {a: U} and layout.size == 1
     assert snapshot(layout) == Store({A: U})
+    assert layout.bind_addr("a", 0, ()) is a
     for name, src, e in load_corpus():
         for pol in (P0, P1):
             layout = run_machine(e, pol, prealloc=True)[1]
@@ -265,11 +265,11 @@ def test_live_cells_satisfy_invariants():
         it = []
         vstore = run_machine(e, P0, trace=it)[1]
         chain = it[-1][2]
-        for a, cell in vstore.items():
+        for a, cell in vstore.cells.items():
             assert type(cell) is frozenset and cell, name
             assert cell == chain[0].get(a), name
         if any(len({s.get(a) for s in chain} - {None}) > 2
-               for a, _ in vstore.items()):
+               for a in vstore.cells):
             regrown.append(name)
     assert regrown
 
@@ -338,14 +338,14 @@ def _address_bound_k0(e):
 
 
 def _interned(layout):
-    """The store's interned addresses in order of first allocation: its
-    cells' keys, each the object kept at the address's first allocation."""
+    """The store's interned addresses in order of first join: its cells'
+    keys, each the object kept at the address's first allocation."""
     return list(layout.cells)
 
 
 def test_preallocate_reports_exact_layout():
     # the store starts empty and, after a run, reports exactly the addresses
-    # the run allocated: the hash store's cells, within the k=0 bound
+    # the run wrote: the hash store's cells, within the k=0 bound
     for name, src, e in load_corpus():
         assert preallocate(P0).size == 0
         for pol in (P0, P1):
@@ -353,7 +353,7 @@ def test_preallocate_reports_exact_layout():
             layout = run_machine(e, pol, prealloc=True)[1]
             minted = _interned(layout)
             assert len(set(minted)) == layout.size, (name, pol)
-            assert set(minted) == {a for a, _ in hstore.items()}, (name, pol)
+            assert set(minted) == set(hstore.cells), (name, pol)
             if pol is P0:
                 assert layout.size <= _address_bound_k0(e), name
 
@@ -388,7 +388,7 @@ def test_hash_run_addresses_all_within_layout():
             layout = run_machine(e, pol, prealloc=True)[1]
             vstore = run_machine(e, pol)[1]
             minted = set(_interned(layout))
-            for a, _ in vstore.items():
+            for a in vstore.cells:
                 assert a in minted, (name, pol, a)
 
 
@@ -399,7 +399,7 @@ def test_dense_and_hash_stores_agree_cell_by_cell():
         hstore = run_machine(e, P0)[1]
         pstore = run_machine(e, P0, prealloc=True)[1]
         assert None not in pstore.cells.values(), name
-        assert dict(pstore.items()) == hstore.cells, name
+        assert pstore.cells == hstore.cells, name
 
 
 def _addresses_in(obj):
@@ -706,7 +706,7 @@ def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
     tr = []
     r, vstore = run_machine(parse("7"), P0, trace=tr)
     assert r.status == "fixpoint"
-    assert dict(vstore.items()) == {"a": U, "b": U}
+    assert vstore.cells == {"a": U, "b": U}
     assert (r.generations, tr[-1][3]) == (4, 2)
     assert steps == {"X": 2, "Y0": 1, "Y1": 1, "Y2": 1}
 
