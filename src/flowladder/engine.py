@@ -1,13 +1,15 @@
 """One entry point over every stage, graph and metrics export, cross-stage
 comparison.
 
-A stage is selected by name, the ladder order being naive, widened,
-frontier, deltas, lazy, compiled, imperative, imperative-prealloc.  Every
-stage's runner returns an AnalysisResult holding the tables its run built:
-the reachable contexts in the order they were found and the generation of
-each edge, keyed by the positions of its ends, next to whatever store
-artifact the stage produces and its final values; ``run`` adds the stage
-name, k and the measurements.  Runs are untraced: the space cap bounds the
+A stage is an entry of ``RUNGS``, selected by name, the ladder order
+being naive, widened, frontier, deltas, lazy, compiled, imperative,
+imperative-prealloc; the entry holds the stage's runner and the group of
+stages its contexts compare with as sets.  Every stage's runner returns
+an AnalysisResult holding the tables its run built: the reachable
+contexts in the order they were found and the generation of each edge,
+keyed by the positions of its ends, next to whatever store artifact the
+stage produces and its final values; ``run`` adds the stage name, k and
+the measurements.  Runs are untraced: the space cap bounds the
 process's resident set size, sampled before the first generation, then
 before a generation at most once a millisecond, and at the end of the
 run; the peak of those samples is the run's ``peak_mem_bytes``.  The
@@ -48,20 +50,27 @@ from .lazy import step_lazy
 from .compiled import step_compiled, inject_compiled
 from .imperative import run_imperative
 
-STAGES = (
-    "naive",
-    "widened",
-    "frontier",
-    "deltas",
-    "lazy",
-    "compiled",
-    "imperative",
-    "imperative-prealloc",
-)
-
-# stages whose contexts are directly comparable as sets
-_STRICT_GROUP = frozenset({"widened", "frontier", "deltas"})
-_COMPILED_GROUP = frozenset({"compiled", "imperative", "imperative-prealloc"})
+# Each stage, in ladder order: its runner, ``runner(e, policy, **kw)``,
+# which forwards ``cap_check`` and, on the six driven rungs, ``trace``,
+# and the group of stages whose contexts compare directly as sets (None:
+# the stage compares with others by its final values only).  A runner
+# names its engine and stepper in its body, so it calls whatever this
+# module's globals hold at call time, not what they held at import.
+RUNGS = {
+    "naive": (lambda e, p, **kw: explore(e, p, **kw), None),
+    "widened": (lambda e, p, **kw: analyze_baseline(e, p, **kw), "strict"),
+    "frontier": (lambda e, p, **kw: run_frontier(e, p, **kw), "strict"),
+    "deltas": (lambda e, p, **kw: run_logged(e, step_with_deltas, p, **kw),
+               "strict"),
+    "lazy": (lambda e, p, **kw: run_logged(e, step_lazy, p, **kw), None),
+    "compiled": (lambda e, p, **kw: run_logged(
+        e, step_compiled, p, inject=inject_compiled, **kw), "compiled"),
+    "imperative": (lambda e, p, **kw: run_imperative(e, p, **kw),
+                   "compiled"),
+    "imperative-prealloc": (lambda e, p, **kw: run_imperative(
+        e, p, prealloc=True, **kw), "compiled"),
+}
+STAGES = tuple(RUNGS)
 
 DEFAULT_TIME_CAP = 30 * 60.0
 DEFAULT_SPACE_CAP = 1 << 30
@@ -153,24 +162,11 @@ def run(cfg: Config, e: Expr) -> AnalysisResult:
     peak_box = [0]
     t0 = time.perf_counter()
     cap = _cap_check(t0, cfg.time_cap, cfg.space_cap, peak_box)
-    stage = cfg.stage
-    if stage == "naive":
-        r = explore(e, policy, cap_check=cap)
-    elif stage == "widened":
-        r = analyze_baseline(e, policy, cap_check=cap)
-    elif stage == "frontier":
-        r = run_frontier(e, policy, cap_check=cap)
-    elif stage in ("deltas", "lazy", "compiled"):
-        stepper = {"deltas": step_with_deltas, "lazy": step_lazy,
-                   "compiled": step_compiled}[stage]
-        kw = {"inject": inject_compiled} if stage == "compiled" else {}
-        r = run_logged(e, stepper, policy, cap_check=cap, **kw)
-    else:
-        r = run_imperative(e, policy, cap_check=cap,
-                           prealloc=(stage == "imperative-prealloc"))
+    runner, _ = RUNGS[cfg.stage]
+    r = runner(e, policy, cap_check=cap)
     r.wall_time_s = time.perf_counter() - t0
     r.peak_mem_bytes = max(peak_box[0], rss_bytes())
-    r.stage, r.k = stage, cfg.k
+    r.stage, r.k = cfg.stage, cfg.k
     return r
 
 
@@ -359,12 +355,8 @@ def _value_shapes(values, memo) -> frozenset:
 
 
 def _verdict(ra: AnalysisResult, rb: AnalysisResult) -> str:
-    a, b = ra.stage, rb.stage
-    same_group = (
-        (a in _STRICT_GROUP and b in _STRICT_GROUP)
-        or (a in _COMPILED_GROUP and b in _COMPILED_GROUP)
-    )
-    if same_group:
+    group = RUNGS[ra.stage][1]
+    if group is not None and group == RUNGS[rb.stage][1]:
         if ra.contexts == rb.contexts:
             return "equal"
         if rb.contexts <= ra.contexts or ra.contexts <= rb.contexts:

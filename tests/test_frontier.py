@@ -3,8 +3,6 @@
 import pytest
 
 from flowladder import frontier
-from flowladder.compiled import inject_compiled, step_compiled
-from flowladder.deltas import run_logged, step_with_deltas
 from flowladder.domains import (
     AnalysisBugError,
     CoC,
@@ -13,8 +11,7 @@ from flowladder.domains import (
     IntVal,
     kcfa_policy,
 )
-from flowladder.imperative import run_imperative
-from flowladder.lazy import step_lazy
+from flowladder.engine import RUNGS, STAGES
 from flowladder.syntax import parse
 from flowladder.frontier import run_frontier
 from flowladder.widening import analyze_baseline, inject_context
@@ -24,14 +21,9 @@ from tests.reference import run_reference, stamps_to_stores, stores_to_stamps
 
 P0 = kcfa_policy(0)
 
-# every persistent sweep under the shared frontier driver
-RUNNERS = {
-    "frontier": run_frontier,
-    "deltas": lambda e, pol, **kw: run_logged(e, step_with_deltas, pol, **kw),
-    "lazy": lambda e, pol, **kw: run_logged(e, step_lazy, pol, **kw),
-    "compiled": lambda e, pol, **kw: run_logged(
-        e, step_compiled, pol, inject=inject_compiled, **kw),
-}
+# every rung under the shared frontier driver, the imperative ones
+# through their decoded trace
+DRIVEN = {rung: RUNGS[rung][0] for rung in STAGES[STAGES.index("frontier"):]}
 
 
 def plain_leq(a, b):
@@ -71,11 +63,7 @@ def test_empty_frontier_is_fixpoint():
 
 
 def test_chain_invariants_every_generation(corpus):
-    # every driven rung, the imperative ones through their decoded trace
-    runners = dict(RUNNERS, imperative=run_imperative)
-    runners["imperative-prealloc"] = lambda e, pol, **kw: run_imperative(
-        e, pol, prealloc=True, **kw)
-    for rung, runner in runners.items():
+    for rung, runner in DRIVEN.items():
         for name, src, e in corpus:
             trace = []
             run = runner(e, P0, trace=trace)
@@ -123,7 +111,7 @@ def test_iteration_order_does_not_matter(corpus, monkeypatch):
 
     monkeypatch.setattr(frontier, "drive", spied_drive)
     orders = (None, lambda c: repr(c), lambda c: tuple(reversed(repr(c))))
-    for rung, runner in RUNNERS.items():
+    for rung, runner in DRIVEN.items():
         permuted.clear()
         for name, src, e in corpus:
             runs = []

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import flowladder
-from flowladder import imperative
+from flowladder import engine, imperative
 from flowladder.domains import (
     AnalysisBugError,
     ApC,
@@ -32,12 +32,11 @@ from flowladder.domains import (
     kcfa_policy,
     Store,
 )
-from flowladder.engine import Config, run
+from flowladder.engine import RUNGS, STAGES, Config, run
 from flowladder.syntax import Lam, App, If, parse
-from flowladder.deltas import inject_plain, run_logged, step_with_deltas
+from flowladder.deltas import run_logged
 from flowladder.frontier import SnapshotView
-from flowladder.compiled import step_compiled, inject_compiled
-from flowladder.lazy import step_lazy
+from flowladder.compiled import step_compiled
 from flowladder.imperative import (
     HashValueStore,
     UnsupportedPolicyError,
@@ -64,17 +63,27 @@ U = frozenset({V(1)})
 W = frozenset({V(2)})
 
 
-# the logged rungs' steppers and injections, which run_logged sweeps with
-# the imperative rungs' step replay
-LOGGED = {
-    "deltas": (step_with_deltas, inject_plain),
-    "lazy": (step_lazy, inject_plain),
-    "compiled": (step_compiled, inject_compiled),
-}
+# the rungs that sweep with the step replay: the logged ones, which
+# run_logged sweeps with the imperative rungs' replay, and the imperative ones
+REPLAYING = STAGES[STAGES.index("deltas"):]
+
+# the logged compiled rung, which the imperative rungs match step for step
+compiled_widened = RUNGS["compiled"][0]
 
 
-def compiled_widened(e, pol, trace=None):
-    return run_logged(e, step_compiled, pol, inject=inject_compiled, trace=trace)
+def spy_steps(install, seen):
+    """Wrap every replaying rung's stepper under the name its runner calls
+    it by, as the benchmark's layer pass does; ``seen(c, view)`` is called
+    after each step.  ``install(owner, name, wrapper)`` puts a wrapper in
+    place: ``setattr``, or ``monkeypatch.setattr`` to have it undone."""
+    for owner, name in ((engine, "step_with_deltas"), (engine, "step_lazy"),
+                        (engine, "step_compiled"),
+                        (imperative, "step_compiled")):
+        def spy(c, view, pol, step=getattr(owner, name)):
+            out = step(c, view, pol)
+            seen(c, view)
+            return out
+        install(owner, name, spy)
 
 
 def _stores_before(tr):
@@ -230,7 +239,7 @@ def test_matches_compiled_widened_run():
     for pol in (P0, P1):
         for name, src, e in load_corpus():
             trace = []
-            lr = compiled_widened(e, pol, trace)
+            lr = compiled_widened(e, pol, trace=trace)
             for pre in (False, True):
                 it = []
                 ir = run_imperative(e, pol, prealloc=pre, trace=it)
@@ -249,7 +258,7 @@ def test_snapshot_chain_equals_store_chain():
     for pol in (P0, P1):
         for name, src, e in load_corpus():
             trace = []
-            compiled_widened(e, pol, trace)
+            compiled_widened(e, pol, trace=trace)
             for pre in (False, True):
                 it = []
                 ir = run_imperative(e, pol, prealloc=pre, trace=it)
@@ -553,35 +562,23 @@ def test_step_memo_is_exact_and_steps_little_on_the_bench(monkeypatch):
 
 _COUNT_BENCH_STEPS = """
 import json
-from flowladder import imperative
-from flowladder.deltas import run_logged
 from flowladder.domains import kcfa_policy
+from flowladder.engine import RUNGS
 from tests.support import load_bench
-from tests.test_imperative import LOGGED
+from tests.test_imperative import REPLAYING, spy_steps
 
 calls = [0]
 
-def counted(step):
-    def stepper(*args):
-        calls[0] += 1
-        return step(*args)
-    return stepper
+def count(c, view):
+    calls[0] += 1
 
-imperative.step_compiled = counted(imperative.step_compiled)
+spy_steps(setattr, count)
 bench = load_bench("church_dist.scm")
-runs = {
-    "imperative": lambda pol: imperative.run_imperative(bench, pol),
-    "imperative-prealloc": lambda pol: imperative.run_imperative(
-        bench, pol, prealloc=True),
-}
-for rung, (step, inject) in LOGGED.items():
-    runs[rung] = lambda pol, step=step, inject=inject: run_logged(
-        bench, counted(step), pol, inject=inject)
 counts = {}
-for k, rungs in ((0, runs), (1, ("compiled", "imperative"))):
+for k, rungs in ((0, REPLAYING), (1, ("compiled", "imperative"))):
     for rung in rungs:
         calls[0] = 0
-        runs[rung](kcfa_policy(k))
+        RUNGS[rung][0](bench, kcfa_policy(k))
         counts[f"{rung} k={k}"] = calls[0]
 print(json.dumps(counts))
 """
@@ -636,31 +633,19 @@ def test_no_restep_is_needless(monkeypatch):
     # logged rungs share the imperative rungs' sweep
     tr, steps = [], []
 
-    def spying(stepper):
-        def spy(c, view, pol):
-            out = stepper(c, view, pol)
-            # every rung reads structured addresses, preallocation its
-            # store's interned ones
-            steps.append((c, len(tr), frozenset(view.reads)))
-            return out
-        return spy
+    def seen(c, view):
+        # every rung reads structured addresses, preallocation its store's
+        # interned ones
+        steps.append((c, len(tr), frozenset(view.reads)))
 
-    monkeypatch.setattr(imperative, "step_compiled", spying(step_compiled))
-    runs = {
-        "imperative": lambda e, pol: run_imperative(e, pol, trace=tr),
-        "imperative-prealloc": lambda e, pol: run_imperative(
-            e, pol, prealloc=True, trace=tr),
-    }
-    for rung, (stepper, inject) in LOGGED.items():
-        runs[rung] = lambda e, pol, spy=spying(stepper), inject=inject: \
-            run_logged(e, spy, pol, inject=inject, trace=tr)
+    spy_steps(monkeypatch.setattr, seen)
     restepped = Counter()
     for pol in (P0, P1):
         for name, src, e in load_corpus():
-            for rung, run in runs.items():
+            for rung in REPLAYING:
                 tr.clear()
                 steps.clear()
-                run(e, pol)
+                RUNGS[rung][0](e, pol, trace=tr)
                 before = _stores_before(tr)
                 last = {}
                 for c, gen, reads in steps:
@@ -670,7 +655,7 @@ def test_no_restep_is_needless(monkeypatch):
                                    for a in reads0), (name, pol, rung, gen)
                         restepped[rung] += 1
                     last[c] = (gen, reads)
-    assert set(restepped) == set(runs), restepped
+    assert set(restepped) == set(REPLAYING), restepped
 
 
 def _shrinking_reads_step(c, view, pol):

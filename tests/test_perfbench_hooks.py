@@ -5,6 +5,10 @@ or dropping one of their positional slots must fail here rather than in a
 benchmark run."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,7 +18,8 @@ from flowladder.engine import Config, run
 from flowladder.syntax import parse
 from tests.support import load_corpus
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def load_perfbench(name):
@@ -50,9 +55,19 @@ def test_layer_trace_installs_and_restores_every_wrapper():
         run(Config(stage="imperative"), e)
         assert trace.n["imperative.join_calls"] == 2 * joins
         assert trace.n["imperative.snapshot_calls"] == 2
-        run(Config(stage="deltas"), e)
-        assert trace.n["deltas.step_calls"] > 0
+        # every rung calls its stepper or injection through the name its
+        # wrapper replaced, so each rung moves its own counter
+        for stage, counter in (("deltas", "deltas.step_calls"),
+                               ("widened", "widening.baseline_step_calls"),
+                               ("frontier", "frontier.step_calls"),
+                               ("lazy", "lazy.step_calls"),
+                               ("compiled", "compiled.inject_calls")):
+            before = trace.n[counter]
+            run(Config(stage=stage), e)
+            assert trace.n[counter] > before, stage
         assert trace.n["deltas.replay_calls"] > 0
+        # only preallocation lays out its addresses
+        assert trace.n["imperative.layout_calls"] == 1
     finally:
         trace.restore()
     for owner, name, old in wrapped:
@@ -69,3 +84,17 @@ def test_direct_runs_match_the_engine_on_every_rung(k):
         direct = workloads.direct_run(flowladder, stage, e, k)
         assert direct.contexts == run(Config(stage=stage, k=k), e).contexts, \
             stage
+
+
+def test_layer_pass_runs_correctly():
+    # the benchmark's own layer pass on its smallest workload: a wrapper
+    # the engine no longer calls through shows here as failed operations
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload",
+         "corpus-check", "--seed", "1", "--trace", "1"],
+        env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    last = json.loads(out.stdout.splitlines()[-1])
+    assert last["correct"] is True, last
+    assert last["failed"] == 0, last
