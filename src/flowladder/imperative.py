@@ -37,21 +37,12 @@ the same per-generation caps, whatever k is.  The contexts, environments,
 continuations and closures the steps build hold the store's own
 addresses, so the fixpoint is kept and traced as it stands, with no pass
 to translate it back.
-
-Preallocation also re-steps differentially (``step_differential``): a
-co context returning to a function frame steps to the product of two
-cells, and a re-step after one of them grew keeps the products it built
-before and builds only the new ones.  The successors are the full
-product's in another order, which the fixpoint does not depend on.
 """
 
 from __future__ import annotations
 
 from .domains import (
     AnalysisResult,
-    ApC,
-    CoC,
-    FnK,
     Store,
     UnsupportedPolicyError,
     require_abstract,
@@ -59,7 +50,6 @@ from .domains import (
 from .syntax import Expr
 from .compiled import inject_compiled, step_compiled
 from .frontier import SnapshotView, replaying_sweep, run_driven
-from .lazy import force
 
 
 # ------------------------------------------------------------ value cells
@@ -142,41 +132,6 @@ def preallocate(policy) -> DenseValueStore:
     return DenseValueStore(policy)
 
 
-def step_differential(step):
-    """``step`` with a differential re-step of each co context returning to
-    a function frame, whose successors are the product of the frame's
-    operator cell and continuation cell.  A cell only grows, into a new
-    value set, so the stepper keeps the two sets each such context last
-    read and the successors it built from them, and builds only the
-    products with a new function or a new continuation.  The argument's
-    write is made afresh at every step, as ``step_compiled`` makes it."""
-    last = {}
-
-    def stepper(c, store, policy):
-        if type(c) is not CoC or type(c.kont) is not FnK:
-            return step(c, store, policy)
-        kont = c.kont
-        label, time = kont.label, kont.time
-        av = policy.argval_addr(label, time)
-        log = [(av, force(store, c.val))]
-        fs = store.deref(kont.fv)
-        # like step_compiled, read the continuation cell only for a function
-        ks = store.deref(kont.kaddr) if fs else fs
-        prev = last.get(c)
-        if prev is None:
-            succs = [ApC(f, av, k, label, time) for f in fs for k in ks]
-        else:
-            fs0, ks0, succs = prev
-            if fs is not fs0 or ks is not ks0:
-                new_ks = ks - ks0
-                succs = succs + [ApC(f, av, k, label, time) for f in fs
-                                 for k in (new_ks if f in fs0 else ks)]
-        last[c] = fs, ks, succs
-        return [(s, log) for s in succs]
-
-    return stepper
-
-
 # ------------------------------------------------------------ the machine
 
 def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
@@ -190,15 +145,12 @@ def run_imperative(e: Expr, policy, mode: str = "abstract", cap_check=None,
 def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
                trace=None):
     """run_imperative's result next to the value store it leaves: (result,
-    vstore).  Under preallocation vstore is also the allocation policy, it
-    holds a cell for each address a write reached, and the steps re-step
-    differentially (``step_differential``)."""
+    vstore).  Under preallocation vstore is also the allocation policy, and
+    it holds a cell for each address a write reached."""
     if prealloc:
         vstore = pol = preallocate(policy)
-        stepper = step_differential(step_compiled)
     else:
         vstore, pol = HashValueStore(), policy
-        stepper = step_compiled
     view = SnapshotView(vstore.cells)
 
     def join(writes):
@@ -213,6 +165,6 @@ def run_machine(e: Expr, policy, cap_check=None, prealloc: bool = False,
     first, log0 = inject_compiled(e, pol)
     join(log0)
     result = run_driven(e, first,
-                        replaying_sweep(stepper, pol, view, join),
+                        replaying_sweep(step_compiled, pol, view, join),
                         lambda: snapshot(vstore), cap_check, trace)
     return result, vstore

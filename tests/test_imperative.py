@@ -72,25 +72,18 @@ compiled_widened = RUNGS["compiled"][0]
 
 
 def spy_steps(install, seen):
-    """Wrap every replaying rung's stepper; ``seen(c, view)`` is called
-    after each step.  The logged rungs' steppers are wrapped under the
-    names their runner calls them by, as the benchmark's layer pass does,
-    and the imperative rungs' where their sweep is made, so that the
-    preallocated machine's differential steps are seen too.
-    ``install(owner, name, wrapper)`` puts a wrapper in place: ``setattr``,
-    or ``monkeypatch.setattr`` to have it undone."""
-    def spied(step):
-        def spy(c, view, pol):
+    """Wrap every replaying rung's stepper under the name its runner calls
+    it by, as the benchmark's layer pass does; ``seen(c, view)`` is called
+    after each step.  ``install(owner, name, wrapper)`` puts a wrapper in
+    place: ``setattr``, or ``monkeypatch.setattr`` to have it undone."""
+    for owner, name in ((engine, "step_with_deltas"), (engine, "step_lazy"),
+                        (engine, "step_compiled"),
+                        (imperative, "step_compiled")):
+        def spy(c, view, pol, step=getattr(owner, name)):
             out = step(c, view, pol)
             seen(c, view)
             return out
-        return spy
-
-    for name in ("step_with_deltas", "step_lazy", "step_compiled"):
-        install(engine, name, spied(getattr(engine, name)))
-    sweep = imperative.replaying_sweep
-    install(imperative, "replaying_sweep",
-            lambda stepper, *args: sweep(spied(stepper), *args))
+        install(owner, name, spy)
 
 
 def _stores_before(tr):
@@ -504,40 +497,6 @@ def test_prealloc_runs_on_interned_addresses():
     assert checked
 
 
-def test_differential_steps_build_what_step_compiled_builds(monkeypatch):
-    # every step of the preallocated machine reads the cells step_compiled
-    # reads for its context and returns the successors and writes it
-    # returns, whether a function frame's re-step kept its products or
-    # built the new ones; only the successors' order may differ
-    sizes, grown, kept = {}, [0], [0]
-    sweep = imperative.replaying_sweep
-
-    def checked_sweep(stepper, pol, view, apply):
-        def check(c, v, p):
-            out = stepper(c, v, p)
-            n = len(v.reads)
-            want = step_compiled(c, v, p)
-            assert set(v.reads[:n]) == set(v.reads[n:]), c
-            assert (Counter((s, tuple(log)) for s, log in out)
-                    == Counter((s, tuple(log)) for s, log in want)), c
-            if type(c) is CoC and type(c.kont) is FnK:
-                if c in sizes:
-                    grown[0] += len(out) > sizes[c]
-                    kept[0] += len(out) == sizes[c]
-                sizes[c] = len(out)
-            return out
-        return sweep(check, pol, view, apply)
-
-    monkeypatch.setattr(imperative, "replaying_sweep", checked_sweep)
-    cases = [(e, pol) for pol in (P0, P1) for _, _, e in load_corpus()]
-    cases.append((load_bench("church_dist.scm"), P0))
-    cases += [(e, P1) for _, e in _bench_draws(6)]
-    for e, pol in cases:
-        sizes.clear()
-        run_imperative(e, pol, prealloc=True)
-    assert grown[0] > 0 and kept[0] > 0, (grown, kept)
-
-
 def test_no_driven_rung_leaves_cyclic_garbage():
     # a run is freed by reference counting alone: with the collector
     # paused, it leaves nothing for the collector to find, the
@@ -573,9 +532,14 @@ def test_final_values_cover_oracle():
 
 
 def _count_steps(monkeypatch):
-    # steps per context, as the sweeps make them
+    # step_compiled calls per context, through the name the sweep calls
     steps = Counter()
-    spy_steps(monkeypatch.setattr, lambda c, view: steps.update((c,)))
+
+    def counted(c, view, pol):
+        steps[c] += 1
+        return step_compiled(c, view, pol)
+
+    monkeypatch.setattr(imperative, "step_compiled", counted)
     return steps
 
 
