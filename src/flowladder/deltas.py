@@ -13,10 +13,9 @@ store only, which is what makes per-successor logs order-independent.
 with the imperative rungs' step replay (``frontier.replaying_sweep``): a
 step reads the generation's store through a read-recording view, and its
 successors are replayed from the driver's memo until a cell it read
-grows.  ``replay`` keeps every cell it does not grow as the same object,
-so a written cell grew exactly when the replayed store holds another
-object there.  The lazy and compiled stages run their steppers through
-``run_logged`` too.
+grows; ``replay`` hands the sweep the addresses of the cells it grows.
+The lazy and compiled stages run their steppers through ``run_logged``
+too.
 """
 
 from __future__ import annotations
@@ -54,13 +53,14 @@ from .widening import inject_context
 # tested, not assumed.
 
 
-def replay(log, store: Store):
+def replay(log, store: Store, grown=None):
     """Fold a change log into a store.
 
     Returns (store', changed?).  The change test for every entry runs against
     the PRE-replay store, and an entry it already contains is skipped; the
     store changes exactly when some entry is not skipped, because joins only
-    grow.
+    grow.  ``grown``, if a list, gets the address of every entry not
+    skipped: each address whose cell grew, repeats allowed.
     """
     m = None
     for a, vs in log:
@@ -71,6 +71,8 @@ def replay(log, store: Store):
             m = store.to_dict()
         cur = m.get(a)
         m[a] = frozenset(vs) if cur is None else cur | vs
+        if grown is not None:
+            grown.append(a)
     if m is None:
         return store, False
     return Store(m), True
@@ -181,14 +183,11 @@ def run_logged(
 
     def apply(writes):
         nonlocal store
-        old = store
-        store, grew = replay(writes, old)
-        if not grew:
-            return ()
-        was, now = old._m, store._m
-        view.over(now)
-        # replay keeps every cell it does not grow as the same object
-        return [a for a, _ in writes if now[a] is not was.get(a)]
+        grown = []
+        store, _ = replay(writes, store, grown)
+        if grown:
+            view.over(store._m)
+        return grown
 
     return run_driven(e, first,
                       replaying_sweep(stepper, policy, view, apply),

@@ -127,22 +127,35 @@ def lit_value(v):
 
 # -------------------------------------------------------------- environment
 
+_ENV_HASH_MOD = 1 << 60
+
+
 class Env(Term):
-    """Immutable variable -> address map with a cached hash."""
+    """Immutable variable -> address map with a cached hash: the sum of
+    ``hash((var, addr))`` over its bindings modulo ``_ENV_HASH_MOD``, so
+    that ``extend`` updates it with the one binding it adds or replaces
+    rather than hashing every binding again."""
 
     __slots__ = ("_m",)
 
     def __init__(self, m: dict | None = None):
         self._m = m or {}
-        self._hash = hash(frozenset(self._m.items()))
+        self._hash = sum(map(hash, self._m.items())) % _ENV_HASH_MOD
 
     def lookup(self, var: str):
         return self._m.get(var)
 
     def extend(self, var: str, addr) -> Env:
         m = dict(self._m)
+        old = m.get(var)
         m[var] = addr
-        return Env(m)
+        h = self._hash + hash((var, addr))
+        if old is not None:
+            h -= hash((var, old))
+        env = Env.__new__(Env)
+        env._m = m
+        env._hash = h % _ENV_HASH_MOD
+        return env
 
     def items(self):
         return self._m.items()
@@ -329,17 +342,26 @@ def halt_values(contexts, store) -> frozenset:
     return frozenset(out)
 
 
+# an edge table keys an edge by one int, ``src << ID_BITS | dst``: 32 bytes
+# where a (src, dst) tuple takes 56.  No node position may reach
+# 2 ** ID_BITS
+ID_BITS = 32
+ID_MASK = (1 << ID_BITS) - 1
+
+
 class AnalysisResult:
     """A stage's fixpoint plus its measurements: what every runner returns.
 
     It holds the tables the run built.  ``nodes`` lists the reachable
     contexts in the order the run first met them, the initial one first:
     plain contexts for the widened stages, (context, store) pairs for the
-    naive one.  ``edge_table`` maps each (src, dst) pair of positions in
-    ``nodes`` to the generation that first produced the edge.  ``store``
-    is the final store, None for the naive stage.  No stage keeps its
-    store history: a run's trace rebuilds it when asked.  ``engine.run``
-    fills in the stage, k, wall time and peak memory.
+    naive one.  ``edge_table`` maps each edge to the generation that first
+    produced it, keyed by one int, ``src << ID_BITS | dst``, from the
+    positions of its ends in ``nodes``: ``key >> ID_BITS`` is src and
+    ``key & ID_MASK`` dst.  ``store`` is the final store, None for the
+    naive stage.  No stage keeps its store history: a run's trace rebuilds
+    it when asked.  ``engine.run`` fills in the stage, k, wall time and
+    peak memory.
 
     ``contexts`` and ``edges``, the nodes and the (src, dst, generation)
     edges as frozensets, are derived from the tables on first read and
@@ -379,8 +401,9 @@ class AnalysisResult:
     def edges(self) -> frozenset:
         if self._edges is None:
             nodes = self.nodes
-            self._edges = frozenset((nodes[s], nodes[d], g) for (s, d), g
-                                    in self.edge_table.items())
+            self._edges = frozenset(
+                (nodes[key >> ID_BITS], nodes[key & ID_MASK], g)
+                for key, g in self.edge_table.items())
         return self._edges
 
     def metrics(self) -> dict:

@@ -7,9 +7,9 @@ imperative-prealloc; the entry holds the stage's runner and the group of
 stages its contexts compare with as sets.  Every stage's runner returns
 an AnalysisResult holding the tables its run built: the reachable
 contexts in the order they were found and the generation of each edge,
-keyed by the positions of its ends, next to whatever store artifact the
-stage produces and its final values; ``run`` adds the stage name, k and
-the measurements.  Runs are untraced: the space cap bounds the
+keyed by one int from the positions of its ends, next to whatever store
+artifact the stage produces and its final values; ``run`` adds the stage
+name, k and the measurements.  Runs are untraced: the space cap bounds the
 process's resident set size, sampled before the first generation, then
 before a generation at most once a millisecond, and at the end of the
 run; the peak of those samples is the run's ``peak_mem_bytes``.  The
@@ -31,6 +31,8 @@ from itertools import groupby, islice
 from operator import eq
 
 from .domains import (
+    ID_BITS,
+    ID_MASK,
     AnalysisResult,
     CoC,
     DelayedAddr,
@@ -218,8 +220,8 @@ def _graph_rows(result):
     b = len(order).bit_length()
     # a run labels each edge with a generation it completed
     g_bits = result.generations.bit_length()
-    packed = sorted((pos[s] << b | pos[d]) << g_bits | g
-                    for (s, d), g in result.edge_table.items())
+    packed = sorted((pos[key >> ID_BITS] << b | pos[key & ID_MASK]) << g_bits
+                    | g for key, g in result.edge_table.items())
     return (_pop_nodes(nodes, labels, order, naive),
             _unpack_edges(packed, b, g_bits), pos[0])
 
@@ -306,8 +308,9 @@ def _json_lines(result):
 
 
 # pieces per chunk of ``_chunks``: enough that joining and writing cost
-# little per piece, few enough that one chunk's pieces stay small
-_CHUNK_LINES = 1024
+# little per piece, few enough that one chunk's pieces are small beside
+# the text, so that an export past one chunk peaks at about twice its text
+_CHUNK_LINES = 64
 
 
 def _chunks(pieces):
@@ -319,8 +322,9 @@ def dot_chunks(result: AnalysisResult):
     """The DOT export of ``result`` as a stream of text chunks, each a run
     of whole lines: ``export_graph`` joins them and ``flowladder analyze
     --dot`` writes them to its file as they come.  Alive at once are the
-    nodes and edges still to be written, one chunk's lines, and whatever
-    the consumer keeps of the chunks before it."""
+    nodes and edges still to be written, one chunk's lines (64 at most),
+    and whatever the consumer keeps of the chunks before it: joined, an
+    export past 64 lines peaks at about twice its text."""
     return _chunks(_dot_lines(result))
 
 
@@ -328,8 +332,9 @@ def export_graph(result: AnalysisResult, fmt: str = "dot") -> str:
     """Render the reachable-state graph.  Nodes carry the label skeleton;
     states that follow a variable reference are gray, ev states black,
     everything else white.  Both formats are written piece by piece from
-    the same rows and joined once from chunks of pieces, so at its peak an
-    export holds the text, its chunks and the rows not yet written."""
+    the same rows and joined once from chunks of 64 pieces, so at its peak
+    an export holds the text, its chunks and the rows not yet written:
+    past one chunk, about twice its text."""
     if fmt == "dot":
         return "".join(dot_chunks(result))
     if fmt == "json":

@@ -19,8 +19,8 @@ are ids and id-indexed lists, and the contexts are looked up only when a
 sweep steps them.  A context whose memo holds its last successors is
 replayed from it instead of going to the sweep.  The run's result is the
 driver's tables as they stand, the contexts in id order and the edges
-keyed by id pairs.  ``run_driven`` runs every timestamped rung and gives
-all six one trace.
+keyed by one int per id pair.  ``run_driven`` runs every timestamped rung
+and gives all six one trace.
 ``run_frontier``'s sweep joins into one persistent store, steps the whole
 frontier and never fills the memo, so this stays the literal timestamp
 rung.  ``replaying_sweep`` is the sweep of every later rung: its steps
@@ -39,6 +39,8 @@ from __future__ import annotations
 
 from .domains import (
     EMPTY_STORE,
+    ID_BITS,
+    ID_MASK,
     AnalysisBugError,
     AnalysisResult,
     halt_values,
@@ -72,8 +74,11 @@ def drive(first, sweep, cap_check=None, trace=None):
     before a generation; after each, ``trace(frontier, t)``, if given, gets
     the contexts of the next frontier and the clock.
 
-    Returns (ctxs, edges, generations, status): edges maps each (src id,
-    dst id) to the generation that first produced it.
+    Returns (ctxs, edges, generations, status): edges maps each edge,
+    keyed by one int, ``src id << ID_BITS | dst id``, to the generation
+    that first produced it.  A run that would give a context the id
+    ``2 ** ID_BITS`` raises ``AnalysisBugError`` rather than let two edges
+    share a key.
     """
     ids = {}
     ctxs = []
@@ -114,11 +119,14 @@ def drive(first, sweep, cap_check=None, trace=None):
                 i = ids.get(dst)
                 if i is None:
                     i = ids[dst] = len(ctxs)
+                    if i > ID_MASK:
+                        raise AnalysisBugError(
+                            f"context id {i} does not fit an edge key")
                     ctxs.append(dst)
                     seen.append(-1)  # before any clock
                     memo.append(None)
                 succs[j] = i
-                edge = (src, i)
+                edge = src << ID_BITS | i
                 if edge not in edges:
                     edges[edge] = generation
                 if seen[i] != t:

@@ -26,6 +26,7 @@ from .domains import (
     EvC,
     FnK,
     HALT,
+    ID_BITS,
     Halt,
     IfK,
     PrimVal,
@@ -148,9 +149,10 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
     store.
 
     The result lists the contexts in the order they were found, and keys
-    each edge by the positions of its ends, labeled with the iteration at
-    which it was first produced.  ``cap_check(n_contexts, generation)``
-    may return a status string to stop early.
+    each edge by one int, ``src << ID_BITS | dst``, from the positions of
+    its ends, labeled with the iteration at which it was first produced.
+    ``cap_check(n_contexts, generation)`` may return a status string to
+    stop early.
     """
     require_abstract(mode, policy)
     c0 = inject_context(e)
@@ -176,7 +178,7 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
                     i = ids[dst] = len(order)
                     order.append(dst)
                     grew = True
-                edges.setdefault((src, i), generation)
+                edges.setdefault(src << ID_BITS | i, generation)
         if not grew and store2 == store:
             break
         store = store2

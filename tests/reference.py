@@ -15,7 +15,14 @@ from __future__ import annotations
 
 from flowladder.compiled import corridor, inject_compiled, step_compiled
 from flowladder.deltas import inject_plain, replay
-from flowladder.domains import EMPTY_STORE, DelayedAddr, EvC, Store
+from flowladder.domains import (
+    EMPTY_STORE,
+    ID_BITS,
+    ID_MASK,
+    DelayedAddr,
+    EvC,
+    Store,
+)
 from flowladder.frontier import drive
 from flowladder.lazy import step_lazy
 from flowladder.syntax import Expr, Lam, Lit, Var, children, subterms
@@ -176,7 +183,8 @@ def explore_states(e, stepper, policy, inject=inject_plain,
 
     states, edges, _, status = drive([(c, s0) for c in first], sweep,
                                      cap_check)
-    edges = frozenset((states[s], states[d]) for s, d in edges)
+    edges = frozenset((states[key >> ID_BITS], states[key & ID_MASK])
+                      for key in edges)
     return StateGraph(frozenset(states), edges, status)
 
 

@@ -140,6 +140,25 @@ def test_env_equality_order_independent():
     assert e1 == e2 and hash(e1) == hash(e2)
 
 
+@given(st.lists(st.tuples(st.sampled_from("xyzw"),
+                          st.lists(st.integers(0, 3), max_size=2)),
+                max_size=12))
+def test_env_extend_hashes_as_the_built_env(steps):
+    # extend updates the hash with the one binding it adds or replaces; in
+    # any order, with any rebinding, the result equals and hashes as the
+    # environment built at once from the same bindings
+    env, want = EMPTY_ENV, {}
+    for var, t in steps:
+        env = env.extend(var, BindAddr(var, tuple(t)))
+        want[var] = BindAddr(var, tuple(t))
+        built = Env(dict(want))
+        assert env == built and hash(env) == hash(built)
+    again = EMPTY_ENV
+    for var in reversed(list(want)):
+        again = again.extend(var, want[var])
+    assert again == env and hash(again) == hash(env)
+
+
 def test_env_shadowing():
     a0 = BindAddr("x", ())
     a1 = BindAddr("x", (3,))

@@ -177,6 +177,24 @@ def test_traced_run_rejects_growth_without_a_clock_tick():
     assert r.store.deref("a") == frozenset({IntVal(1)})
 
 
+def test_drive_refuses_an_id_past_the_edge_key(monkeypatch):
+    # an edge is keyed by src << ID_BITS | dst, so an id that does not fit
+    # ID_MASK would give two edges one key; with the mask at 3, a chain of
+    # four contexts runs and the fifth context is refused
+    monkeypatch.setattr(frontier, "ID_MASK", 3)
+
+    def chain(last):
+        def sweep(order, ctxs, memo):
+            return [[min(ctxs[i] + 1, last)] for i in order], False
+        return sweep
+
+    _, edges, _, _ = frontier.drive([0], chain(3))
+    assert sorted(edges) == [0 << 32 | 1, 1 << 32 | 2, 2 << 32 | 3,
+                             3 << 32 | 3]
+    with pytest.raises(AnalysisBugError):
+        frontier.drive([0], chain(4))
+
+
 def test_cap_check_stops():
     e = parse("((lambda (x) (x x)) (lambda (y) (y y)))")
     run = run_frontier(e, P0, cap_check=lambda n, g: "space-cap" if g >= 1 else None)

@@ -86,15 +86,31 @@ def test_direct_runs_match_the_engine_on_every_rung(k):
             stage
 
 
-def test_layer_pass_runs_correctly():
-    # the benchmark's own layer pass on its smallest workload: a wrapper
-    # the engine no longer calls through shows here as failed operations
+def layer_pass(workload):
+    """The last line of the benchmark's layer pass on ``workload``, run in
+    a fresh process, which must end well with every operation correct."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     out = subprocess.run(
         [sys.executable, str(PERFBENCH / "run.py"), "--workload",
-         "corpus-check", "--seed", "1", "--trace", "1"],
+         workload, "--seed", "1", "--trace", "1"],
         env=env, cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     last = json.loads(out.stdout.splitlines()[-1])
     assert last["correct"] is True, last
     assert last["failed"] == 0, last
+    return last
+
+
+def test_layer_pass_runs_correctly():
+    # the benchmark's own layer pass on its smallest workload: a wrapper
+    # the engine no longer calls through shows here as failed operations
+    layer_pass("corpus-check")
+
+
+def test_persistent_layer_pass_counts_its_replays():
+    # the persistent workload's replays go through ``deltas.replay`` by
+    # name, and the cells they grow are counted from its change flag
+    metrics = layer_pass("persistent-k0-draw")["metrics"]
+    for name in ("deltas.step_calls", "deltas.replay_calls",
+                 "deltas.replay_changed"):
+        assert metrics[name]["value"] > 0, name
