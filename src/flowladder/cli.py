@@ -14,6 +14,7 @@ import json
 import sys
 from pathlib import Path
 
+from .domains import StuckC
 from .engine import (
     DEFAULT_SPACE_CAP,
     DEFAULT_TIME_CAP,
@@ -83,7 +84,7 @@ def _build_parser() -> _Parser:
 
     l = sub.add_parser("ladder", help="run stages in sequence and compare")
     l.add_argument("program", help="path to an ISWIM source file")
-    l.add_argument("--stages",
+    l.add_argument("--stages", default=",".join(LADDER_STAGES),
                    help="comma-separated stage list (default: full ladder "
                         "from widened)")
     l.add_argument("--csv", metavar="PATH",
@@ -159,8 +160,12 @@ def cmd_analyze(args) -> int:
         return EXIT_FLAGS
     print(f"stage={r.stage} states={len(r.nodes)} "
           f"time={r.wall_time_s:.3f}s status={r.status}")
-    if args.concrete:
-        print("value:", " ".join(sorted(map(repr, r.values))))
+    if args.concrete and not _capped(r.status):
+        if r.values:
+            print("value:", " ".join(sorted(map(repr, r.values))))
+        for c, _ in r.nodes:
+            if isinstance(c, StuckC):
+                print(f"stuck: {c.reason}")
     return EXIT_CAP if _capped(r.status) else EXIT_OK
 
 
@@ -193,9 +198,8 @@ def cmd_ladder(args) -> int:
     code, e = _load_program(args.program)
     if code:
         return code
-    stages = args.stages.split(",") if args.stages else list(LADDER_STAGES)
     try:
-        cfgs = [_config(s, args) for s in stages]
+        cfgs = [_config(s, args) for s in args.stages.split(",")]
     except ConfigError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FLAGS

@@ -359,9 +359,9 @@ class AnalysisResult:
     produced it, keyed by one int, ``src << ID_BITS | dst``, from the
     positions of its ends in ``nodes``: ``key >> ID_BITS`` is src and
     ``key & ID_MASK`` dst.  ``store`` is the final store, None for the
-    naive stage.  No stage keeps its store history: a run's trace rebuilds
-    it when asked.  ``engine.run`` fills in the stage, k, wall time and
-    peak memory.
+    naive stage.  No stage keeps its store history; a run's trace, when
+    asked for, records the store each generation reads.  ``engine.run``
+    fills in the stage, k, wall time and peak memory.
 
     ``contexts`` and ``edges``, the nodes and the (src, dst, generation)
     edges as frozensets, are derived from the tables on first read and

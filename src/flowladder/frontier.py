@@ -20,7 +20,7 @@ sweep steps them.  A context whose memo holds its last successors is
 replayed from it instead of going to the sweep.  The run's result is the
 driver's tables as they stand, the contexts in id order and the edges
 keyed by one int per id pair.  ``run_driven`` runs every timestamped rung
-and gives all six one trace.
+and gives all six one trace of what the driver holds.
 ``run_frontier``'s sweep joins into one persistent store, steps the whole
 frontier and never fills the memo, so this stays the literal timestamp
 rung.  ``replaying_sweep`` is the sweep of every later rung: its steps
@@ -71,8 +71,8 @@ def drive(first, sweep, cap_check=None, trace=None):
     seen at the advanced clock.
 
     ``cap_check(n_contexts, generation)`` may return a status to stop
-    before a generation; after each, ``trace(frontier, t)``, if given, gets
-    the contexts of the next frontier and the clock.
+    before a generation; ``trace(frontier, t)``, if given, gets every
+    frontier's contexts and clock, the first one's before generation 0.
 
     Returns (ctxs, edges, generations, status): edges maps each edge,
     keyed by one int, ``src id << ID_BITS | dst id``, to the generation
@@ -93,6 +93,8 @@ def drive(first, sweep, cap_check=None, trace=None):
             seen.append(0)
             memo.append(None)
     t = 0
+    if trace is not None:
+        trace([ctxs[i] for i in frontier], t)
     edges = {}
     generation = 0
     status = "fixpoint"
@@ -149,27 +151,20 @@ def run_driven(e, first, sweep, newest, cap_check=None,
     tables as they stand.
 
     ``newest()`` returns the store the sweeps have left so far.  ``trace``,
-    if a list, receives (seen, frontier, chain, t) after every generation:
-    seen maps each context to its stamps, newest first, and chain holds
-    every store so far, newest first.  A traced run raises
-    ``AnalysisBugError`` if the store changed while the clock stood still."""
+    if an empty list, gets a (frontier, t, store) entry before every
+    generation and one at the end, ``first``'s at clock 0 first: the
+    contexts the generation steps, the clock and the store they read, one
+    store object per clock.  A traced run raises ``AnalysisBugError`` if
+    the store changed while the clock stood still."""
     snap = None
     if trace is not None:
-        hist = {c: (0,) for c in first}
-        chain = (newest(),)
-
         def snap(frontier, t):
-            nonlocal hist, chain
             store = newest()
-            if t == len(chain):
-                chain = (store,) + chain
-            elif store != chain[0]:
-                raise AnalysisBugError(f"the store changed at clock {t}")
-            frontier = tuple(frontier)
-            hist = dict(hist)
-            for c in frontier:
-                hist[c] = (t,) + hist.get(c, ())
-            trace.append((hist, frontier, chain, t))
+            if trace and trace[-1][1] == t:
+                if store != trace[-1][2]:
+                    raise AnalysisBugError(f"the store changed at clock {t}")
+                store = trace[-1][2]
+            trace.append((frontier, t, store))
 
     ctxs, edges, generations, status = drive(first, sweep, cap_check, snap)
     del sweep  # and its read index, before the final snapshot

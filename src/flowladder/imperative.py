@@ -6,7 +6,7 @@ last context has stepped, they are joined into the cells.  So the sweep
 reads the store it started with, as the ``deltas`` replay does, and each
 cell keeps one version.  The machine is this sweep under the frontier
 driver, run and traced by ``frontier.run_driven`` as every
-timestamped rung is, the trace from snapshots of the cells.
+timestamped rung is, each store in the trace a snapshot of the cells.
 
 A step is a function of its context and the cells it read: it sees the
 store only through ``SnapshotView.deref`` and ``get``.  An allocation is

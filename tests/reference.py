@@ -4,8 +4,10 @@ Each rung of the ladder is pinned to a reference that a test runs beside
 it: the untimestamped frontier system and the order isomorphism between
 timestamps and stores, the unwidened (context, store) state graph of a
 logged stepper, and the stuttering bisimulation between the lazy and the
-compiled machines.  None of this runs in an analysis, so it lives here
-rather than in the package.
+compiled machines.  A traced run records only what its driver holds, and
+``histories`` rebuilds from that the stamp histories and store chains the
+isomorphism translates.  None of this runs in an analysis, so it lives
+here rather than in the package.
 
 ``tests/support.py`` does not import this module: the benchmark loads
 ``support`` by path as its oracle, and stays independent of it.
@@ -130,6 +132,26 @@ def run_reference(e: Expr, policy, trace=None, max_generations=None):
 
 
 # --------------------------------------------------- order isomorphism maps
+
+def histories(trace) -> list:
+    """One (seen, frontier, chain, t) per generation of a traced run, from
+    its (frontier, t, store) entries: after generation g, seen maps each
+    context to the stamps at which it entered a frontier and chain holds
+    every store so far, both newest first, and frontier and t are the next
+    generation's.  The first entry names the injected contexts and store."""
+    (first, _, store), rest = trace[0], trace[1:]
+    seen = {c: (0,) for c in first}
+    chain = (store,)
+    out = []
+    for frontier, t, store in rest:
+        if t == len(chain):
+            chain = (store,) + chain
+        seen = dict(seen)
+        for c in frontier:
+            seen[c] = (t,) + seen.get(c, ())
+        out.append((seen, tuple(frontier), chain, t))
+    return out
+
 
 def stamps_to_stores(seen: dict, chain) -> dict:
     """Translate a timestamped seen map through the chain: stamp i names the

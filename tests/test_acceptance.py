@@ -21,6 +21,7 @@ from flowladder.widening import analyze_baseline, step_context
 
 from tests.reference import (
     explore_states,
+    histories,
     refine,
     run_reference,
     stamps_to_stores,
@@ -75,6 +76,7 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
         ft, rt = [], []
         fr = run_frontier(e, P0, trace=ft)
         rr = run_reference(e, P0, trace=rt)
+        ft = histories(ft)
         assert len(ft) == len(rt), name
         for (seen, frontier, chain, t), (rseen, rfront, rchain) in zip(ft, rt):
             assert frontier == rfront, name
@@ -88,6 +90,7 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
         # (b) log-and-replay fixpoint equals the frontier fixpoint
         dt = []
         dr = run_logged(e, step_with_deltas, P0, trace=dt)
+        dt = histories(dt)
         assert dr.contexts == fr.contexts, name
         assert dt[-1][2] == fchain, name
         assert dt[-1][0] == fseen, name
@@ -110,6 +113,7 @@ def test_criterion_2_complete_abstraction_equalities(corpus):
             # exactly, generation by generation, along with the seen
             # stamps, the frontier and the clock
             _assert_same_trace(it, ct, (name, pre))
+            it = histories(it)
             assert len(it[-1][2]) == it[-1][3] + 1, (name, pre)
     print(f"criterion 2 PASS: (a)-(d) exact on {len(corpus)} programs")
 
@@ -132,22 +136,22 @@ def _battery_step_vs_logged(corpus, n):
             trace = []
             run_frontier(e, pol, trace=trace)
             seen = set()
-            for _, frontier, chain, _ in trace:
+            for frontier, _, store in trace:
                 for c in frontier:
-                    if (c, chain[0]) not in seen:
-                        seen.add((c, chain[0]))
-                        cases.append((c, chain[0], pol))
+                    if (c, store) not in seen:
+                        seen.add((c, store))
+                        cases.append((c, store, pol))
     rng = random.Random(3102)
     while len(cases) < n:
         e = random_program(rng, budget=14)
         trace = []
         run_frontier(e, P0, trace=trace)
         seen = set()
-        for _, frontier, chain, _ in trace:
+        for frontier, _, store in trace:
             for c in frontier:
-                if (c, chain[0]) not in seen:
-                    seen.add((c, chain[0]))
-                    cases.append((c, chain[0], P0))
+                if (c, store) not in seen:
+                    seen.add((c, store))
+                    cases.append((c, store, P0))
     for c, store, pol in cases:
         plain_succs, joined = step_context(c, store, pol)
         logged = step_with_deltas(c, store, pol)

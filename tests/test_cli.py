@@ -84,6 +84,23 @@ def test_analyze_concrete_prints_final_value(id5, capsys):
     assert "value: 5" in capsys.readouterr().out
 
 
+def test_analyze_concrete_prints_how_a_run_ended(tmp_path, capsys):
+    # a stuck run names its reason and a capped one only its status; no
+    # run without a value prints a value line
+    stuck = tmp_path / "stuck.scm"
+    stuck.write_text("(5 5)\n")
+    assert main(["analyze", str(stuck), "--stage", "naive",
+                 "--concrete"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == ["stuck: apply-non-function"]
+    omega = tmp_path / "omega.scm"
+    omega.write_text("((lambda (x) (x x)) (lambda (x) (x x)))\n")
+    assert main(["analyze", str(omega), "--stage", "naive", "--concrete",
+                 "--time-cap", "0.2"]) == 2
+    out = capsys.readouterr().out.splitlines()
+    assert len(out) == 1 and "status=time-cap" in out[0]
+
+
 def test_analyze_concrete_prints_a_closure_as_exports_label_it(capsys):
     # a closure value prints as its skeleton: binder, body label, environment
     from tests.support import CORPUS_DIR
@@ -168,6 +185,14 @@ def test_ladder_single_stage_has_factor_one(id5, capsys):
 
 def test_ladder_rejects_unknown_stage(id5):
     assert main(["ladder", id5, "--stages", "widened,nope"]) == 3
+
+
+def test_ladder_rejects_an_empty_stage_list(id5, capsys):
+    # an empty list names one empty stage, not the default ladder
+    assert main(["ladder", id5, "--stages", ""]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
 
 
 def test_ladder_csv_file(church, tmp_path, capsys):

@@ -16,6 +16,8 @@ from flowladder.deltas import replay, run_logged, step_with_deltas
 from flowladder.frontier import run_frontier
 from flowladder.widening import inject_context, step_context
 
+from tests.reference import histories
+
 
 P0 = kcfa_policy(0)
 A = BindAddr("a", ())
@@ -87,9 +89,9 @@ def test_log_value_sets_are_nonempty(corpus):
     for name, src, e in corpus[:12]:
         trace = []
         run_frontier(e, P0, trace=trace)
-        for seen, frontier, chain, t in trace:
+        for frontier, _, store in trace:
             for c in frontier:
-                for _, log in step_with_deltas(c, chain[0], P0):
+                for _, log in step_with_deltas(c, store, P0):
                     for _, vs in log:
                         assert vs, name
 
@@ -101,9 +103,9 @@ def test_agrees_with_unlogged_step_on_corpus_configs(corpus):
         trace = []
         run_frontier(e, P0, trace=trace)
         configs = set()
-        for seen, frontier, chain, t in trace:
+        for frontier, _, store in trace:
             for c in frontier:
-                configs.add((c, chain[0]))
+                configs.add((c, store))
         for c, store in configs:
             plain_succs, store2 = step_context(c, store, P0)
             logged = step_with_deltas(c, store, P0)
@@ -121,6 +123,7 @@ def test_fixpoint_equals_frontier_exactly(corpus):
             ft, dt = [], []
             fr = run_frontier(e, pol, trace=ft)
             dr = run_logged(e, step_with_deltas, pol, trace=dt)
+            ft, dt = histories(ft), histories(dt)
             assert dr.contexts == fr.contexts, name
             assert dt[-1][2] == ft[-1][2], name
             assert dt[-1][0] == ft[-1][0], name

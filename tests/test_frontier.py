@@ -1,5 +1,7 @@
 """Timestamped frontier iteration and its untimestamped reference."""
 
+import tracemalloc
+
 import pytest
 
 from flowladder import frontier
@@ -16,7 +18,13 @@ from flowladder.syntax import parse
 from flowladder.frontier import run_frontier
 from flowladder.widening import analyze_baseline, inject_context
 
-from tests.reference import run_reference, stamps_to_stores, stores_to_stamps
+from tests.reference import (
+    histories,
+    run_reference,
+    stamps_to_stores,
+    stores_to_stamps,
+)
+from tests.support import load_bench
 
 
 P0 = kcfa_policy(0)
@@ -37,17 +45,18 @@ def test_inject_shape():
     assert run.initial == c0
     # generation 0 steps exactly the injected context, seen at stamp 0
     assert {(s, g) for s, _, g in run.edges if g == 0} == {(c0, 0)}
-    seen, frontier, chain, t = trace[0]
+    assert trace[0] == ([c0], 0, EMPTY_STORE)
+    seen, frontier, chain, t = histories(trace)[0]
     assert seen[c0] == (0,)
     assert chain == (EMPTY_STORE,)
     assert t == 0
-    assert run.store is trace[-1][2][0]
+    assert run.store is trace[-1][2]
 
 
 def test_literal_step_keeps_clock():
     trace = []
     run_frontier(parse("5"), P0, trace=trace)
-    seen, frontier, chain, t = trace[0]
+    seen, frontier, chain, t = histories(trace)[0]
     assert t == 0
     assert chain == (EMPTY_STORE,)
     assert frontier == (CoC(HALT, IntVal(5)),)
@@ -58,8 +67,9 @@ def test_empty_frontier_is_fixpoint():
     trace = []
     run = run_frontier(parse("5"), P0, trace=trace)
     assert run.status == "fixpoint"
-    assert run.generations == len(trace) == 2
-    assert trace[-1][1] == ()
+    # one entry before each generation and one at the end
+    assert run.generations + 1 == len(trace) == 3
+    assert trace[-1][0] == []
 
 
 def test_chain_invariants_every_generation(corpus):
@@ -68,7 +78,7 @@ def test_chain_invariants_every_generation(corpus):
             trace = []
             run = runner(e, P0, trace=trace)
             assert run.status == "fixpoint", (rung, name)
-            for seen, frontier, chain, t in trace:
+            for seen, frontier, chain, t in histories(trace):
                 assert t == len(chain) - 1, (rung, name)
                 for newer, older in zip(chain, chain[1:]):
                     assert plain_leq(older, newer), (rung, name)
@@ -117,7 +127,8 @@ def test_iteration_order_does_not_matter(corpus, monkeypatch):
             runs = []
             for key in orders:
                 trace = []
-                runs.append((runner(e, P0, trace=trace), trace[-1]))
+                runs.append((runner(e, P0, trace=trace),
+                             histories(trace)[-1]))
             (r1, last1), others = runs[0], runs[1:]
             for other, last in others:
                 assert r1.contexts == other.contexts, (rung, name)
@@ -133,6 +144,7 @@ def test_reference_lockstep_both_translations(corpus):
         ft, rt = [], []
         fr = run_frontier(e, P0, trace=ft)
         run_reference(e, P0, trace=rt)
+        ft = histories(ft)
         assert len(ft) == len(rt), name
         for (seen, frontier, chain, t), (rseen, rfrontier, rchain) in zip(ft, rt):
             assert frontier == rfrontier, name
@@ -141,6 +153,25 @@ def test_reference_lockstep_both_translations(corpus):
             assert stores_to_stamps(rseen, list(rchain)) == seen, name
         assert fr.store is ft[-1][2][0], name
         assert stamps_to_stores(ft[-1][0], ft[-1][2]) == run_reference(e, P0).seen, name
+
+
+def test_traced_bench_run_holds_no_history():
+    # a traced run keeps one frontier, clock and store per generation and
+    # no per-generation copy of the seen stamps: the bench at k=0, some
+    # 1,200 generations, traces in at most 40 MiB on both ends of the ladder
+    e = load_bench("church_dist.scm")
+    assert not tracemalloc.is_tracing()
+    for rung in ("compiled", "imperative-prealloc"):
+        trace = []
+        tracemalloc.start()
+        try:
+            run = RUNGS[rung][0](e, P0, trace=trace)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert run.status == "fixpoint", rung
+        assert len(trace) == run.generations + 1, rung
+        assert peak <= 40 << 20, (rung, peak / 2**20)
 
 
 def test_omega_terminates():

@@ -45,6 +45,7 @@ from flowladder.imperative import (
     run_machine,
     snapshot,
 )
+from tests.reference import histories
 from tests.support import (
     abstract_covers,
     load_bench,
@@ -86,23 +87,16 @@ def spy_steps(install, seen):
         install(owner, name, spy)
 
 
-def _stores_before(tr):
-    # the store each generation's sweep started from: the trace holds the
-    # store chain after each generation
-    return [tr[0][2][-1]] + [chain[0] for _, _, chain, _ in tr[:-1]]
-
-
 def _assert_same_trace(tr, ref, label):
-    # entry by entry: the seen stamps, the frontier as a set, the store
-    # chain and the clock
+    # entry by entry: the frontier as a set, the clock and the store, which
+    # together fix the seen stamps and the store chain
     assert len(tr) == len(ref), label
     for gen, (entry, want) in enumerate(zip(tr, ref)):
-        (seen, frontier, chain, t), (wseen, wfrontier, wchain, wt) = entry, want
-        assert seen == wseen, (label, gen)
+        (frontier, t, store), (wfrontier, wt, wstore) = entry, want
         assert len(frontier) == len(wfrontier), (label, gen)
         assert set(frontier) == set(wfrontier), (label, gen)
-        assert chain == wchain, (label, gen)
         assert t == wt, (label, gen)
+        assert store == wstore, (label, gen)
 
 
 def test_join_at_fresh_cell():
@@ -167,7 +161,8 @@ def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
     tr, seen = [], []
 
     def spy(c, view, pol):
-        seen.append((len(tr), dict(view._fetch.__self__)))
+        # the entry of the generation stepping is the trace's last
+        seen.append((len(tr) - 1, dict(view._fetch.__self__)))
         return step_compiled(c, view, pol)
 
     monkeypatch.setattr(imperative, "step_compiled", spy)
@@ -175,9 +170,8 @@ def test_snapshot_never_shows_same_generation_fresh_writes(monkeypatch):
         tr.clear()
         seen.clear()
         run_imperative(e, P0, trace=tr)
-        before = _stores_before(tr)
         for gen, cells in seen:
-            assert cells == before[gen].to_dict(), (name, gen)
+            assert cells == tr[gen][2].to_dict(), (name, gen)
 
 
 def test_snapshot_view_reads_at_fixed_time():
@@ -263,7 +257,7 @@ def test_snapshot_chain_equals_store_chain():
                 it = []
                 ir = run_imperative(e, pol, prealloc=pre, trace=it)
                 _assert_same_trace(it, trace, (name, pre))
-                assert it[-1][2][0] == ir.store, (name, pre)
+                assert it[-1][2] == ir.store, (name, pre)
 
 
 def test_live_cells_satisfy_invariants():
@@ -273,11 +267,11 @@ def test_live_cells_satisfy_invariants():
     for name, src, e in load_corpus():
         it = []
         vstore = run_machine(e, P0, trace=it)[1]
-        chain = it[-1][2]
+        stores = [store for _, _, store in it]
         for a, cell in vstore.cells.items():
             assert type(cell) is frozenset and cell, name
-            assert cell == chain[0].get(a), name
-        if any(len({s.get(a) for s in chain} - {None}) > 2
+            assert cell == stores[-1].get(a), name
+        if any(len({s.get(a) for s in stores} - {None}) > 2
                for a in vstore.cells):
             regrown.append(name)
     assert regrown
@@ -287,7 +281,7 @@ def test_seen_stamps_strictly_decreasing():
     for name, src, e in load_corpus():
         it = []
         run_imperative(e, P0, trace=it)
-        seen, _, _, t = it[-1]
+        seen, _, _, t = histories(it)[-1]
         for stamps in seen.values():
             assert stamps[0] <= t
             assert all(a > b for a, b in zip(stamps, stamps[1:])), name
@@ -299,14 +293,11 @@ def test_no_poisoning_within_a_generation():
     for name, src, e in load_corpus():
         tr = []
         run_imperative(e, P0, trace=tr)
-        t0 = 0
-        for gen, (before, (_, _, chain, t)) in enumerate(
-                zip(_stores_before(tr), tr)):
-            after = chain[0]
+        for gen, ((_, t0, before), (_, t, after)) in enumerate(
+                zip(tr, tr[1:])):
             for a, vs in before.items():
                 assert vs <= after.get(a), (name, gen)
             assert (t != t0) == (after != before), (name, gen)
-            t0 = t
 
 
 def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
@@ -318,9 +309,10 @@ def test_sweep_iterates_the_generation_snapshot_of_the_frontier():
         ir = run_imperative(e, P0, trace=tr)
         if ir.status != "fixpoint":
             continue
-        # generation 0 sweeps the injected context, and generation g + 1
-        # the frontier generation g left
-        swept = [{ir.initial}] + [set(frontier) for _, frontier, _, _ in tr]
+        # generation g sweeps the frontier of the trace's entry g, the
+        # injected context first
+        assert tr[0][0] == [ir.initial], name
+        swept = [set(frontier) for frontier, _, _ in tr]
         for s, d, g in ir.edges:
             assert s in swept[g], (name, g)
 
@@ -619,7 +611,7 @@ def test_step_memo_replays_and_invalidates_on_the_corpus(monkeypatch):
             tr = []
             run_imperative(e, P0, prealloc=pre, trace=tr)
             # the injected context, then every frontier a generation left
-            visits = 1 + sum(len(frontier) for _, frontier, _, _ in tr)
+            visits = sum(len(frontier) for frontier, _, _ in tr)
             replayed += visits - sum(steps.values())
             restepped += sum(n > 1 for n in steps.values())
     assert replayed > 0
@@ -636,7 +628,7 @@ def test_no_restep_is_needless(monkeypatch):
     def seen(c, view):
         # every rung reads structured addresses, preallocation its store's
         # interned ones
-        steps.append((c, len(tr), frozenset(view.reads)))
+        steps.append((c, len(tr) - 1, frozenset(view.reads)))
 
     spy_steps(monkeypatch.setattr, seen)
     restepped = Counter()
@@ -646,7 +638,7 @@ def test_no_restep_is_needless(monkeypatch):
                 tr.clear()
                 steps.clear()
                 RUNGS[rung][0](e, pol, trace=tr)
-                before = _stores_before(tr)
+                before = [store for _, _, store in tr]
                 last = {}
                 for c, gen, reads in steps:
                     if c in last:
@@ -692,7 +684,7 @@ def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
     r, vstore = run_machine(parse("7"), P0, trace=tr)
     assert r.status == "fixpoint"
     assert vstore.cells == {"a": U, "b": U}
-    assert (r.generations, tr[-1][3]) == (4, 2)
+    assert (r.generations, tr[-1][1]) == (4, 2)
     assert steps == {"X": 2, "Y0": 1, "Y1": 1, "Y2": 1}
 
     steps.clear()
@@ -700,7 +692,7 @@ def test_a_stale_filing_leaves_a_newer_memo(monkeypatch):
     r = run_logged(parse("7"), step, P0, inject=inject, trace=tr)
     assert r.status == "fixpoint"
     assert r.store == Store({"a": U, "b": U})
-    assert (r.generations, tr[-1][3]) == (4, 2)
+    assert (r.generations, tr[-1][1]) == (4, 2)
     assert steps == {"X": 2, "Y0": 1, "Y1": 1, "Y2": 1}
 
 
