@@ -153,20 +153,25 @@ def cmd_analyze(args) -> int:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_FLAGS
     r = run(cfg, e)
-    if args.dot and not _write(args.dot, dot_chunks(r)):
+    capped = _capped(r.status)
+    if args.dot and capped:
+        # the graph is partial, and exporting it would run past the caps
+        print(f"no graph written to {args.dot}: the run ended at "
+              f"{r.status}", file=sys.stderr)
+    elif args.dot and not _write(args.dot, dot_chunks(r)):
         return EXIT_FLAGS
     if args.json and not _write(args.json, (json.dumps(
             r.metrics(), sort_keys=True, indent=1), "\n")):
         return EXIT_FLAGS
     print(f"stage={r.stage} states={len(r.nodes)} "
           f"time={r.wall_time_s:.3f}s status={r.status}")
-    if args.concrete and not _capped(r.status):
+    if args.concrete and not capped:
         if r.values:
             print("value:", " ".join(sorted(map(repr, r.values))))
         for c, _ in r.nodes:
             if isinstance(c, StuckC):
                 print(f"stuck: {c.reason}")
-    return EXIT_CAP if _capped(r.status) else EXIT_OK
+    return EXIT_CAP if capped else EXIT_OK
 
 
 def _factor(base, row) -> str:

@@ -25,7 +25,9 @@ in place.
 
 from __future__ import annotations
 
-from .syntax import PRIM_NAMES, App, If, Lam, Lit, Term, Var
+from array import array
+
+from .syntax import HASH_MASK, PRIM_NAMES, App, If, Lam, Lit, Term, Var
 
 Time = tuple  # tuple of application labels, newest first
 
@@ -127,14 +129,15 @@ def lit_value(v):
 
 # -------------------------------------------------------------- environment
 
-_ENV_HASH_MOD = 1 << 60
+_ENV_HASH_MOD = HASH_MASK + 1
 
 
 class Env(Term):
     """Immutable variable -> address map with a cached hash: the sum of
     ``hash((var, addr))`` over its bindings modulo ``_ENV_HASH_MOD``, so
     that ``extend`` updates it with the one binding it adds or replaces
-    rather than hashing every binding again."""
+    rather than hashing every binding again.  The modulus is 2 ** 30, below
+    which the cached int is one 28-byte digit, as every term's is."""
 
     __slots__ = ("_m",)
 
@@ -201,6 +204,17 @@ class Store:
         m = dict(self._m)
         m[addr] = frozenset(vals) if old is None else old.union(vals)
         return Store(m)
+
+    def share_sets(self) -> None:
+        """Give every cell whose value set equals another's the same
+        frozenset object, in place: the store stays equal to itself and
+        keeps its hash, and holds one object per distinct value set.  A
+        finished run calls this once on its final store; the table that
+        finds the equal sets lives only for the call."""
+        cells = self._m
+        sets = list(cells.values())
+        kept = {}
+        cells.update(zip(list(cells), map(kept.setdefault, sets, sets)))
 
     def join_store(self, other: Store) -> Store:
         out = self
@@ -342,8 +356,8 @@ def halt_values(contexts, store) -> frozenset:
     return frozenset(out)
 
 
-# an edge table keys an edge by one int, ``src << ID_BITS | dst``: 32 bytes
-# where a (src, dst) tuple takes 56.  No node position may reach
+# an edge table keys an edge by one int, ``src << ID_BITS | dst``, which a
+# result packs into 8 bytes of an array.  No node position may reach
 # 2 ** ID_BITS
 ID_BITS = 32
 ID_MASK = (1 << ID_BITS) - 1
@@ -355,28 +369,34 @@ class AnalysisResult:
     It holds the tables the run built.  ``nodes`` lists the reachable
     contexts in the order the run first met them, the initial one first:
     plain contexts for the widened stages, (context, store) pairs for the
-    naive one.  ``edge_table`` maps each edge to the generation that first
-    produced it, keyed by one int, ``src << ID_BITS | dst``, from the
-    positions of its ends in ``nodes``: ``key >> ID_BITS`` is src and
-    ``key & ID_MASK`` dst.  ``store`` is the final store, None for the
-    naive stage.  No stage keeps its store history; a run's trace, when
-    asked for, records the store each generation reads.  ``engine.run``
-    fills in the stage, k, wall time and peak memory.
+    naive one.  The run's ``edge_table`` maps each edge, keyed by one int,
+    ``src << ID_BITS | dst``, from the positions of its ends in ``nodes``,
+    to the generation that first produced it; the result packs it into
+    ``edge_arrays``, parallel arrays of the keys (``'Q'``) and the
+    generations (``'I'``), so that no edge keeps a Python object.
+    ``store`` is the final store, None for the naive stage, its equal
+    value sets one object (``Store.share_sets``).  No stage keeps its
+    store history; a run's trace, when asked for, records the store each
+    generation reads.  ``engine.run`` fills in the stage, k, wall time and
+    peak memory.  The terms a result holds cache hashes below 2 ** 30,
+    each a 28-byte int (``syntax.HASH_MASK``).
 
     ``contexts`` and ``edges``, the nodes and the (src, dst, generation)
     edges as frozensets, are derived from the tables on first read and
     kept; counting, exporting and the metrics read the tables alone."""
 
-    __slots__ = ("stage", "k", "program", "nodes", "edge_table", "store",
-                 "status", "generations", "wall_time_s", "peak_mem_bytes",
-                 "values", "_contexts", "_edges")
+    __slots__ = ("stage", "k", "program", "nodes", "_edge_keys",
+                 "_edge_gens", "store", "status", "generations",
+                 "wall_time_s", "peak_mem_bytes", "values", "_contexts",
+                 "_edges")
 
     def __init__(self, *, program, nodes, edge_table, store, status,
                  generations, values):
         self.stage = self.k = None
         self.program = program
         self.nodes = nodes
-        self.edge_table = edge_table
+        self._edge_keys = array("Q", edge_table)
+        self._edge_gens = array("I", edge_table.values())
         self.store = store
         self.status = status
         self.generations = generations
@@ -398,17 +418,22 @@ class AnalysisResult:
         return self._contexts
 
     @property
+    def edge_arrays(self) -> tuple:
+        """The edges as (keys, generations), two parallel arrays."""
+        return self._edge_keys, self._edge_gens
+
+    @property
     def edges(self) -> frozenset:
         if self._edges is None:
             nodes = self.nodes
             self._edges = frozenset(
                 (nodes[key >> ID_BITS], nodes[key & ID_MASK], g)
-                for key, g in self.edge_table.items())
+                for key, g in zip(*self.edge_arrays))
         return self._edges
 
     def metrics(self) -> dict:
         wall = self.wall_time_s
-        transitions = len(self.edge_table)
+        transitions = len(self.edge_arrays[0])
         return {
             "stage": self.stage,
             "k": self.k,

@@ -7,18 +7,19 @@ imperative-prealloc; the entry holds the stage's runner and the group of
 stages its contexts compare with as sets.  Every stage's runner returns
 an AnalysisResult holding the tables its run built: the reachable
 contexts in the order they were found and the generation of each edge,
-keyed by one int from the positions of its ends, next to whatever store
-artifact the stage produces and its final values; ``run`` adds the stage
-name, k and the measurements.  Runs are untraced: the space cap bounds the
-process's resident set size, sampled before the first generation, then
-before a generation at most once a millisecond, and at the end of the
-run; the peak of those samples is the run's ``peak_mem_bytes``.  The
-time cap is checked before every generation.  The metrics and both graph
-exports read the tables and hash no context; only a verdict between two
-stages builds a result's set of contexts.  Graph exports render contexts
-through their label skeleton so nodes from different stages coincide when
-the theorems say the states do; one export renders each shared sub-term
-(an environment, a continuation, a closure) and each time once.
+keyed by one int from the positions of its ends and packed into two
+arrays, next to whatever store artifact the stage produces and its final
+values; ``run`` adds the stage name, k and the measurements.  Runs are
+untraced: the space cap bounds the process's resident set size, sampled
+before the first generation, then before a generation at most once a
+millisecond, and at the end of the run; the peak of those samples is the
+run's ``peak_mem_bytes``.  The time cap is checked before every
+generation.  The metrics and both graph exports read the tables and hash
+no context; only a verdict between two stages builds a result's set of
+contexts.  Graph exports render contexts through their label skeleton so
+nodes from different stages coincide when the theorems say the states
+do; one export renders each shared sub-term (an environment, a
+continuation, a closure) and each time once.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def _graph_rows(result):
     # a run labels each edge with a generation it completed
     g_bits = result.generations.bit_length()
     packed = sorted((pos[key >> ID_BITS] << b | pos[key & ID_MASK]) << g_bits
-                    | g for key, g in result.edge_table.items())
+                    | g for key, g in zip(*result.edge_arrays))
     return (_pop_nodes(nodes, labels, order, naive),
             _unpack_edges(packed, b, g_bits), pos[0])
 

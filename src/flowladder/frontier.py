@@ -19,8 +19,9 @@ are ids and id-indexed lists, and the contexts are looked up only when a
 sweep steps them.  A context whose memo holds its last successors is
 replayed from it instead of going to the sweep.  The run's result is the
 driver's tables as they stand, the contexts in id order and the edges
-keyed by one int per id pair.  ``run_driven`` runs every timestamped rung
-and gives all six one trace of what the driver holds.
+keyed by one int per id pair, which the result packs into arrays.
+``run_driven`` runs every timestamped rung and gives all six one trace
+of what the driver holds.
 ``run_frontier``'s sweep joins into one persistent store, steps the whole
 frontier and never fills the memo, so this stays the literal timestamp
 rung.  ``replaying_sweep`` is the sweep of every later rung: its steps
@@ -148,7 +149,9 @@ def drive(first, sweep, cap_check=None, trace=None):
 def run_driven(e, first, sweep, newest, cap_check=None,
                trace=None) -> AnalysisResult:
     """Drive ``sweep`` from ``first``; the result holds the driver's
-    tables as they stand.
+    tables as they stand, and the final store with its equal value sets
+    shared (``Store.share_sets``), in place, so a traced run's last entry
+    holds the result's store.
 
     ``newest()`` returns the store the sweeps have left so far.  ``trace``,
     if an empty list, gets a (frontier, t, store) entry before every
@@ -169,6 +172,7 @@ def run_driven(e, first, sweep, newest, cap_check=None,
     ctxs, edges, generations, status = drive(first, sweep, cap_check, snap)
     del sweep  # and its read index, before the final snapshot
     store = newest()
+    store.share_sets()
     return AnalysisResult(
         program=e, nodes=ctxs, edge_table=edges, store=store,
         status=status, generations=generations,

@@ -42,6 +42,11 @@ class ParseError(ValueError):
         self.col = col
 
 
+# a cached hash is kept below 2 ** 30, where CPython holds an int in one
+# 30-bit digit: 28 bytes rather than the 36 of a full-width hash
+HASH_MASK = (1 << 30) - 1
+
+
 class Term:
     """An immutable term with structural equality and a cached hash.
 
@@ -51,11 +56,13 @@ class Term:
     that writes ``__eq__`` alone has its ``__hash__`` set to None by
     Python, and gets the written one all the same.
     ``__init__`` takes the fields in slot order, assigns them and caches
-    ``hash((<class name>, *fields))``: the name rather than the class
-    object, because a class hashes by its id, and hashes must repeat from
-    run to run under one ``PYTHONHASHSEED``.  ``__eq__`` holds for the term
-    itself, or for a term of the same type with equal fields, compared in
-    slot order; a field shared by both is taken as equal without a call.
+    ``hash((<class name>, *fields)) & HASH_MASK``: the name rather than the
+    class object, because a class hashes by its id, and hashes must repeat
+    from run to run under one ``PYTHONHASHSEED``; the mask keeps the cached
+    int to one 28-byte digit, and a run holds one per term.  ``__eq__``
+    holds for the term itself, or for a term of the same type with equal
+    fields, compared in slot order; a field shared by both is taken as
+    equal without a call.
     It does not compare the cached hashes first, because the dicts and sets
     that make nearly every call already have.  Each class gets its own
     ``__hash__``: the interpreter specialises attribute access per
@@ -72,7 +79,8 @@ class Term:
         same = "".join(f" and (self.{f} is other.{f} or self.{f} == other.{f})"
                        for f in fields)
         src = (f"def __init__(self{params}):\n{sets}"
-               f"    self._hash = hash(({cls.__name__!r}{params},))\n"
+               f"    self._hash = (hash(({cls.__name__!r}{params},))"
+               f" & {HASH_MASK})\n"
                f"def __eq__(self, other):\n"
                f"    return self is other or (type(other) is cls{same})\n"
                f"def __hash__(self):\n"

@@ -150,7 +150,8 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
 
     The result lists the contexts in the order they were found, and keys
     each edge by one int, ``src << ID_BITS | dst``, from the positions of
-    its ends, labeled with the iteration at which it was first produced.
+    its ends, labeled with the iteration at which it was first produced;
+    its final store's equal value sets are one object.
     ``cap_check(n_contexts, generation)`` may return a status string to
     stop early.
     """
@@ -183,6 +184,7 @@ def analyze_baseline(e: Expr, policy, mode: str = "abstract", cap_check=None) ->
             break
         store = store2
         generation += 1
+    store.share_sets()
     return AnalysisResult(
         program=e, nodes=order, edge_table=edges, store=store,
         status=status, generations=generation,

@@ -75,7 +75,7 @@ def test_analyze_dot_leaves_the_result_sets_unbuilt(tmp_path, monkeypatch):
     assert main(["analyze", str(BENCH_DIR / "church_dist.scm"),
                  "--dot", str(out)]) == 0
     [r] = results
-    assert out.read_text().count(" -> ") == len(r.edge_table) > 0
+    assert out.read_text().count(" -> ") == len(r.edge_arrays[0]) > 0
     assert r._contexts is None and r._edges is None
 
 
@@ -162,6 +162,20 @@ def test_analyze_cap_exits_2(church, capsys):
     bench = str(BENCH_DIR / "church_dist.scm")
     assert main(["analyze", bench, "--k", "2", "--time-cap", "2"]) == 2
     assert "status=time-cap" in capsys.readouterr().out
+
+
+def test_analyze_capped_run_writes_no_graph(tmp_path, capsys):
+    # the caps hold through the export: a capped run writes no --dot file,
+    # says why on one stderr line, and still writes its metrics
+    from tests.support import BENCH_DIR
+    dot, js = tmp_path / "g.dot", tmp_path / "m.json"
+    assert main(["analyze", str(BENCH_DIR / "church_dist.scm"),
+                 "--time-cap", "1e-9", "--dot", str(dot),
+                 "--json", str(js)]) == 2
+    assert not dot.exists()
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "time-cap" in err and str(dot) in err
+    assert json.loads(js.read_text())["status"] == "time-cap"
 
 
 def test_ladder_runs_the_full_ladder(church, capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 import flowladder
 from flowladder.domains import (
     ARG_SLOT,
+    EMPTY_ENV,
     HALT,
     STUCK_APPLY,
     AbstractInt,
@@ -33,7 +34,9 @@ from flowladder.domains import (
     ValAddr,
     skeleton,
 )
+from flowladder.engine import Config, run
 from flowladder.syntax import Lit, Term, Var, parse
+from tests.support import load_corpus
 
 SRC = Path(flowladder.__file__).resolve().parent
 
@@ -72,6 +75,39 @@ def test_every_term_class_equal_from_equal_fields():
     for x, y in zip(a, b):
         assert x is not y
         assert x == y and hash(x) == hash(y), type(x).__name__
+
+
+def _terms_under(roots):
+    """Every term reachable from ``roots`` through term fields, tuples
+    and environments."""
+    seen, work = {}, list(roots)
+    while work:
+        x = work.pop()
+        if isinstance(x, tuple):
+            work.extend(x)
+        elif isinstance(x, Term) and id(x) not in seen:
+            seen[id(x)] = x
+            if isinstance(x, Env):
+                work.extend(a for _, a in x.items())
+            else:
+                work.extend(getattr(x, f) for f in type(x).__slots__)
+    return list(seen.values())
+
+
+def test_hashes_are_below_2_to_the_30():
+    # below 2 ** 30 CPython holds an int in one digit, 28 bytes where a
+    # full-width hash takes 36, and a run keeps one per term
+    terms = _examples()
+    env = EMPTY_ENV
+    for i in range(100):
+        env = env.extend(f"v{i % 7}", BindAddr(f"v{i}", (i,)))
+        terms.append(env)
+    for _, _, e in load_corpus():
+        r = run(Config(stage="imperative-prealloc", k=1), e)
+        terms += _terms_under(r.nodes)
+    assert Env in {type(t) for t in terms}
+    for t in terms:
+        assert 0 <= hash(t) < 2 ** 30, t
 
 
 def test_terms_of_different_types_differ():
